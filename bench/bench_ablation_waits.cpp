@@ -32,24 +32,25 @@ AblationResult sweep(const Factory& factory, int seeds) {
   std::uint64_t reads = 0;
   std::uint64_t read_msgs_proxy = 0;
   for (int s = 0; s < seeds; ++s) {
-    SimWorkloadOptions opt;
-    opt.cfg = make_cfg(5);
-    opt.seed = static_cast<std::uint64_t>(s);
+    SimRegisterGroup::Options engine;
+    engine.cfg = make_cfg(5);
+    engine.seed = static_cast<std::uint64_t>(s);
+    engine.process_factory = factory;
+    switch (s % 3) {
+      case 0:
+        engine.delay = make_uniform_delay(1, 1500);
+        break;
+      case 1:
+        engine.delay = make_flipflop_delay(3, 2200, 5);
+        break;
+      default:
+        engine.delay = make_exponential_delay(400, 9000);
+    }
+    WorkloadOptions opt;
     opt.ops_per_process = 24;
     opt.think_time_max = 120;
-    opt.process_factory = factory;
-    opt.delay_factory = [s](const GroupConfig& cfg) {
-      switch (s % 3) {
-        case 0:
-          return make_uniform_delay(1, 1500);
-        case 1:
-          return make_flipflop_delay(3, 2200, cfg.n);
-        default:
-          return make_exponential_delay(400, 9000);
-      }
-    };
-    const auto result = run_sim_workload(opt);
-    const auto stats = SwmrChecker::analyze(result.ops, opt.cfg.initial);
+    const auto result = run_workload(std::move(engine), opt);
+    const auto stats = SwmrChecker::analyze(result.ops, result.initial);
     out.stats.c0 += stats.c0;
     out.stats.c1 += stats.c1;
     out.stats.c2 += stats.c2;

@@ -7,8 +7,7 @@
 #include <string>
 
 #include "common/table.hpp"
-#include "workload/sim_register_group.hpp"
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr::bench {
 

@@ -19,18 +19,17 @@ void run() {
                    "write lat p50/max (D)", "read lat p50/max (D)"});
   for (const auto algo : {Algorithm::kTwoBit, Algorithm::kAbdUnbounded}) {
     for (std::uint32_t f = 0; f <= 4; ++f) {
-      SimWorkloadOptions opt;
-      opt.cfg = make_cfg(9);
-      opt.algo = algo;
-      opt.seed = 31 + f;
+      SimRegisterGroup::Options engine;
+      engine.cfg = make_cfg(9);
+      engine.algo = algo;
+      engine.seed = 31 + f;
+      engine.delay = make_constant_delay(kDelta);
+      WorkloadOptions opt;
       opt.ops_per_process = 24;
       opt.think_time_max = 1500;
       opt.crashes = f;
       opt.crash_horizon = 40'000;
-      opt.delay_factory = [](const GroupConfig&) {
-        return make_constant_delay(kDelta);
-      };
-      const auto result = run_sim_workload(opt);
+      const auto result = run_workload(std::move(engine), opt);
       auto lat = [&](const Histogram& h) {
         if (h.empty()) return std::string("-");
         return format_double(static_cast<double>(h.percentile(50)) / kDelta,

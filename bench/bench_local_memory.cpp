@@ -41,8 +41,8 @@ SimRegisterGroup make_bounded_group(std::uint32_t n,
 /// The bytes-retained projection for bounded mode: deterministic (constant
 /// delay, closed loop), so CI can gate on it. Steady-state history bytes
 /// must be a function of the GC window (ack interval + channel lag), not of
-/// the write count.
-void run_bounded_projection() {
+/// the write count. Returns whether that criterion holds.
+bool run_bounded_projection() {
   constexpr std::uint32_t kAckInterval = 8;
   std::cout << "-- bounded mode (acked-prefix GC, ack interval "
             << kAckInterval << ", n = 5) --\n";
@@ -82,6 +82,7 @@ void run_bounded_projection() {
             << " across the sweep, " << last_retained
             << " entries retained, criterion: flat and <= "
             << 4 * kAckInterval << " entries)\n\n";
+  return flat && small;
 }
 
 /// --soak: a long workload measured in virtual time (>= 10M ticks), with
@@ -124,7 +125,7 @@ int run_soak() {
   return flat ? 0 : 1;
 }
 
-void run() {
+int run() {
   print_header("Table 1 line 4: local memory per process (bytes)",
                "unbounded (in #writes) | O(n^6) | O(n^5) | unbounded");
 
@@ -166,7 +167,7 @@ void run() {
     }
     std::cout << table.render() << "\n";
   }
-  run_bounded_projection();
+  const bool bounded = run_bounded_projection();
 
   std::cout
       << "twobit trades local memory (the full history, linear in #writes)\n"
@@ -174,6 +175,7 @@ void run() {
       << "history at O(window); abd-unbounded keeps one value; the bounded\n"
       << "baselines pay polynomial-in-n label stores (modeled sizes, see\n"
       << "DESIGN.md section 4).\n";
+  return bounded ? 0 : 1;
 }
 
 }  // namespace
@@ -183,6 +185,5 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--soak") == 0) {
     return tbr::bench::run_soak();
   }
-  tbr::bench::run();
-  return 0;
+  return tbr::bench::run();
 }

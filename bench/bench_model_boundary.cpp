@@ -22,14 +22,15 @@ struct BoundaryRow {
 BoundaryRow loss_sweep(Algorithm algo, double loss_rate) {
   BoundaryRow row;
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    SimWorkloadOptions opt;
-    opt.cfg = make_cfg(5);
-    opt.algo = algo;
-    opt.seed = seed;
+    SimRegisterGroup::Options engine;
+    engine.cfg = make_cfg(5);
+    engine.algo = algo;
+    engine.seed = seed;
+    engine.loss_rate = loss_rate;
+    WorkloadOptions opt;
     opt.ops_per_process = 20;
     opt.think_time_max = 200;
-    opt.loss_rate = loss_rate;
-    const auto result = run_sim_workload(opt);
+    const auto result = run_workload(std::move(engine), opt);
     row.runs += 1;
     row.ops_done += result.completed_by_correct;
     row.ops_quota += result.quota_of_correct;
@@ -37,7 +38,7 @@ BoundaryRow loss_sweep(Algorithm algo, double loss_rate) {
     if (result.completed_by_correct < result.quota_of_correct) {
       row.stalled_runs += 1;
     }
-    if (!result.check_atomicity(opt.cfg.initial).ok) row.all_atomic = false;
+    if (!result.check_atomicity().ok) row.all_atomic = false;
   }
   return row;
 }

@@ -37,16 +37,15 @@ void run_mixed_workload() {
   TextTable table({"algorithm", "ops", "total msgs", "msgs/op",
                    "control Kbits", "read lat p50/p99 (D units)"});
   for (const auto algo : algos) {
-    SimWorkloadOptions opt;
-    opt.cfg = make_cfg(n);
-    opt.algo = algo;
-    opt.seed = 21;
+    SimRegisterGroup::Options engine;
+    engine.cfg = make_cfg(n);
+    engine.algo = algo;
+    engine.seed = 21;
+    engine.delay = make_uniform_delay(kDelta / 2, kDelta);
+    WorkloadOptions opt;
     opt.ops_per_process = 40;  // 40 writes, 320 reads: 8:1 read-dominated
     opt.think_time_max = 3000;
-    opt.delay_factory = [](const GroupConfig&) {
-      return make_uniform_delay(kDelta / 2, kDelta);
-    };
-    const auto result = run_sim_workload(opt);
+    const auto result = run_workload(std::move(engine), opt);
     const auto ops = result.completed_by_correct;
     const auto msgs = result.stats.total_sent();
     table.add_row(
@@ -94,7 +93,8 @@ void run_quiescent_latency() {
       << "fast path pays off under write concurrency (D1c below).\n\n";
 }
 
-void run_racing_acceptance() {
+/// Returns whether every fastread engine meets the >= 1.25x criterion.
+bool run_racing_acceptance() {
   print_header(
       "D1c: reads racing a continuous writer (n=9, t=4, heavy-tail delays)",
       "fastread engines keep reads off the writer's gossip critical path");
@@ -105,17 +105,16 @@ void run_racing_acceptance() {
   // mean latencies below are exact constants, reproducible on every run.
   constexpr std::uint32_t n = 9;
   const auto mean_read_latency = [](Algorithm algo) {
-    SimWorkloadOptions opt;
-    opt.cfg = make_cfg(n);
-    opt.algo = algo;
-    opt.seed = 42;
+    SimRegisterGroup::Options engine;
+    engine.cfg = make_cfg(n);
+    engine.algo = algo;
+    engine.seed = 42;
+    engine.delay = make_exponential_delay(kDelta / 4, kDelta * 8);
+    WorkloadOptions opt;
     opt.ops_per_process = 40;
     opt.writer_read_fraction = 0.0;
     opt.think_time_max = 0;
-    opt.delay_factory = [](const GroupConfig&) {
-      return make_exponential_delay(kDelta / 4, kDelta * 8);
-    };
-    return run_sim_workload(opt).read_latency.mean();
+    return run_workload(std::move(engine), opt).read_latency.mean();
   };
 
   const double base = mean_read_latency(Algorithm::kTwoBit);
@@ -149,6 +148,7 @@ void run_racing_acceptance() {
       "acceptance: fastread read-latency speedup = %.2fx "
       "(criterion: >= 1.25x)\n",
       min_speedup);
+  return min_speedup >= 1.25;
 }
 
 }  // namespace
@@ -157,6 +157,5 @@ void run_racing_acceptance() {
 int main() {
   tbr::bench::run_mixed_workload();
   tbr::bench::run_quiescent_latency();
-  tbr::bench::run_racing_acceptance();
-  return 0;
+  return tbr::bench::run_racing_acceptance() ? 0 : 1;
 }

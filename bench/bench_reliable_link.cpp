@@ -34,21 +34,21 @@ struct LinkRow {
 LinkRow sweep(double loss_rate, bool linked) {
   LinkRow row;
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    SimWorkloadOptions opt;
-    opt.cfg = make_cfg(5);
-    opt.algo = Algorithm::kTwoBit;
-    opt.seed = seed;
-    opt.ops_per_process = 20;
-    opt.think_time_max = 200;
-    opt.loss_rate = loss_rate;
-    std::vector<const ReliableLinkProcess*> links;
+    SimRegisterGroup::Options engine;
+    engine.cfg = make_cfg(5);
+    engine.algo = Algorithm::kTwoBit;
+    engine.seed = seed;
+    engine.loss_rate = loss_rate;
     if (linked) {
-      opt.process_factory = [](const GroupConfig& cfg, ProcessId pid) {
+      engine.process_factory = [](const GroupConfig& cfg, ProcessId pid) {
         return std::make_unique<ReliableLinkProcess>(
             cfg, pid, std::make_unique<TwoBitProcess>(cfg, pid));
       };
     }
-    const auto result = run_sim_workload(opt);
+    WorkloadOptions opt;
+    opt.ops_per_process = 20;
+    opt.think_time_max = 200;
+    const auto result = run_workload(std::move(engine), opt);
     row.runs += 1;
     row.ops_done += result.completed_by_correct;
     row.ops_quota += result.quota_of_correct;
@@ -56,7 +56,7 @@ LinkRow sweep(double loss_rate, bool linked) {
     if (result.completed_by_correct < result.quota_of_correct) {
       row.stalled_runs += 1;
     }
-    if (!result.check_atomicity(opt.cfg.initial).ok) row.all_atomic = false;
+    if (!result.check_atomicity().ok) row.all_atomic = false;
   }
   return row;
 }

@@ -37,7 +37,8 @@ ShardedWorkloadOptions base_options() {
   return opt;
 }
 
-void run_projection_sweep() {
+/// Returns whether the 4-shard speedup meets its >= 2x criterion.
+bool run_projection_sweep() {
   std::cout << "-- capacity projection (deterministic; per-replica CPU = "
                "200 ticks/frame, delta = 1000) --\n";
   TextTable table({"shards", "ops", "busiest shard (ticks)", "ops/Mtick",
@@ -67,9 +68,10 @@ void run_projection_sweep() {
          format_count(p.batch.absorbed_writes), format_count(p.frames)});
   }
   std::cout << table.render();
-  std::cout << "acceptance: 4-shard speedup = "
-            << format_double(base > 0 ? at_four / base : 0.0, 2)
+  const double speedup = base > 0 ? at_four / base : 0.0;
+  std::cout << "acceptance: 4-shard speedup = " << format_double(speedup, 2)
             << "x (criterion: >= 2x)\n\n";
+  return speedup >= 2.0;
 }
 
 void run_batching_ablation() {
@@ -153,12 +155,12 @@ void run_engine_sweep() {
   std::cout << table.render() << "\n";
 }
 
-void run() {
+int run() {
   print_header(
       "D11: sharded multi-register throughput (read-dominated, zipf skew)",
       "derived experiment — partitioned register groups + per-shard "
       "batching; >= 2x ops/sec at 4 shards vs 1");
-  run_projection_sweep();
+  const bool accepted = run_projection_sweep();
   run_batching_ablation();
   run_min_batch_sweep();
   run_engine_sweep();
@@ -170,12 +172,10 @@ void run() {
       << "queued same-slot writes collapse last-write-wins). Atomicity is\n"
       << "per-register and untouched — tests/sharded_linearizability_test\n"
       << "checks the same engine configuration under the checker.\n";
+  return accepted ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace tbr::bench
 
-int main() {
-  tbr::bench::run();
-  return 0;
-}
+int main() { return tbr::bench::run(); }

@@ -20,16 +20,10 @@ struct DriftSample {
 
 DriftSample measure(std::uint32_t n, std::uint64_t seed,
                     std::unique_ptr<DelayModel> delay) {
-  SimWorkloadOptions opt;
-  opt.cfg = make_cfg(n);
-  opt.algo = Algorithm::kTwoBit;
-  opt.seed = seed;
-  opt.ops_per_process = 12;
-  opt.think_time_max = 200;
   // The observer hook below samples after every event.
   DriftSample sample;
   SimRegisterGroup::Options gopt;
-  gopt.cfg = opt.cfg;
+  gopt.cfg = make_cfg(n);
   gopt.algo = Algorithm::kTwoBit;
   gopt.seed = seed;
   gopt.delay = std::move(delay);
@@ -51,8 +45,7 @@ DriftSample measure(std::uint32_t n, std::uint64_t seed,
       }
     }
   });
-  // Closed loop of writes from the writer; readers hammer reads.
-  Rng rng(seed);
+  // Closed loop of writes from the writer.
   for (int k = 1; k <= 30; ++k) group.client().write_sync(Value::from_int64(k));
   group.settle();
   return sample;

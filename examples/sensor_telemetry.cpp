@@ -11,7 +11,7 @@
 //   build/examples/sensor_telemetry
 #include <iostream>
 
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 int main() {
   using namespace tbr;
@@ -19,21 +19,20 @@ int main() {
   std::cout << "sensor (1 writer) + 8 dashboards, 25 samples + ~200 polls\n\n";
 
   for (const auto algo : {Algorithm::kTwoBit, Algorithm::kAbdUnbounded}) {
-    SimWorkloadOptions opt;
-    opt.cfg.n = 9;
-    opt.cfg.t = 4;
-    opt.cfg.writer = 0;
-    opt.cfg.initial = Value::from_int64(0);
-    opt.algo = algo;
-    opt.seed = 2024;
+    SimRegisterGroup::Options engine;
+    engine.cfg.n = 9;
+    engine.cfg.t = 4;
+    engine.cfg.writer = 0;
+    engine.cfg.initial = Value::from_int64(0);
+    engine.algo = algo;
+    engine.seed = 2024;
+    engine.delay = make_uniform_delay(200, 1000);  // jittery WAN-ish link
+    WorkloadOptions opt;
     opt.ops_per_process = 25;
     opt.think_time_max = 2000;
-    opt.delay_factory = [](const GroupConfig&) {
-      return make_uniform_delay(200, 1000);  // jittery WAN-ish link
-    };
 
-    const auto result = run_sim_workload(opt);
-    const auto check = result.check_atomicity(opt.cfg.initial);
+    const auto result = run_workload(std::move(engine), opt);
+    const auto check = result.check_atomicity();
 
     std::cout << "== " << algorithm_name(algo) << " ==\n";
     std::cout << "  polls completed : " << result.read_latency.count() << "\n";

@@ -1,9 +1,11 @@
-// RegisterProcessBase: the public API every register implementation
-// (the paper's two-bit algorithm and the three ABD-family baselines) offers.
+// RegisterProcessBase: the public API all six register protocols offer
+// (the paper's two-bit algorithm, the three ABD-family baselines, and the
+// Oh-RAM and time-efficient fast-read engines).
 //
 // One process in the group is the writer; every process can read. Operations
-// are asynchronous: callers pass a completion callback, which the runtime's
-// facade layer adapts into blocking calls (simulator) or futures (threads).
+// are asynchronous: callers pass a completion callback. Applications do not
+// call these directly: every engine's RegisterClient (src/client/client.hpp)
+// wraps them into pooled Ticket/callback completions with a uniform Status.
 #pragma once
 
 #include <cstdint>

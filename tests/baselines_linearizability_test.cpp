@@ -4,7 +4,7 @@
 // suite is what would catch it.)
 #include <gtest/gtest.h>
 
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -36,34 +36,35 @@ class BaselineLinearizability
 
 TEST_P(BaselineLinearizability, HistoryIsAtomic) {
   const auto& c = GetParam();
-  SimWorkloadOptions opt;
-  opt.cfg.n = c.n;
-  opt.cfg.t = c.t;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = c.algo;
-  opt.seed = c.seed;
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = c.n;
+  engine.cfg.t = c.t;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.algo = c.algo;
+  engine.seed = c.seed;
+  // Rotate through delay models by seed so the sweep covers them all.
+  switch (c.seed % 3) {
+    case 0:
+      engine.delay = make_uniform_delay(1, 1200);
+      break;
+    case 1:
+      engine.delay = make_flipflop_delay(3, 2000, c.n);
+      break;
+    default:
+      engine.delay = make_exponential_delay(250, 8000);
+  }
+  WorkloadOptions opt;
   opt.ops_per_process = 14;
   opt.writer_read_fraction = 0.25;
   opt.think_time_max = 500;
   opt.crashes = c.crashes;
   opt.allow_writer_crash = c.allow_writer_crash;
   opt.crash_horizon = 40'000;
-  opt.delay_factory = [seed = c.seed](const GroupConfig& cfg) {
-    // Rotate through delay models by seed so the sweep covers them all.
-    switch (seed % 3) {
-      case 0:
-        return make_uniform_delay(1, 1200);
-      case 1:
-        return make_flipflop_delay(3, 2000, cfg.n);
-      default:
-        return make_exponential_delay(250, 8000);
-    }
-  };
 
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   ASSERT_TRUE(result.drained);
-  const auto check = result.check_atomicity(opt.cfg.initial);
+  const auto check = result.check_atomicity();
   EXPECT_TRUE(check.ok) << check.error;
   if (c.crashes == 0) {
     EXPECT_EQ(result.completed_by_correct, result.quota_of_correct);

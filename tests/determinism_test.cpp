@@ -12,8 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/trace.hpp"
-#include "workload/sim_register_group.hpp"
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -52,7 +51,7 @@ std::uint64_t digest_trace(const TraceLog& trace) {
   return h;
 }
 
-std::uint64_t digest_result(const SimWorkloadResult& result) {
+std::uint64_t digest_result(const WorkloadResult& result) {
   std::uint64_t h = kFnvOffset;
   for (const auto& op : result.ops) {
     h = mix(h, static_cast<std::uint64_t>(op.kind));
@@ -128,16 +127,16 @@ std::uint64_t scripted_trace_digest(
 std::uint64_t workload_digest(
     Algorithm algo, std::uint64_t seed, std::uint32_t crashes,
     EventQueue::Policy policy = EventQueue::Policy::kHeap) {
-  SimWorkloadOptions opt;
-  opt.cfg = cfg_n(5);
-  opt.algo = algo;
-  opt.seed = seed;
+  SimRegisterGroup::Options engine;
+  engine.cfg = cfg_n(5);
+  engine.algo = algo;
+  engine.seed = seed;
+  engine.scheduler_policy = policy;
+  WorkloadOptions opt;
   opt.ops_per_process = 10;
   opt.writer_read_fraction = 0.25;
   opt.crashes = crashes;
-  opt.invariant_checks = false;
-  opt.scheduler_policy = policy;
-  return digest_result(run_sim_workload(opt));
+  return digest_result(run_workload(std::move(engine), opt));
 }
 
 // Golden digests. Captured at commit 04722b9 (pre-rework event queue);

@@ -8,7 +8,7 @@
 #include "kvstore/kv_store.hpp"
 #include "kvstore/sharded_store.hpp"
 #include "workload/sim_register_group.hpp"
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -283,18 +283,19 @@ TEST(FastReadKv, ShardedStoreEngineKnobRoundtrips) {
 
 TEST(FastReadWorkload, BothEnginesDrainAndLinearize) {
   for (const auto algo : fastread_algorithms()) {
-    SimWorkloadOptions opt;
-    opt.cfg.n = 5;
-    opt.cfg.t = 2;
-    opt.cfg.writer = 0;
-    opt.cfg.initial = Value::from_int64(0);
-    opt.algo = algo;
-    opt.seed = 21;
+    SimRegisterGroup::Options engine;
+    engine.cfg.n = 5;
+    engine.cfg.t = 2;
+    engine.cfg.writer = 0;
+    engine.cfg.initial = Value::from_int64(0);
+    engine.algo = algo;
+    engine.seed = 21;
+    WorkloadOptions opt;
     opt.ops_per_process = 12;
     opt.writer_read_fraction = 0.25;
-    const auto result = run_sim_workload(opt);
+    const auto result = run_workload(std::move(engine), opt);
     ASSERT_TRUE(result.drained) << algorithm_name(algo);
-    const auto check = result.check_atomicity(opt.cfg.initial);
+    const auto check = result.check_atomicity();
     EXPECT_TRUE(check.ok) << algorithm_name(algo) << ": " << check.error;
     EXPECT_EQ(result.completed_by_correct, result.quota_of_correct)
         << algorithm_name(algo);

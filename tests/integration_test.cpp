@@ -6,7 +6,7 @@
 #include "abd/phased_process.hpp"
 #include "common/bits.hpp"
 #include "core/twobit_process.hpp"
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -120,20 +120,21 @@ TEST(Integration, MessageAsymmetryMatchesTable1) {
 // Identical workload, all algorithms: atomicity + liveness + traffic sanity.
 TEST(Integration, SharedWorkloadAllAlgorithmsAtomic) {
   for (const auto algo : all_algorithms()) {
-    SimWorkloadOptions opt;
-    opt.cfg.n = 7;
-    opt.cfg.t = 3;
-    opt.cfg.writer = 0;
-    opt.cfg.initial = Value::from_int64(0);
-    opt.algo = algo;
-    opt.seed = 99;
+    SimRegisterGroup::Options engine;
+    engine.cfg.n = 7;
+    engine.cfg.t = 3;
+    engine.cfg.writer = 0;
+    engine.cfg.initial = Value::from_int64(0);
+    engine.algo = algo;
+    engine.seed = 99;
+    WorkloadOptions opt;
     opt.ops_per_process = 10;
     opt.writer_read_fraction = 0.2;
     opt.crashes = 2;
     opt.crash_horizon = 25'000;
-    const auto result = run_sim_workload(opt);
+    const auto result = run_workload(std::move(engine), opt);
     EXPECT_TRUE(result.drained) << algorithm_name(algo);
-    const auto check = result.check_atomicity(opt.cfg.initial);
+    const auto check = result.check_atomicity();
     EXPECT_TRUE(check.ok) << algorithm_name(algo) << ": " << check.error;
     EXPECT_EQ(result.completed_by_correct, result.quota_of_correct)
         << algorithm_name(algo);
@@ -159,19 +160,20 @@ TEST(Integration, PayloadSizesRoundTrip) {
 
 // Long-haul: a thousand operations through one group, atomic throughout.
 TEST(Integration, LongHaulThousandOps) {
-  SimWorkloadOptions opt;
-  opt.cfg.n = 5;
-  opt.cfg.t = 2;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = Algorithm::kTwoBit;
-  opt.seed = 7;
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = 5;
+  engine.cfg.t = 2;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.algo = Algorithm::kTwoBit;
+  engine.seed = 7;
+  WorkloadOptions opt;
   opt.ops_per_process = 200;
   opt.think_time_max = 100;
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   ASSERT_TRUE(result.drained);
   EXPECT_EQ(result.ops.size(), 1000u);
-  const auto check = result.check_atomicity(opt.cfg.initial);
+  const auto check = result.check_atomicity();
   EXPECT_TRUE(check.ok) << check.error;
 }
 

@@ -15,7 +15,7 @@
 #include "link/reliable_link.hpp"
 #include "runtime/thread_network.hpp"
 #include "sim/sim_network.hpp"
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -292,22 +292,21 @@ TEST_P(LinkedRegisterLossy, AtomicAndLiveUnderLoss) {
   // The D8 experiment shows the bare two-bit register stalls at ~1% loss.
   // Over the link it must stay atomic AND live at 20x that.
   const auto& c = GetParam();
-  SimWorkloadOptions opt;
-  opt.cfg.n = 5;
-  opt.cfg.t = 2;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.seed = c.seed;
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = 5;
+  engine.cfg.t = 2;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.seed = c.seed;
+  engine.loss_rate = c.loss;
+  engine.process_factory = linked_twobit_factory();
+  engine.delay = make_uniform_delay(1, 700);
+  WorkloadOptions opt;
   opt.ops_per_process = 10;
   opt.think_time_max = 300;
-  opt.loss_rate = c.loss;
-  opt.process_factory = linked_twobit_factory();
-  opt.delay_factory = [](const GroupConfig&) {
-    return make_uniform_delay(1, 700);
-  };
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   ASSERT_TRUE(result.drained) << "retransmission kept frames in flight";
-  const auto check = result.check_atomicity(opt.cfg.initial);
+  const auto check = result.check_atomicity();
   EXPECT_TRUE(check.ok) << check.error;
   EXPECT_EQ(result.completed_by_correct, result.quota_of_correct)
       << "liveness over lossy links is the whole point of the link layer";
@@ -336,19 +335,20 @@ TEST(LinkedRegister, CrashedMinorityWithGiveUp) {
   // live through its quorum.
   LinkOptions lopt;
   lopt.max_retries = 8;
-  SimWorkloadOptions opt;
-  opt.cfg.n = 5;
-  opt.cfg.t = 2;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.seed = 77;
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = 5;
+  engine.cfg.t = 2;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.seed = 77;
+  engine.process_factory = linked_twobit_factory(lopt);
+  WorkloadOptions opt;
   opt.ops_per_process = 8;
   opt.crashes = 2;
   opt.crash_horizon = 20'000;
-  opt.process_factory = linked_twobit_factory(lopt);
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   ASSERT_TRUE(result.drained);
-  const auto check = result.check_atomicity(opt.cfg.initial);
+  const auto check = result.check_atomicity();
   EXPECT_TRUE(check.ok) << check.error;
   EXPECT_EQ(result.completed_by_correct, result.quota_of_correct);
 }

@@ -6,7 +6,7 @@
 #include "abd/phased_codec.hpp"
 #include "common/rng.hpp"
 #include "core/twobit_codec.hpp"
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -95,19 +95,20 @@ class WriterPlacement : public testing::TestWithParam<ProcessId> {};
 
 TEST_P(WriterPlacement, AnyProcessCanBeTheWriter) {
   const ProcessId writer = GetParam();
-  SimWorkloadOptions opt;
-  opt.cfg.n = 5;
-  opt.cfg.t = 2;
-  opt.cfg.writer = writer;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = Algorithm::kTwoBit;
-  opt.seed = 11 + writer;
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = 5;
+  engine.cfg.t = 2;
+  engine.cfg.writer = writer;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.algo = Algorithm::kTwoBit;
+  engine.seed = 11 + writer;
+  WorkloadOptions opt;
   opt.ops_per_process = 10;
   opt.invariant_checks = true;
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   ASSERT_TRUE(result.drained);
   EXPECT_EQ(result.completed_by_correct, result.quota_of_correct);
-  const auto check = result.check_atomicity(opt.cfg.initial);
+  const auto check = result.check_atomicity();
   EXPECT_TRUE(check.ok) << check.error;
   // Only the configured writer wrote.
   for (const auto& op : result.ops) {
@@ -123,20 +124,21 @@ INSTANTIATE_TEST_SUITE_P(AllPositions, WriterPlacement,
 // ---- scale ------------------------------------------------------------------------
 
 TEST(Scale, TwentyOneProcessesStayAtomicAndLive) {
-  SimWorkloadOptions opt;
-  opt.cfg.n = 21;
-  opt.cfg.t = 10;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = Algorithm::kTwoBit;
-  opt.seed = 5;
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = 21;
+  engine.cfg.t = 10;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.algo = Algorithm::kTwoBit;
+  engine.seed = 5;
+  WorkloadOptions opt;
   opt.ops_per_process = 6;
   opt.crashes = 10;  // the full fault budget
   opt.crash_horizon = 30'000;
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   ASSERT_TRUE(result.drained);
   EXPECT_EQ(result.completed_by_correct, result.quota_of_correct);
-  const auto check = result.check_atomicity(opt.cfg.initial);
+  const auto check = result.check_atomicity();
   EXPECT_TRUE(check.ok) << check.error;
 }
 
@@ -195,16 +197,20 @@ TEST(PayloadEdges, LargePayloadsAccountedInDataPlane) {
 
 TEST(Determinism, WholeWorkloadsAreSeedDeterministicPerAlgorithm) {
   for (const auto algo : all_algorithms()) {
-    SimWorkloadOptions opt;
-    opt.cfg.n = 5;
-    opt.cfg.t = 2;
-    opt.cfg.writer = 0;
-    opt.cfg.initial = Value::from_int64(0);
-    opt.algo = algo;
-    opt.seed = 77;
-    opt.ops_per_process = 6;
-    const auto a = run_sim_workload(opt);
-    const auto b = run_sim_workload(opt);
+    const auto run = [algo] {
+      SimRegisterGroup::Options engine;
+      engine.cfg.n = 5;
+      engine.cfg.t = 2;
+      engine.cfg.writer = 0;
+      engine.cfg.initial = Value::from_int64(0);
+      engine.algo = algo;
+      engine.seed = 77;
+      WorkloadOptions opt;
+      opt.ops_per_process = 6;
+      return run_workload(std::move(engine), opt);
+    };
+    const auto a = run();
+    const auto b = run();
     EXPECT_EQ(a.duration, b.duration) << algorithm_name(algo);
     EXPECT_EQ(a.stats.total_sent(), b.stats.total_sent())
         << algorithm_name(algo);

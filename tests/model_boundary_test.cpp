@@ -4,7 +4,7 @@
 // break liveness, and the harness must detect both outcomes.
 #include <gtest/gtest.h>
 
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -16,19 +16,20 @@ class LossSweep : public testing::TestWithParam<std::uint64_t> {};
 TEST_P(LossSweep, LossNeverBreaksSafety) {
   // Whatever completes under 5% frame loss must still be atomic.
   for (const auto algo : {Algorithm::kTwoBit, Algorithm::kAbdUnbounded}) {
-    SimWorkloadOptions opt;
-    opt.cfg.n = 5;
-    opt.cfg.t = 2;
-    opt.cfg.writer = 0;
-    opt.cfg.initial = Value::from_int64(0);
-    opt.algo = algo;
-    opt.seed = GetParam();
+    SimRegisterGroup::Options engine;
+    engine.cfg.n = 5;
+    engine.cfg.t = 2;
+    engine.cfg.writer = 0;
+    engine.cfg.initial = Value::from_int64(0);
+    engine.algo = algo;
+    engine.seed = GetParam();
+    engine.loss_rate = 0.05;
+    WorkloadOptions opt;
     opt.ops_per_process = 10;
     opt.think_time_max = 300;
-    opt.loss_rate = 0.05;
-    const auto result = run_sim_workload(opt);
+    const auto result = run_workload(std::move(engine), opt);
     EXPECT_TRUE(result.drained) << algorithm_name(algo);
-    const auto check = result.check_atomicity(opt.cfg.initial);
+    const auto check = result.check_atomicity();
     EXPECT_TRUE(check.ok) << algorithm_name(algo) << ": " << check.error;
   }
 }
@@ -44,24 +45,25 @@ TEST(ModelBoundary, LossEventuallyStallsTheProtocols) {
     std::uint32_t stalled_runs = 0;
     std::uint64_t lost_total = 0;
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
-      SimWorkloadOptions opt;
-      opt.cfg.n = 5;
-      opt.cfg.t = 2;
-      opt.cfg.writer = 0;
-      opt.cfg.initial = Value::from_int64(0);
-      opt.algo = algo;
-      opt.seed = seed;
+      SimRegisterGroup::Options engine;
+      engine.cfg.n = 5;
+      engine.cfg.t = 2;
+      engine.cfg.writer = 0;
+      engine.cfg.initial = Value::from_int64(0);
+      engine.algo = algo;
+      engine.seed = seed;
+      engine.loss_rate = 0.10;
+      WorkloadOptions opt;
       opt.ops_per_process = 20;
       opt.think_time_max = 200;
-      opt.loss_rate = 0.10;
-      const auto result = run_sim_workload(opt);
+      const auto result = run_workload(std::move(engine), opt);
       EXPECT_TRUE(result.drained);
       lost_total += result.stats.total_dropped();
       if (result.completed_by_correct < result.quota_of_correct) {
         ++stalled_runs;
       }
       // Safety must survive even in stalled runs.
-      const auto check = result.check_atomicity(opt.cfg.initial);
+      const auto check = result.check_atomicity();
       EXPECT_TRUE(check.ok) << check.error;
     }
     EXPECT_GT(stalled_runs, 0u)
@@ -72,16 +74,17 @@ TEST(ModelBoundary, LossEventuallyStallsTheProtocols) {
 }
 
 TEST(ModelBoundary, ZeroLossRemainsFullyLive) {
-  SimWorkloadOptions opt;
-  opt.cfg.n = 5;
-  opt.cfg.t = 2;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = Algorithm::kTwoBit;
-  opt.seed = 3;
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = 5;
+  engine.cfg.t = 2;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.algo = Algorithm::kTwoBit;
+  engine.seed = 3;
+  engine.loss_rate = 0.0;
+  WorkloadOptions opt;
   opt.ops_per_process = 20;
-  opt.loss_rate = 0.0;
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   EXPECT_EQ(result.completed_by_correct, result.quota_of_correct);
 }
 

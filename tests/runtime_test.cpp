@@ -1,9 +1,9 @@
-// Threaded-runtime tests: real concurrency, the unified client, crash
-// semantics, and linearizability of histories produced under genuine
-// thread interleavings.
+// Threaded-runtime tests: real concurrency, the unified client and crash
+// semantics. Linearizability under genuine thread interleavings is swept
+// in workload_test, alongside the sim and socket engines.
 #include <gtest/gtest.h>
 
-#include "runtime/thread_workload.hpp"
+#include "runtime/thread_network.hpp"
 
 namespace tbr {
 namespace {
@@ -106,66 +106,6 @@ TEST(ThreadNetworkTest, BaselinesRunOnThreadsToo) {
     net.stop();
   }
 }
-
-// ---- concurrent workloads with atomicity checking -----------------------------------
-
-struct ThreadLinCase {
-  Algorithm algo;
-  std::uint32_t n;
-  std::uint32_t t;
-  std::uint32_t crashes;
-  std::uint64_t seed;
-};
-
-std::string case_name(const testing::TestParamInfo<ThreadLinCase>& info) {
-  const auto& c = info.param;
-  std::string name = algorithm_name(c.algo);
-  for (auto& ch : name) {
-    if (ch == '-') ch = '_';
-  }
-  return name + "_n" + std::to_string(c.n) + "c" + std::to_string(c.crashes) +
-         "_s" + std::to_string(c.seed);
-}
-
-class ThreadedLinearizability : public testing::TestWithParam<ThreadLinCase> {
-};
-
-TEST_P(ThreadedLinearizability, ConcurrentHistoryIsAtomic) {
-  const auto& c = GetParam();
-  ThreadWorkloadOptions opt;
-  opt.cfg = make_cfg(c.n, c.t);
-  opt.algo = c.algo;
-  opt.seed = c.seed;
-  opt.ops_per_process = 24;
-  opt.min_delay_us = 0;
-  opt.max_delay_us = 250;
-  opt.crashes = c.crashes;
-  const auto result = run_thread_workload(opt);
-  const auto check = result.check_atomicity(opt.cfg.initial);
-  EXPECT_TRUE(check.ok) << check.error;
-  if (c.crashes == 0) {
-    EXPECT_EQ(result.completed_by_correct, result.quota_of_correct);
-  }
-  EXPECT_GT(result.stats.total_sent(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ThreadedLinearizability,
-    testing::Values(ThreadLinCase{Algorithm::kTwoBit, 3, 1, 0, 1},
-                    ThreadLinCase{Algorithm::kTwoBit, 5, 2, 0, 2},
-                    ThreadLinCase{Algorithm::kTwoBit, 5, 2, 0, 3},
-                    ThreadLinCase{Algorithm::kTwoBit, 7, 3, 0, 4},
-                    ThreadLinCase{Algorithm::kTwoBit, 5, 2, 2, 5},
-                    ThreadLinCase{Algorithm::kTwoBit, 7, 3, 3, 6},
-                    ThreadLinCase{Algorithm::kTwoBit, 9, 4, 4, 11},
-                    ThreadLinCase{Algorithm::kAbdUnbounded, 5, 2, 0, 7},
-                    ThreadLinCase{Algorithm::kAbdUnbounded, 5, 2, 2, 8},
-                    ThreadLinCase{Algorithm::kAbdUnbounded, 7, 3, 3, 12},
-                    ThreadLinCase{Algorithm::kAbdBounded, 3, 1, 0, 9},
-                    ThreadLinCase{Algorithm::kAbdBounded, 5, 2, 2, 13},
-                    ThreadLinCase{Algorithm::kAttiya, 3, 1, 0, 10},
-                    ThreadLinCase{Algorithm::kAttiya, 5, 2, 2, 14}),
-    case_name);
 
 }  // namespace
 }  // namespace tbr

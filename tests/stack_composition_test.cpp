@@ -15,7 +15,7 @@
 #include "kvstore/kv_store.hpp"
 #include "link/reliable_link.hpp"
 #include "workload/algorithms.hpp"
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -68,21 +68,22 @@ TEST(StackComposition, RegisterOverLinkUnderLossBothAlgorithms) {
   // is protocol-agnostic and both protocols stay atomic and live.
   for (const Algorithm algo :
        {Algorithm::kTwoBit, Algorithm::kAbdUnbounded}) {
-    SimWorkloadOptions opt;
-    opt.cfg.n = 5;
-    opt.cfg.t = 2;
-    opt.cfg.writer = 0;
-    opt.cfg.initial = Value::from_int64(0);
-    opt.seed = 12345;
-    opt.ops_per_process = 8;
-    opt.loss_rate = 0.10;
-    opt.process_factory = [algo](const GroupConfig& cfg, ProcessId pid) {
+    SimRegisterGroup::Options engine;
+    engine.cfg.n = 5;
+    engine.cfg.t = 2;
+    engine.cfg.writer = 0;
+    engine.cfg.initial = Value::from_int64(0);
+    engine.seed = 12345;
+    engine.loss_rate = 0.10;
+    engine.process_factory = [algo](const GroupConfig& cfg, ProcessId pid) {
       return std::make_unique<ReliableLinkProcess>(
           cfg, pid, make_register_process(algo, cfg, pid));
     };
-    const auto result = run_sim_workload(opt);
+    WorkloadOptions opt;
+    opt.ops_per_process = 8;
+    const auto result = run_workload(std::move(engine), opt);
     ASSERT_TRUE(result.drained) << algorithm_name(algo);
-    const auto check = result.check_atomicity(opt.cfg.initial);
+    const auto check = result.check_atomicity();
     EXPECT_TRUE(check.ok) << algorithm_name(algo) << ": " << check.error;
     EXPECT_EQ(result.completed_by_correct, result.quota_of_correct)
         << algorithm_name(algo);

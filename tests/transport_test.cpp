@@ -1,8 +1,9 @@
 // Socket runtime (src/transport): the register over real loopback TCP —
 // basic semantics via the unified client, all four algorithms on the
-// wire, crash behaviour, the inbound frame ring, concurrent-history
-// atomicity, and composition with the reliable-link decorator (timers on
-// a real event loop).
+// wire, crash behaviour, the inbound frame ring, and composition with the
+// reliable-link decorator (timers on a real event loop). Concurrent-history
+// atomicity is swept in workload_test, alongside the sim and threaded
+// engines.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,7 +14,7 @@
 #include "core/twobit_process.hpp"
 #include "link/reliable_link.hpp"
 #include "transport/frame_buffer.hpp"
-#include "transport/socket_workload.hpp"
+#include "transport/socket_network.hpp"
 
 namespace tbr {
 namespace {
@@ -316,68 +317,6 @@ TEST(FrameBufferTest, InterleavedAppendDrainKeepsOffsetBounded) {
   ASSERT_TRUE(buf.next_frame(frame));
   EXPECT_EQ(frame, "item-9999");
 }
-
-// ---- concurrent workloads with atomicity checking -----------------------------------
-
-struct SocketLinCase {
-  Algorithm algo;
-  std::uint32_t n;
-  std::uint32_t t;
-  std::uint32_t crashes;
-  std::uint64_t seed;
-  std::uint32_t loops = 0;  ///< 0 = auto (see SocketNetwork::Options)
-};
-
-std::string case_name(const testing::TestParamInfo<SocketLinCase>& info) {
-  const auto& c = info.param;
-  std::string name = algorithm_name(c.algo);
-  for (auto& ch : name) {
-    if (ch == '-') ch = '_';
-  }
-  name += "_n" + std::to_string(c.n) + "c" + std::to_string(c.crashes) +
-          "_s" + std::to_string(c.seed);
-  if (c.loops != 0) name += "_l" + std::to_string(c.loops);
-  return name;
-}
-
-class SocketLinearizability : public testing::TestWithParam<SocketLinCase> {};
-
-TEST_P(SocketLinearizability, ConcurrentTcpHistoryIsAtomic) {
-  const auto& c = GetParam();
-  SocketWorkloadOptions opt;
-  opt.cfg = make_cfg(c.n, c.t);
-  opt.algo = c.algo;
-  opt.seed = c.seed;
-  opt.ops_per_process = 20;
-  opt.crashes = c.crashes;
-  opt.loops = c.loops;
-  const auto result = run_socket_workload(opt);
-  const auto check = result.check_atomicity(opt.cfg.initial);
-  EXPECT_TRUE(check.ok) << check.error;
-  if (c.crashes == 0) {
-    EXPECT_EQ(result.completed_by_correct, result.quota_of_correct);
-  }
-  EXPECT_GT(result.stats.total_sent(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SocketLinearizability,
-    testing::Values(SocketLinCase{Algorithm::kTwoBit, 3, 1, 0, 1},
-                    SocketLinCase{Algorithm::kTwoBit, 5, 2, 0, 2},
-                    SocketLinCase{Algorithm::kTwoBit, 5, 2, 2, 3},
-                    SocketLinCase{Algorithm::kTwoBit, 7, 3, 3, 4},
-                    SocketLinCase{Algorithm::kAbdUnbounded, 5, 2, 0, 5},
-                    SocketLinCase{Algorithm::kAbdUnbounded, 5, 2, 2, 6},
-                    SocketLinCase{Algorithm::kAttiya, 3, 1, 0, 7},
-                    SocketLinCase{Algorithm::kAbdBounded, 3, 1, 0, 8},
-                    // Multi-loop sweep: the same histories must stay atomic
-                    // when processes are sharded pid % loops across event
-                    // loops (cross-loop frames, timers, and crashes).
-                    SocketLinCase{Algorithm::kTwoBit, 5, 2, 0, 9, 2},
-                    SocketLinCase{Algorithm::kTwoBit, 5, 2, 2, 10, 4},
-                    SocketLinCase{Algorithm::kTwoBit, 7, 3, 3, 11, 4},
-                    SocketLinCase{Algorithm::kAbdUnbounded, 5, 2, 2, 12, 2}),
-    case_name);
 
 }  // namespace
 }  // namespace tbr

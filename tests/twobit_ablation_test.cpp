@@ -11,7 +11,7 @@
 #include "abd/phased_process.hpp"
 #include "core/twobit_process.hpp"
 #include "workload/adversarial.hpp"
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -21,29 +21,29 @@ using Factory = std::function<std::unique_ptr<RegisterProcessBase>(
 
 CheckStats run_and_analyze(const Factory& factory, std::uint64_t seed,
                            std::uint32_t n = 5) {
-  SimWorkloadOptions opt;
-  opt.cfg.n = n;
-  opt.cfg.t = (n - 1) / 2;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = Algorithm::kTwoBit;  // informational; factory decides
-  opt.seed = seed;
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = n;
+  engine.cfg.t = (n - 1) / 2;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.seed = seed;
+  engine.process_factory = factory;
+  switch (seed % 3) {
+    case 0:
+      engine.delay = make_uniform_delay(1, 1500);
+      break;
+    case 1:
+      engine.delay = make_flipflop_delay(3, 2200, n);
+      break;
+    default:
+      engine.delay = make_exponential_delay(400, 9000);
+  }
+  WorkloadOptions opt;
   opt.ops_per_process = 24;
   opt.think_time_max = 120;  // hot: reads race the write pipeline
-  opt.process_factory = factory;
-  opt.delay_factory = [seed](const GroupConfig& cfg) {
-    switch (seed % 3) {
-      case 0:
-        return make_uniform_delay(1, 1500);
-      case 1:
-        return make_flipflop_delay(3, 2200, cfg.n);
-      default:
-        return make_exponential_delay(400, 9000);
-    }
-  };
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   EXPECT_TRUE(result.drained);
-  return SwmrChecker::analyze(result.ops, opt.cfg.initial);
+  return SwmrChecker::analyze(result.ops, result.initial);
 }
 
 Factory twobit_factory(TwoBitOptions options) {
@@ -187,21 +187,20 @@ TEST(WaitAblation, AnalyzeCountsMatchCheckVerdict) {
   TwoBitOptions broken;
   broken.skip_read_second_wait = true;
   for (std::uint64_t s = 0; s < 6; ++s) {
-    SimWorkloadOptions opt;
-    opt.cfg.n = 5;
-    opt.cfg.t = 2;
-    opt.cfg.writer = 0;
-    opt.cfg.initial = Value::from_int64(0);
-    opt.seed = s;
+    SimRegisterGroup::Options engine;
+    engine.cfg.n = 5;
+    engine.cfg.t = 2;
+    engine.cfg.writer = 0;
+    engine.cfg.initial = Value::from_int64(0);
+    engine.seed = s;
+    engine.process_factory = twobit_factory(broken);
+    engine.delay = make_flipflop_delay(3, 2200, 5);
+    WorkloadOptions opt;
     opt.ops_per_process = 20;
     opt.think_time_max = 120;
-    opt.process_factory = twobit_factory(broken);
-    opt.delay_factory = [](const GroupConfig& cfg) {
-      return make_flipflop_delay(3, 2200, cfg.n);
-    };
-    const auto result = run_sim_workload(opt);
-    const auto stats = SwmrChecker::analyze(result.ops, opt.cfg.initial);
-    const auto verdict = SwmrChecker::check(result.ops, opt.cfg.initial);
+    const auto result = run_workload(std::move(engine), opt);
+    const auto stats = SwmrChecker::analyze(result.ops, result.initial);
+    const auto verdict = result.check_atomicity();
     EXPECT_EQ(stats.atomic(), verdict.ok);
     if (!verdict.ok) {
       EXPECT_EQ(verdict.error, stats.first_error);

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/invariants.hpp"
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -42,30 +42,29 @@ class TwoBitInvariantSweep : public testing::TestWithParam<InvariantCase> {};
 
 TEST_P(TwoBitInvariantSweep, LemmasHoldOnEveryEvent) {
   const auto& c = GetParam();
-  SimWorkloadOptions opt;
-  opt.cfg.n = c.n;
-  opt.cfg.t = c.t;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = Algorithm::kTwoBit;
-  opt.seed = c.seed;
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = c.n;
+  engine.cfg.t = c.t;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.algo = Algorithm::kTwoBit;
+  engine.seed = c.seed;
+  engine.delay = make_delay(c.delay, engine.cfg);
+  WorkloadOptions opt;
   opt.ops_per_process = 12;
   opt.writer_read_fraction = 0.25;
   opt.think_time_max = 500;
   opt.crashes = c.crashes;
   opt.crash_horizon = 20'000;
   opt.invariant_checks = true;
-  opt.delay_factory = [kind = std::string(c.delay)](const GroupConfig& cfg) {
-    return make_delay(kind, cfg);
-  };
 
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   EXPECT_TRUE(result.drained) << "simulation did not drain";
   EXPECT_GT(result.invariant_checks, 0u);
   // Liveness (Lemmas 8/9): every never-crashed process finished its quota.
   EXPECT_EQ(result.completed_by_correct, result.quota_of_correct);
   // And the history is atomic, while we are at it.
-  const auto check = result.check_atomicity(opt.cfg.initial);
+  const auto check = result.check_atomicity();
   EXPECT_TRUE(check.ok) << check.error;
 }
 
@@ -102,26 +101,25 @@ INSTANTIATE_TEST_SUITE_P(Sweep, TwoBitInvariantSweep,
 class TwoBitWriterCrashSweep : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TwoBitWriterCrashSweep, WriterCrashKeepsInvariants) {
-  SimWorkloadOptions opt;
-  opt.cfg.n = 5;
-  opt.cfg.t = 2;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = Algorithm::kTwoBit;
-  opt.seed = GetParam();
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = 5;
+  engine.cfg.t = 2;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.algo = Algorithm::kTwoBit;
+  engine.seed = GetParam();
+  engine.delay = make_uniform_delay(1, 800);
+  WorkloadOptions opt;
   opt.ops_per_process = 10;
   opt.think_time_max = 300;
   opt.crashes = 2;
   opt.allow_writer_crash = true;
   opt.crash_horizon = 8'000;
   opt.invariant_checks = true;
-  opt.delay_factory = [](const GroupConfig&) {
-    return make_uniform_delay(1, 800);
-  };
 
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   EXPECT_TRUE(result.drained);
-  const auto check = result.check_atomicity(opt.cfg.initial);
+  const auto check = result.check_atomicity();
   EXPECT_TRUE(check.ok) << check.error;
 }
 

@@ -4,7 +4,7 @@
 // crashes, writer crashes, and read-heavy contention.
 #include <gtest/gtest.h>
 
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -42,26 +42,25 @@ class TwoBitLinearizability : public testing::TestWithParam<LinCase> {};
 
 TEST_P(TwoBitLinearizability, HistoryIsAtomic) {
   const auto& c = GetParam();
-  SimWorkloadOptions opt;
-  opt.cfg.n = c.n;
-  opt.cfg.t = c.t;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = Algorithm::kTwoBit;
-  opt.seed = c.seed;
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = c.n;
+  engine.cfg.t = c.t;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.algo = Algorithm::kTwoBit;
+  engine.seed = c.seed;
+  engine.delay = make_delay(c.delay, engine.cfg);
+  WorkloadOptions opt;
   opt.ops_per_process = 20;
   opt.writer_read_fraction = 0.3;
   opt.think_time_max = 400;
   opt.crashes = c.crashes;
   opt.allow_writer_crash = c.allow_writer_crash;
   opt.crash_horizon = 30'000;
-  opt.delay_factory = [kind = std::string(c.delay)](const GroupConfig& cfg) {
-    return make_delay(kind, cfg);
-  };
 
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   ASSERT_TRUE(result.drained) << "simulation hit the event budget";
-  const auto check = result.check_atomicity(opt.cfg.initial);
+  const auto check = result.check_atomicity();
   EXPECT_TRUE(check.ok) << check.error;
   if (c.crashes == 0) {
     EXPECT_EQ(result.completed_by_correct, result.quota_of_correct)
@@ -109,21 +108,20 @@ INSTANTIATE_TEST_SUITE_P(Sweep, TwoBitLinearizability,
 class TwoBitReadDominated : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TwoBitReadDominated, AtomicUnderReadHammer) {
-  SimWorkloadOptions opt;
-  opt.cfg.n = 9;
-  opt.cfg.t = 4;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = Algorithm::kTwoBit;
-  opt.seed = GetParam();
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = 9;
+  engine.cfg.t = 4;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.algo = Algorithm::kTwoBit;
+  engine.seed = GetParam();
+  engine.delay = make_uniform_delay(1, 600);
+  WorkloadOptions opt;
   opt.ops_per_process = 30;
   opt.think_time_max = 50;  // hot loop
-  opt.delay_factory = [](const GroupConfig&) {
-    return make_uniform_delay(1, 600);
-  };
-  const auto result = run_sim_workload(opt);
+  const auto result = run_workload(std::move(engine), opt);
   ASSERT_TRUE(result.drained);
-  const auto check = result.check_atomicity(opt.cfg.initial);
+  const auto check = result.check_atomicity();
   EXPECT_TRUE(check.ok) << check.error;
   EXPECT_EQ(result.completed_by_correct, result.quota_of_correct);
 }

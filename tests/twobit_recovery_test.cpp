@@ -11,9 +11,9 @@
 
 #include "checker/swmr_checker.hpp"
 #include "core/twobit_process.hpp"
-#include "runtime/thread_workload.hpp"
-#include "transport/socket_workload.hpp"
-#include "workload/sim_workload.hpp"
+#include "runtime/thread_network.hpp"
+#include "transport/socket_network.hpp"
+#include "workload/sim_register_group.hpp"
 
 namespace tbr {
 namespace {

@@ -5,9 +5,10 @@
 // algorithm.
 #include <gtest/gtest.h>
 
+#include "checker/history.hpp"
 #include "checker/swmr_checker.hpp"
 #include "core/twobit_process.hpp"
-#include "workload/sim_workload.hpp"
+#include "workload/sim_register_group.hpp"
 
 namespace tbr {
 namespace {
@@ -111,23 +112,14 @@ TEST(TwoBitWindow, StraggledProcessStallsForever) {
 TEST(TwoBitWindow, SafetyHoldsEvenWhenLivenessDies) {
   // Same straggler setup driven through the workload machinery: whatever
   // completes must still be atomic.
-  SimWorkloadOptions opt;
-  opt.cfg.n = 5;
-  opt.cfg.t = 2;
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = Algorithm::kTwoBit;
-  opt.seed = 3;
-  opt.ops_per_process = 15;
-  opt.think_time_max = 100;
-  opt.delay_factory = [](const GroupConfig&) {
-    return make_straggler_delay(4, 40 * kDelta, kDelta / 2);
-  };
-  // Swap in windowed processes via the group factory.
   SimRegisterGroup::Options gopt;
-  gopt.cfg = opt.cfg;
-  gopt.seed = opt.seed;
-  gopt.delay = opt.delay_factory(opt.cfg);
+  gopt.cfg.n = 5;
+  gopt.cfg.t = 2;
+  gopt.cfg.writer = 0;
+  gopt.cfg.initial = Value::from_int64(0);
+  gopt.seed = 3;
+  gopt.delay = make_straggler_delay(4, 40 * kDelta, kDelta / 2);
+  // Windowed processes via the group factory.
   gopt.process_factory = [](const GroupConfig& cfg, ProcessId pid) {
     TwoBitOptions options;
     options.history_window = 3;
@@ -170,7 +162,7 @@ TEST(TwoBitWindow, SafetyHoldsEvenWhenLivenessDies) {
   });
   (void)group.net().run();
 
-  const auto verdict = SwmrChecker::check(log.ops(), opt.cfg.initial);
+  const auto verdict = SwmrChecker::check(log.ops(), group.config().initial);
   EXPECT_TRUE(verdict.ok) << verdict.error;
 }
 

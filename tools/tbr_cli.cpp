@@ -27,7 +27,7 @@
 #include "core/twobit_process.hpp"
 #include "modelcheck/explorer.hpp"
 #include "workload/sharded_workload.hpp"
-#include "workload/sim_workload.hpp"
+#include "workload/workload.hpp"
 
 namespace tbr {
 namespace {
@@ -87,36 +87,37 @@ EventQueue::Policy parse_scheduler(const std::string& kind) {
 }
 
 int cmd_run(FlagParser& flags) {
-  SimWorkloadOptions opt;
-  opt.cfg.n = static_cast<std::uint32_t>(flags.get_int("n"));
-  opt.cfg.t = flags.get_int("t") < 0
-                  ? (opt.cfg.n - 1) / 2
-                  : static_cast<std::uint32_t>(flags.get_int("t"));
-  opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
-  opt.algo = resolve_run_algorithm(flags);
-  opt.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = static_cast<std::uint32_t>(flags.get_int("n"));
+  engine.cfg.t = flags.get_int("t") < 0
+                     ? (engine.cfg.n - 1) / 2
+                     : static_cast<std::uint32_t>(flags.get_int("t"));
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.algo = resolve_run_algorithm(flags);
+  engine.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  engine.scheduler_policy = parse_scheduler(flags.get_string("scheduler"));
+  engine.delay = parse_delay(flags.get_string("delay"), engine.cfg,
+                             flags.get_int("delta"));
+  const GroupConfig cfg = engine.cfg;
+  const Algorithm algo = engine.algo;
+
+  WorkloadOptions opt;
   opt.ops_per_process = static_cast<std::uint32_t>(flags.get_int("ops"));
   opt.writer_read_fraction = flags.get_double("writer-read-fraction");
   opt.think_time_max = flags.get_int("think");
   opt.crashes = static_cast<std::uint32_t>(flags.get_int("crashes"));
   opt.allow_writer_crash = flags.get_bool("crash-writer");
   opt.invariant_checks =
-      flags.get_bool("invariants") && opt.algo == Algorithm::kTwoBit;
-  opt.scheduler_policy = parse_scheduler(flags.get_string("scheduler"));
-  const Tick delta = flags.get_int("delta");
-  const std::string delay = flags.get_string("delay");
-  opt.delay_factory = [delay, delta](const GroupConfig& cfg) {
-    return parse_delay(delay, cfg, delta);
-  };
+      flags.get_bool("invariants") && algo == Algorithm::kTwoBit;
 
-  const auto result = run_sim_workload(opt);
-  const auto check = result.check_atomicity(opt.cfg.initial);
+  const auto result = run_workload(std::move(engine), opt);
+  const auto check = result.check_atomicity();
 
   TextTable table({"metric", "value"});
-  table.add_row({"algorithm", algorithm_name(opt.algo)});
+  table.add_row({"algorithm", algorithm_name(algo)});
   table.add_row({"n / t / crashes",
-                 std::to_string(opt.cfg.n) + " / " + std::to_string(opt.cfg.t) +
+                 std::to_string(cfg.n) + " / " + std::to_string(cfg.t) +
                      " / " + std::to_string(result.crashes)});
   table.add_row({"ops done by correct procs",
                  format_count(result.completed_by_correct) + " / " +
