@@ -80,8 +80,10 @@ void ClientBase::issue_chained(std::uint32_t first) {
     unwinding_ = true;
   }
   for (;;) {
-    std::uint32_t index;
+    OpState* st = nullptr;
     {
+      // Resolve the slot under the lock: a concurrent acquire() may grow
+      // the pool's deque, which moves its index map (slots stay put).
       const std::scoped_lock lock(pool_.mu());
       if (deferred_head_ == deferred_issues_.size()) {
         deferred_issues_.clear();
@@ -89,11 +91,11 @@ void ClientBase::issue_chained(std::uint32_t first) {
         unwinding_ = false;
         return;
       }
-      index = deferred_issues_[deferred_head_++];
+      st = &pool_.slot(deferred_issues_[deferred_head_++]);
     }
     // May complete synchronously (terminal engine paths), re-entering
     // complete() -> issue_chained(), which defers to this loop.
-    engine_issue(pool_.slot(index));
+    engine_issue(*st);
   }
 }
 

@@ -80,9 +80,6 @@ class ShardedKvStore {
     std::function<std::unique_ptr<DelayModel>(std::uint32_t shard)>
         delay_factory;                         ///< overrides delay_ticks
     Tick service_time = 0;                     ///< SimNetwork node capacity
-    /// Event-scheduler backend for every shard's simulator
-    /// (SimNetwork::Options::scheduler_policy).
-    EventQueue::Policy scheduler_policy = EventQueue::Policy::kHeap;
     /// Per-slot register engine when `register_factory` is unset
     /// (two-bit default, or a fast-path read engine for 3Δ/2Δ gets).
     Algorithm engine = Algorithm::kTwoBit;

@@ -43,8 +43,8 @@ EventQueue::EventId EventQueue::schedule_deliver(Tick at, ProcessId from,
   return push(at, Kind::kDeliver, from, to, frame, nullptr);
 }
 
-EventQueue::EventId EventQueue::schedule_drain(Tick at, ProcessId to) {
-  return push(at, Kind::kDrain, kNoProcess, to, 0, nullptr);
+EventQueue::EventId EventQueue::schedule_drain(Tick at, std::uint32_t loop) {
+  return push(at, Kind::kDrain, kNoProcess, loop, 0, nullptr);
 }
 
 Tick EventQueue::next_time() const {

@@ -6,7 +6,7 @@
 // The hot path of the simulator is "deliver one frame": those events are a
 // tagged struct (from, to, frame-pool slot), not a closure, so scheduling
 // one costs zero heap allocations once the backing storage is warm. Drain
-// events (the capacity model's per-node CPU) are a second tag. The general
+// events (the capacity model's per-loop CPU) are a second tag. The general
 // case — client scripts, crash markers, timer wrappers — remains a
 // callable, stored in an InlineFn whose 48-byte inline buffer covers every
 // closure the engine itself creates.
@@ -80,8 +80,9 @@ class EventQueue {
   EventId schedule_deliver(Tick at, ProcessId from, ProcessId to,
                            FrameId frame);
 
-  /// Schedule a service-queue drain at node `to` (capacity model).
-  EventId schedule_drain(Tick at, ProcessId to);
+  /// Schedule a service-queue drain of capacity-model CPU `loop`; it fires
+  /// with Fired::to == loop.
+  EventId schedule_drain(Tick at, std::uint32_t loop);
 
   bool empty() const noexcept {
     return policy_ == Policy::kCalendar ? calendar_.empty() : heap_.empty();

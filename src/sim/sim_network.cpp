@@ -73,16 +73,19 @@ SimNetwork::SimNetwork(std::vector<std::unique_ptr<ProcessBase>> processes,
       // ConstantDelay, which clusters).
       queue_(EventQueue::Options{
           options.scheduler_policy,
-          options.delay ? options.delay->clustered_delays() : true,
-          CalendarQueue::Options{options.calendar_buckets,
-                                 options.calendar_width}}),
+          options.delay ? options.delay->clustered_delays() : true, {}}),
       rng_(options.seed),
       delay_(options.delay ? std::move(options.delay)
                            : make_constant_delay(1000)),
       loss_rate_(options.loss_rate),
       service_time_(options.service_time),
-      busy_until_(processes_.size(), 0),
-      service_queue_(processes_.size()),
+      loops_(static_cast<std::uint32_t>(
+          options.service_loops == 0
+              ? processes_.size()
+              : std::min<std::size_t>(options.service_loops,
+                                      processes_.size()))),
+      busy_until_(loops_, 0),
+      service_queue_(loops_),
       track_in_flight_(options.track_in_flight) {
   TBR_ENSURE(loss_rate_ >= 0.0 && loss_rate_ < 1.0,
              "loss rate must be in [0, 1)");
@@ -157,19 +160,22 @@ void SimNetwork::recover_now(ProcessId pid) {
     ++chan_epoch_[pid * n + peer];  // sent by the old incarnation
     ++chan_epoch_[peer * n + pid];  // addressed to the old incarnation
   }
-  // Frames parked in the dead node's service FIFO are lost with it.
-  while (!service_queue_[pid].empty()) {
-    const ParkedFrame parked = service_queue_[pid].pop();
-    const Message& msg = frame_pool_[parked.frame];
-    stats_.record_drop(msg.type);
-    if (trace_ != nullptr) {
-      trace_->record(TraceEvent{TraceEvent::Kind::kDrop, now_, parked.from,
-                                pid, msg.type, msg.debug_index,
-                                msg.has_value});
+  // Frames parked for the dead incarnation's CPU are lost with it; other
+  // processes' frames on a shared loop keep their places in the FIFO.
+  const std::uint32_t loop = loop_of(pid);
+  FrameFifo& fifo = service_queue_[loop];
+  for (std::size_t k = fifo.size(); k > 0; --k) {
+    const ParkedFrame parked = fifo.pop();
+    if (parked.to != pid) {
+      fifo.push(parked);
+      continue;
     }
+    record_drop(parked.from, pid, frame_pool_[parked.frame]);
     release_frame(parked.frame);
   }
-  busy_until_[pid] = now_;
+  // A dedicated CPU restarts idle. A shared loop's clock also times its
+  // other processes' frames, so it stands.
+  if (loops_ == processes_.size()) busy_until_[loop] = now_;
   crashed_[pid] = false;
   ++recover_count_;
   processes_[pid] = recover_factory_(pid);
@@ -210,6 +216,15 @@ void SimNetwork::release_frame(EventQueue::FrameId frame) {
 
 // ---- send / deliver ----------------------------------------------------------
 
+void SimNetwork::record_drop(ProcessId from, ProcessId to,
+                             const Message& msg) {
+  stats_.record_drop(msg.type);
+  if (trace_ != nullptr) {
+    trace_->record(TraceEvent{TraceEvent::Kind::kDrop, now_, from, to,
+                              msg.type, msg.debug_index, msg.has_value});
+  }
+}
+
 void SimNetwork::send_from(ProcessId from, ProcessId to, const Message& msg) {
   TBR_ENSURE(to < processes_.size(), "destination out of range");
   TBR_ENSURE(to != from, "algorithms never send to themselves");
@@ -221,21 +236,13 @@ void SimNetwork::send_from(ProcessId from, ProcessId to, const Message& msg) {
   if (crashed_[to]) {
     // The channel is reliable but the endpoint is gone; the frame can never
     // be processed. Account it as sent-then-dropped.
-    stats_.record_drop(msg.type);
-    if (trace_ != nullptr) {
-      trace_->record(TraceEvent{TraceEvent::Kind::kDrop, now_, from, to,
-                                msg.type, msg.debug_index, msg.has_value});
-    }
+    record_drop(from, to, msg);
     return;
   }
   if (loss_rate_ > 0.0 && rng_.chance(loss_rate_)) {
     // Out-of-model loss injection (experiment D8): the frame evaporates.
     ++frames_lost_;
-    stats_.record_drop(msg.type);
-    if (trace_ != nullptr) {
-      trace_->record(TraceEvent{TraceEvent::Kind::kDrop, now_, from, to,
-                                msg.type, msg.debug_index, msg.has_value});
-    }
+    record_drop(from, to, msg);
     return;
   }
   const Tick dt = delay_->delay(rng_, from, to, msg);
@@ -252,40 +259,33 @@ void SimNetwork::send_from(ProcessId from, ProcessId to, const Message& msg) {
 
 void SimNetwork::deliver_frame(ProcessId from, ProcessId to,
                                EventQueue::FrameId frame) {
-  const Message& msg = frame_pool_[frame];
-  if (frame_epoch_[frame] != chan_epoch(from, to)) {
+  if (frame_epoch_[frame] != chan_epoch(from, to) || crashed_[to]) {
     // The channel was re-established (an endpoint restarted, or the sender
-    // fenced it) after this frame left: it belongs to a dead connection.
-    stats_.record_drop(msg.type);
-    if (trace_ != nullptr) {
-      trace_->record(TraceEvent{TraceEvent::Kind::kDrop, now_, from, to,
-                                msg.type, msg.debug_index, msg.has_value});
-    }
-    release_frame(frame);
-    return;
-  }
-  if (crashed_[to]) {
-    stats_.record_drop(msg.type);
-    if (trace_ != nullptr) {
-      trace_->record(TraceEvent{TraceEvent::Kind::kDrop, now_, from, to,
-                                msg.type, msg.debug_index, msg.has_value});
-    }
+    // fenced it) after this frame left, or its endpoint is gone.
+    record_drop(from, to, frame_pool_[frame]);
     release_frame(frame);
     return;
   }
   if (service_time_ > 0) {
-    if (busy_until_[to] > now_ || !service_queue_[to].empty()) {
-      // Capacity model: the node's CPU is mid-frame. Park the pooled frame
-      // in the node's FIFO; the single drain event pending at
-      // busy_until_[to] hands the queue over one service interval at a
+    const std::uint32_t loop = loop_of(to);
+    if (busy_until_[loop] > now_ || !service_queue_[loop].empty()) {
+      // Capacity model: the loop's CPU is mid-frame. Park the pooled frame
+      // in the loop's FIFO; the single drain event pending at
+      // busy_until_[loop] hands the queue over one service interval at a
       // time.
-      const bool first = service_queue_[to].empty();
-      service_queue_[to].push(ParkedFrame{from, frame});
-      if (first) queue_.schedule_drain(busy_until_[to], to);
+      const bool first = service_queue_[loop].empty();
+      service_queue_[loop].push(ParkedFrame{from, to, frame});
+      if (first) queue_.schedule_drain(busy_until_[loop], loop);
       return;  // slot stays acquired until the drain serves it
     }
-    busy_until_[to] = now_ + service_time_;
+    busy_until_[loop] = now_ + service_time_;
   }
+  hand_over(from, to, frame);
+}
+
+void SimNetwork::hand_over(ProcessId from, ProcessId to,
+                           EventQueue::FrameId frame) {
+  const Message& msg = frame_pool_[frame];
   if (trace_ != nullptr) {
     trace_->record(TraceEvent{TraceEvent::Kind::kDeliver, now_, from, to,
                               msg.type, msg.debug_index, msg.has_value});
@@ -297,47 +297,30 @@ void SimNetwork::deliver_frame(ProcessId from, ProcessId to,
   release_frame(frame);
 }
 
-void SimNetwork::drain_service_queue(ProcessId to) {
-  if (crashed_[to]) {
-    // The node died with frames waiting for its CPU: they are lost with it.
-    while (!service_queue_[to].empty()) {
-      const ParkedFrame parked = service_queue_[to].pop();
-      const Message& msg = frame_pool_[parked.frame];
-      stats_.record_drop(msg.type);
-      if (trace_ != nullptr) {
-        trace_->record(TraceEvent{TraceEvent::Kind::kDrop, now_, parked.from,
-                                  to, msg.type, msg.debug_index,
-                                  msg.has_value});
-      }
+void SimNetwork::drain_service_queue(std::uint32_t loop) {
+  if (now_ < busy_until_[loop]) return;  // stale: see ParkedFrame
+  FrameFifo& fifo = service_queue_[loop];
+  while (!fifo.empty()) {
+    const ParkedFrame parked = fifo.pop();
+    if (crashed_[parked.to]) {
+      // Its process died while the frame waited: lost with it, and no CPU
+      // is spent on it.
+      record_drop(parked.from, parked.to, frame_pool_[parked.frame]);
       release_frame(parked.frame);
+      continue;
     }
+    busy_until_[loop] = now_ + service_time_;
+    if (!fifo.empty()) queue_.schedule_drain(busy_until_[loop], loop);
+    if (frame_epoch_[parked.frame] != chan_epoch(parked.from, parked.to)) {
+      // Channel re-established while the frame waited for CPU: dead on
+      // arrival, same as the pre-service epoch check in deliver_frame.
+      record_drop(parked.from, parked.to, frame_pool_[parked.frame]);
+      release_frame(parked.frame);
+      return;
+    }
+    hand_over(parked.from, parked.to, parked.frame);
     return;
   }
-  if (service_queue_[to].empty()) return;
-  const ParkedFrame parked = service_queue_[to].pop();
-  busy_until_[to] = now_ + service_time_;
-  if (!service_queue_[to].empty()) {
-    queue_.schedule_drain(busy_until_[to], to);
-  }
-  const Message& msg = frame_pool_[parked.frame];
-  if (frame_epoch_[parked.frame] != chan_epoch(parked.from, to)) {
-    // Channel re-established while the frame waited for CPU: dead on
-    // arrival, same as the pre-service epoch check in deliver_frame.
-    stats_.record_drop(msg.type);
-    if (trace_ != nullptr) {
-      trace_->record(TraceEvent{TraceEvent::Kind::kDrop, now_, parked.from,
-                                to, msg.type, msg.debug_index,
-                                msg.has_value});
-    }
-    release_frame(parked.frame);
-    return;
-  }
-  if (trace_ != nullptr) {
-    trace_->record(TraceEvent{TraceEvent::Kind::kDeliver, now_, parked.from,
-                              to, msg.type, msg.debug_index, msg.has_value});
-  }
-  processes_[to]->on_message(*contexts_[to], parked.from, msg);
-  release_frame(parked.frame);
 }
 
 void SimNetwork::forget_in_flight(EventQueue::EventId id) {

@@ -44,10 +44,6 @@ class SimNetwork {
     /// delay models; kAuto asks the delay model
     /// (DelayModel::clustered_delays()).
     EventQueue::Policy scheduler_policy = EventQueue::Policy::kHeap;
-    /// Calendar geometry overrides (0 = automatic; see
-    /// CalendarQueue::Options). Ignored on the heap backend.
-    std::uint32_t calendar_buckets = 0;
-    Tick calendar_width = 0;
 
     /// OUT-OF-MODEL fault injection: drop each frame with this probability.
     /// The CAMP model's channels are reliable and every algorithm here
@@ -56,17 +52,24 @@ class SimNetwork {
     /// not. Keep 0 for every in-model experiment.
     double loss_rate = 0.0;
 
-    /// Per-node CPU capacity model: each process handles at most one frame
-    /// per `service_time` ticks; frames arriving at a busy node queue
-    /// behind it (FIFO by arrival). 0 (default) disables the model —
+    /// CPU capacity model: each process (or each loop of processes, see
+    /// service_loops) handles at most one frame per `service_time` ticks;
+    /// frames arriving at a busy CPU queue behind it (FIFO by arrival). 0 (default) disables the model —
     /// delivery time is the channel delay alone, as the CAMP model assumes.
     /// The asynchronous model is preserved (handling is only ever delayed,
     /// never reordered against causality), so safety results are
     /// unaffected; what changes is THROUGHPUT, which is the point: capacity
-    /// projections for the sharded engine use this to measure what finite
-    /// per-replica CPU does to an op mix. In-flight introspection does not
-    /// track frames re-queued behind a busy node.
+    /// projections for the sharded engine and the socket loops use this to
+    /// measure what finite CPU does to an op mix. In-flight introspection
+    /// does not track frames re-queued behind a busy node.
     Tick service_time = 0;
+
+    /// Serial CPUs ("loops") the capacity model shares between processes,
+    /// sharded pid % service_loops the way SocketNetwork shards its epoll
+    /// loops; frames for every process on a loop queue in one FIFO. 0 (or
+    /// any value >= n) gives each process its own CPU. Ignored while
+    /// service_time is 0.
+    std::uint32_t service_loops = 0;
 
     /// Maintain the per-frame in-flight registry read by in_flight() /
     /// in_flight_between() (P1-style channel invariant observers). Off by
@@ -193,11 +196,15 @@ class SimNetwork {
   /// half of a channel re-establishment; NetworkContext::fence_peer).
   void fence_from(ProcessId from, ProcessId to);
   /// Execute a Deliver event for pooled frame `frame`: hand it to its
-  /// destination, or park it in the node's service FIFO when the capacity
-  /// model says its CPU is mid-frame.
+  /// destination, or park it in its loop's service FIFO when the capacity
+  /// model says that CPU is mid-frame.
   void deliver_frame(ProcessId from, ProcessId to, EventQueue::FrameId frame);
-  /// Serve the next parked frame at `to` (fires at busy_until_[to]).
-  void drain_service_queue(ProcessId to);
+  /// Run `to`'s handler on pooled frame `frame`, then recycle the slot.
+  void hand_over(ProcessId from, ProcessId to, EventQueue::FrameId frame);
+  /// Serve the next parked frame on `loop` (fires at busy_until_[loop]).
+  void drain_service_queue(std::uint32_t loop);
+  /// Account a frame from -> to that will never be handled.
+  void record_drop(ProcessId from, ProcessId to, const Message& msg);
   void step();  // run one event + hook
 
   // ---- frame pool ---------------------------------------------------------
@@ -241,14 +248,19 @@ class SimNetwork {
   std::deque<Message> frame_pool_;
   std::vector<EventQueue::FrameId> free_frames_;
 
-  std::vector<Tick> busy_until_;  ///< per-node CPU free time (capacity model)
+  /// Capacity-model CPUs: Options::service_loops, or one per process.
+  std::uint32_t loops_ = 0;
+  std::uint32_t loop_of(ProcessId pid) const { return pid % loops_; }
+  std::vector<Tick> busy_until_;  ///< per-loop CPU free time
 
-  /// Frames awaiting a busy node's CPU, FIFO by arrival, as a recycled
+  /// Frames awaiting a busy loop's CPU, FIFO by arrival, as a recycled
   /// vector ring (a deque would churn chunk allocations at every boundary).
-  /// Invariant: a non-empty queue has exactly one drain event pending at
-  /// busy_until_.
+  /// Invariant: a non-empty queue has a drain event pending at its loop's
+  /// busy_until_. A drain that fires earlier is stale (recover_now reset a
+  /// dedicated CPU under it) and does nothing.
   struct ParkedFrame {
     ProcessId from = kNoProcess;
+    ProcessId to = kNoProcess;
     EventQueue::FrameId frame = 0;
   };
   class FrameFifo {

@@ -51,9 +51,6 @@ struct ShardedWorkloadOptions {
   /// Per-slot register engine (two-bit default, or a fast-path read
   /// engine: Algorithm::kOhRam / kTimeEfficient).
   Algorithm engine = Algorithm::kTwoBit;
-  /// Event-scheduler backend for every shard's simulator
-  /// (SimNetwork::Options::scheduler_policy).
-  EventQueue::Policy scheduler_policy = EventQueue::Policy::kHeap;
   bool coalesce_writes = true;
   /// Batching-window cap (ops). In the projection this bounds how much a
   /// backlog can amortize; 0 = unbounded.

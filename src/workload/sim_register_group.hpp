@@ -41,6 +41,9 @@ class SimRegisterGroup {
     /// Per-node frame service time (SimNetwork::Options::service_time);
     /// 0 = the pure channel-delay model.
     Tick service_time = 0;
+    /// Serial CPUs shared pid % service_loops (SimNetwork::Options::
+    /// service_loops); 0 = one per process.
+    std::uint32_t service_loops = 0;
 
     /// Maintain the in-flight frame registry (SimNetwork::Options::
     /// track_in_flight); required by the P1 channel-invariant observer.

@@ -63,18 +63,23 @@ TEST(AllocRegression, DeliveryLoopIsAllocFreeWithLargePayloads) {
 TEST(AllocRegression, CapacityModelDeliveryIsAllocFree) {
   // Same loop under the service-time capacity model: parked frames ride
   // the vector-ring service FIFO and drain events, which must also be
-  // allocation-free once warm.
-  SimNetwork::Options opt;
-  opt.service_time = 1500;  // busier than the 1000-tick channel delay
-  SimNetwork net(bench::make_relays(3, 0), std::move(opt));
-  bench::kick_relay(net, 128);
-  ASSERT_TRUE(net.run());
+  // allocation-free once warm. One shared loop makes every hop park: the
+  // next frame lands while the loop is still busy with the previous one.
+  for (const std::uint32_t loops : {0u, 1u}) {
+    SimNetwork::Options opt;
+    opt.service_time = 1500;  // busier than the 1000-tick channel delay
+    opt.service_loops = loops;
+    SimNetwork net(bench::make_relays(3, 0), std::move(opt));
+    bench::kick_relay(net, 128);
+    ASSERT_TRUE(net.run());
 
-  bench::kick_relay(net, 2048);
-  const alloc::Window w;
-  ASSERT_TRUE(net.run());
-  EXPECT_EQ(w.allocations(), 0u)
-      << "parked-frame rings and drain events must not allocate";
+    bench::kick_relay(net, 2048);
+    const alloc::Window w;
+    ASSERT_TRUE(net.run());
+    EXPECT_EQ(w.allocations(), 0u)
+        << "parked-frame rings and drain events must not allocate (loops="
+        << loops << ")";
+  }
 }
 
 TEST(AllocRegression, EventQueueClosureSchedulingIsAllocFree) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <tuple>
 
 #include "common/contracts.hpp"
 #include "sim/event_queue.hpp"
@@ -505,6 +507,135 @@ TEST(SimNetworkTest, StatsAccumulateWire) {
   (void)net.run();
   EXPECT_EQ(net.stats().total_control_bits(), 2u);
   EXPECT_EQ(net.stats().total_data_bits(), 64u);
+}
+
+// ---- capacity model (service_time / service_loops) ---------------------------
+
+SimNetwork::Options capacity_options(Tick service_time, std::uint32_t loops,
+                                     Tick delay) {
+  SimNetwork::Options opt;
+  opt.delay = make_constant_delay(delay);
+  opt.service_time = service_time;
+  opt.service_loops = loops;
+  opt.recover_factory = [](ProcessId) {
+    return std::make_unique<PingProcess>();
+  };
+  return opt;
+}
+
+std::vector<Tick> delivery_times(const TraceLog& trace, ProcessId to) {
+  std::vector<Tick> out;
+  for (const auto& e : trace.of_kind(TraceEvent::Kind::kDeliver)) {
+    if (e.to == to) out.push_back(e.at);
+  }
+  return out;
+}
+
+TEST(SimNetworkTest, RecoverIgnoresStaleServiceDrain) {
+  // Node 1 crashes and recovers with frames parked behind its CPU. The drain
+  // scheduled for the old incarnation (t=1010) must not serve the new
+  // incarnation's second frame while its CPU is busy until 1510.
+  SimNetwork net(make_pings(2), capacity_options(1000, 0, 10));
+  TraceLog trace;
+  net.set_trace(&trace);
+  net.schedule_at(0, [&] {
+    for (int k = 0; k < 3; ++k) net.context(0).send(1, mk(0));
+  });
+  net.crash_at(1, 20);
+  net.recover_at(1, 30);
+  net.schedule_at(500, [&] {
+    for (int k = 0; k < 2; ++k) net.context(0).send(1, mk(0));
+  });
+  EXPECT_TRUE(net.run());
+  EXPECT_EQ(delivery_times(trace, 1), (std::vector<Tick>{10, 510, 1510}));
+  EXPECT_EQ(net.stats().total_dropped(), 2u);
+}
+
+TEST(SimNetworkTest, SharedLoopSerializesFramesToDifferentNodes) {
+  for (const std::uint32_t loops : {0u, 1u}) {
+    SimNetwork net(make_pings(3), capacity_options(100, loops, 10));
+    TraceLog trace;
+    net.set_trace(&trace);
+    net.schedule_at(0, [&] {
+      net.context(0).send(1, mk(0));
+      net.context(0).send(2, mk(0));
+    });
+    EXPECT_TRUE(net.run());
+    EXPECT_EQ(delivery_times(trace, 1), std::vector<Tick>{10});
+    // One shared loop handles node 2's frame a service interval later.
+    EXPECT_EQ(delivery_times(trace, 2),
+              std::vector<Tick>{loops == 1 ? 110 : 10});
+  }
+}
+
+TEST(SimNetworkTest, ServiceLoopsZeroOrNMatchOneCpuPerProcess) {
+  // Congested bouncing traffic with a crash: one loop per process (0, n,
+  // or more than n) must replay the default configuration event for event.
+  auto run_trace = [](std::optional<std::uint32_t> loops) {
+    SimNetwork::Options opt;
+    opt.seed = 11;
+    opt.delay = make_uniform_delay(1, 400);
+    opt.service_time = 300;
+    if (loops) opt.service_loops = *loops;
+    SimNetwork net(make_pings(4), std::move(opt));
+    for (ProcessId p = 0; p < 4; ++p) {
+      net.process_as<PingProcess>(p).bounce_budget = 40;
+    }
+    net.schedule_at(0, [&] {
+      for (ProcessId p = 1; p < 4; ++p) {
+        net.context(0).send(p, mk(0));
+        net.context(p).send(0, mk(0));
+      }
+    });
+    net.crash_at(3, 2000);
+    TraceLog trace;
+    net.set_trace(&trace);
+    EXPECT_TRUE(net.run());
+    std::vector<std::tuple<int, Tick, ProcessId, ProcessId>> out;
+    for (const auto& e : trace.events()) {
+      out.emplace_back(static_cast<int>(e.kind), e.at, e.from, e.to);
+    }
+    return out;
+  };
+  const auto unset = run_trace(std::nullopt);
+  EXPECT_GT(unset.size(), 100u);
+  EXPECT_EQ(run_trace(0u), unset);
+  EXPECT_EQ(run_trace(4u), unset);
+  EXPECT_EQ(run_trace(9u), unset);
+  EXPECT_NE(run_trace(1u), unset);
+}
+
+TEST(SimNetworkTest, CrashOnSharedLoopDropsOnlyItsFrames) {
+  SimNetwork net(make_pings(3), capacity_options(100, 1, 10));
+  TraceLog trace;
+  net.set_trace(&trace);
+  net.schedule_at(0, [&] {
+    for (const ProcessId to : {1u, 1u, 2u, 2u}) net.context(0).send(to, mk(0));
+  });
+  net.crash_at(1, 50);  // node 1's second frame is still parked
+  EXPECT_TRUE(net.run());
+  EXPECT_EQ(delivery_times(trace, 1), std::vector<Tick>{10});
+  // The dropped frame costs no loop CPU: node 2's frames follow the one
+  // node 1 handled directly.
+  EXPECT_EQ(delivery_times(trace, 2), (std::vector<Tick>{110, 210}));
+  EXPECT_EQ(net.stats().total_dropped(), 1u);
+}
+
+TEST(SimNetworkTest, RecoverOnSharedLoopKeepsOthersFramesAndClock) {
+  SimNetwork net(make_pings(3), capacity_options(100, 1, 10));
+  TraceLog trace;
+  net.set_trace(&trace);
+  net.schedule_at(0, [&] {
+    for (const ProcessId to : {1u, 1u, 2u}) net.context(0).send(to, mk(0));
+  });
+  net.crash_at(1, 20);
+  net.recover_at(1, 30);  // drops node 1's parked frame, keeps node 2's
+  EXPECT_TRUE(net.run());
+  EXPECT_EQ(delivery_times(trace, 1), std::vector<Tick>{10});
+  // The loop was busy with node 1's first frame until 110; recovering
+  // node 1 does not free it early.
+  EXPECT_EQ(delivery_times(trace, 2), std::vector<Tick>{110});
+  EXPECT_EQ(net.stats().total_dropped(), 1u);
 }
 
 // ---- FaultPlan -----------------------------------------------------------------------

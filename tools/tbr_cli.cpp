@@ -165,7 +165,6 @@ int cmd_kv(FlagParser& flags) {
   opt.min_batch = static_cast<std::size_t>(flags.get_int("min-batch"));
   opt.pin_shard_threads = flags.get_bool("pin");
   opt.engine = parse_engine(flags.get_string("engine"));
-  opt.scheduler_policy = parse_scheduler(flags.get_string("scheduler"));
   opt.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   const auto engine = run_sharded_workload(opt);
@@ -364,7 +363,7 @@ int real_main(int argc, char** argv) {
   flags.add_string("delay", "uniform",
                    "const | uniform | expo | flipflop | straggler");
   flags.add_string("scheduler", "heap",
-                   "event scheduler: heap | calendar | auto (run/trace/kv)");
+                   "event scheduler: heap | calendar | auto (run/trace)");
   flags.add_int("think", 500, "max think time between ops (run)");
   flags.add_int("crashes", 0, "processes to crash (run)");
   flags.add_bool("crash-writer", false, "writer is crash-eligible (run)");
