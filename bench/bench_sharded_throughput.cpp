@@ -5,8 +5,9 @@
 // event loop. This bench measures what the sharded engine buys on a
 // read-dominated, zipf-skewed keyspace, two ways:
 //
-//  * capacity projection (deterministic): per-shard register groups driven
-//    in virtual time with finite per-replica CPU (SimNetwork service_time).
+//  * capacity projection (deterministic): each shard's KvStore driven
+//    through its own client in virtual time with finite per-replica CPU
+//    (SimNetwork service_time).
 //    Aggregate throughput = total ops / busiest shard's clock — what the
 //    deployment achieves when each group runs on its own hardware. Same
 //    numbers on every host, so CI can track the trajectory.
@@ -24,17 +25,24 @@
 namespace tbr::bench {
 namespace {
 
-ShardedWorkloadOptions base_options() {
-  ShardedWorkloadOptions opt;
+ShardedKvStore::Options store_options(std::uint32_t shards) {
+  ShardedKvStore::Options opt;
+  opt.shards = shards;
   opt.n = 3;
   opt.t = 1;
   opt.slots_per_shard = 16;
-  opt.keys = 512;
-  opt.zipf_s = 0.9;
-  opt.read_fraction = 0.9;
-  opt.total_ops = quick_mode() ? 1500 : 3000;
   opt.seed = 1;
+  opt.max_batch = 256;
   return opt;
+}
+
+KvOpMix op_mix() {
+  KvOpMix mix;
+  mix.keys = 512;
+  mix.zipf_s = 0.9;
+  mix.read_fraction = 0.9;
+  mix.total_ops = quick_mode() ? 1500 : 3000;
+  return mix;
 }
 
 /// Returns whether the 4-shard speedup meets its >= 2x criterion.
@@ -47,9 +55,7 @@ bool run_projection_sweep() {
   double base = 0.0;
   double at_four = 0.0;
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    auto opt = base_options();
-    opt.shards = shards;
-    const auto p = project_sharded_capacity(opt);
+    const auto p = project_sharded_capacity(store_options(shards), op_mix());
     if (shards == 1) base = p.ops_per_mtick;
     if (shards == 4) at_four = p.ops_per_mtick;
     const double read_ops =
@@ -79,13 +85,12 @@ void run_batching_ablation() {
   TextTable table({"window", "ops/Mtick", "protocol reads", "protocol writes",
                    "frames"});
   for (const bool batched : {false, true}) {
-    auto opt = base_options();
-    opt.shards = 4;
+    auto opt = store_options(4);
     if (!batched) {
       opt.max_batch = 1;  // every op its own window: no coalescing at all
       opt.coalesce_writes = false;
     }
-    const auto p = project_sharded_capacity(opt);
+    const auto p = project_sharded_capacity(opt, op_mix());
     table.add_row({batched ? "accumulated (<=256 ops)" : "single op",
                    format_double(p.ops_per_mtick, 0),
                    format_count(p.batch.protocol_reads),
@@ -108,16 +113,15 @@ void run_min_batch_sweep() {
                    "protocol reads", "writes absorbed", "frames",
                    "frames/op"});
   for (const std::size_t min_batch : {1u, 4u, 16u, 64u}) {
-    auto opt = base_options();
-    opt.shards = 4;
+    auto opt = store_options(4);
     opt.min_batch = min_batch;
     // Moderate offered load (ops arrive slower than the saturating
     // default): natural windows are a handful of ops, so the floor is the
     // thing deciding how hard reads share rounds and writes coalesce. At
     // the saturating default the backlog already maxes out every window
     // and the floor only adds wait.
-    opt.inter_arrival = 150;
-    const auto p = project_sharded_capacity(opt);
+    const auto p =
+        project_sharded_capacity(opt, op_mix(), /*inter_arrival=*/150);
     table.add_row({format_count(min_batch), format_double(p.ops_per_mtick, 0),
                    format_double(p.mean_latency_ticks, 0),
                    format_count(p.batch.protocol_reads),
@@ -140,12 +144,11 @@ void run_engine_sweep() {
   TextTable table({"shards", "ops ok", "ops failed", "wall ms", "ops/sec",
                    "max batch seen"});
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    auto opt = base_options();
-    opt.shards = shards;
-    opt.total_ops = quick_mode() ? 4000 : 20000;
-    opt.client_threads = 4;
-    opt.client_pipeline = 128;
-    const auto r = run_sharded_workload(opt);
+    auto mix = op_mix();
+    mix.total_ops = quick_mode() ? 4000 : 20000;
+    const auto r = run_sharded_workload(store_options(shards), mix,
+                                        /*client_threads=*/4,
+                                        /*client_pipeline=*/128);
     table.add_row({format_count(shards), format_count(r.ops_completed),
                    format_count(r.ops_failed),
                    format_double(r.wall_seconds * 1e3, 1),

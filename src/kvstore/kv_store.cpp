@@ -1,5 +1,6 @@
 #include "kvstore/kv_store.hpp"
 
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -10,36 +11,41 @@ namespace tbr {
 
 namespace {
 constexpr Status kHomeCrashed{StatusCode::kCrashed,
-                              "the key's home node has crashed"};
+                              "the key's home replica has crashed"};
 constexpr Status kReaderCrashed{StatusCode::kCrashed,
                                 "the requested replica has crashed"};
 constexpr Status kStoreLiveness{
     StatusCode::kLivenessLost,
-    "kv store lost liveness; operations are refused"};
+    "kv store lost liveness (crashed quorum or stuck run); operations are "
+    "refused"};
 }  // namespace
 
-// ---- ClientImpl: the unified client API over the flat (sim) store ------------
+// ---- Group: the register group and the window engine ---------------------------
 //
-// Deferred-issue engine: submissions queue client-side; the first wait()
-// flushes everything queued since the last window into one
-// MuxProcess::start_batch per replica, then drives the simulation. That
-// makes the flat store's batching semantics match the sharded engine's
-// mailbox windows — reads at one replica share a protocol round, queued
-// same-slot writes coalesce last-write-wins — with no worker thread.
-// Heap-held so client handles stay valid across moves of the owning store.
+// The n MuxProcesses over one SimNetwork, and the one piece of the KV layer
+// that plans a window of routed ops into per-replica start_batch calls,
+// fails ops at crashed replicas, runs the window, and handles a stall.
+// Two hosts feed it windows:
+//
+//   * client(): a deferred-issue KvClient engine. Submissions queue here;
+//     the first wait() (or try_result()/settle()) hands everything queued
+//     since the last window to the protocol, then drives the simulation.
+//   * run_window(): ShardedKvStore's shard workers, one mailbox drain per
+//     window.
+//
+// Heap-held so client handles and in-flight completions (which capture
+// `this`) stay valid across moves of the owning store.
 
-class KvStore::ClientImpl final : public KvClientEngine {
+class KvStore::Group final : public KvClientEngine {
  public:
-  ClientImpl(SimNetwork& net, std::uint32_t n, std::uint32_t slots,
-             bool coalesce)
-      : net_(&net), n_(n), slots_(slots), coalesce_(coalesce), client_(*this) {
-    per_node_.resize(n_);
-  }
+  explicit Group(Options options);
 
+  // ---- KvClientEngine ----------------------------------------------------------
   void client_route(std::string_view key, OpState& st) override {
-    st.slot = static_cast<std::uint32_t>(ShardRouter::hash(key) % slots_);
+    const ShardRouter::Placement at = router_.place(key);
+    st.slot = at.slot;
     if (st.kind == OpKind::kWrite) {
-      st.node = st.slot % n_;
+      st.node = at.home;
     } else {
       TBR_ENSURE(st.node == kAnyReplica || st.node < n_,
                  "reader out of range");
@@ -52,19 +58,56 @@ class KvStore::ClientImpl final : public KvClientEngine {
     if (pending_.empty()) return;
     // Finish the previous window first: its chains hold the per-slot
     // one-op-at-a-time guards armed until they complete.
-    if (lost_liveness_ ||
-        (outstanding_ > 0 &&
-         !net_->run_until([this] { return outstanding_ == 0; }))) {
-      lost_liveness_ = true;
-      for (OpState* op : pending_) {
-        op->owner->complete_failed(*op, kStoreLiveness);
-      }
-      pending_.clear();
+    finish_window();
+    // Issue from a swapped-out buffer: completions that run while the
+    // window is planned (ops failed at issue) may submit into pending_.
+    window_.swap(pending_);
+    issue_window(window_);
+    window_.clear();
+  }
+
+  void client_park(OpState& st, OpPool& /*pool*/) override {
+    drive([&st] { return st.ready.load(std::memory_order_acquire); });
+  }
+
+  // ---- the window engine --------------------------------------------------------
+  void run_window(std::span<OpState* const> ops) {
+    finish_window();
+    issue_window(ops);
+    finish_window();
+  }
+
+  void settle() {
+    client_flush();
+    finish_window();
+    if (!lost_liveness_) (void)net_->run();
+  }
+
+  const ShardRouter& router() const noexcept { return router_; }
+  SimNetwork& net() noexcept { return *net_; }
+  KvClient& client() noexcept { return client_; }
+  const BatchStats& batch_stats() const noexcept { return batch_; }
+  std::uint64_t failed_ops() const noexcept { return failed_ops_; }
+  bool lost_liveness() const noexcept { return lost_liveness_; }
+
+ private:
+  void fail(OpState& op, Status status) {
+    ++failed_ops_;
+    op.owner->complete_failed(op, status);
+  }
+
+  /// Plan the window: one MuxProcess batch per replica that has work.
+  /// Reads go to their replica (kAnyReplica rotates over live ones),
+  /// writes to their slot's home; ops whose replica has crashed fail
+  /// before any protocol traffic. All scratch is reused across windows.
+  void issue_window(std::span<OpState* const> ops) {
+    if (lost_liveness_) {
+      for (OpState* op : ops) fail(*op, kStoreLiveness);
       return;
     }
-
-    for (auto& ops : per_node_) ops.clear();
-    for (OpState* stp : pending_) {
+    for (auto& node_ops : per_node_) node_ops.clear();
+    issued_.clear();
+    for (OpState* stp : ops) {
       OpState& op = *stp;
       if (op.kind == OpKind::kRead && op.node == kAnyReplica) {
         for (std::uint32_t tries = 0; tries < n_; ++tries) {
@@ -74,12 +117,11 @@ class KvStore::ClientImpl final : public KvClientEngine {
         }
       }
       if (net_->crashed(op.node)) {
-        op.owner->complete_failed(op, op.kind == OpKind::kWrite
-                                          ? kHomeCrashed
-                                          : kReaderCrashed);
+        fail(op, op.kind == OpKind::kWrite ? kHomeCrashed : kReaderCrashed);
         continue;
       }
       op.start = net_->now();
+      // Completions capture {this, &op}: std::function's inline storage.
       MuxProcess::BatchOp batch_op;
       batch_op.slot = op.slot;
       if (op.kind == OpKind::kWrite) {
@@ -93,73 +135,82 @@ class KvStore::ClientImpl final : public KvClientEngine {
         };
       } else {
         batch_op.read_done = [this, &op](const Value& v, SeqNo index) {
-          op.result.value = v;
+          op.result.value = v;  // copy into the pooled capacity
           op.result.version = index;
           op.result.latency = net_->now() - op.start;
           op.owner->complete(op);
         };
       }
+      issued_.emplace_back(&op, op.gen);
       per_node_[op.node].push_back(std::move(batch_op));
     }
-    pending_.clear();
 
+    // Every node's batch runs in one simulation: chains across nodes and
+    // slots interleave exactly as concurrent clients would.
     for (ProcessId pid = 0; pid < n_; ++pid) {
       auto& node_ops = per_node_[pid];
       if (node_ops.empty()) continue;
       ++outstanding_;
-      auto& mux = net_->process_as<MuxProcess>(pid);
-      mux.start_batch(net_->context(pid),
-                      std::span<MuxProcess::BatchOp>(node_ops), coalesce_,
-                      [this] { --outstanding_; }, &batch_);
+      net_->process_as<MuxProcess>(pid).start_batch(
+          net_->context(pid), std::span<MuxProcess::BatchOp>(node_ops),
+          coalesce_, [this] { --outstanding_; }, &batch_);
     }
   }
 
-  void client_park(OpState& st, OpPool& /*pool*/) override {
-    const bool ok = net_->run_until(
-        [&st] { return st.ready.load(std::memory_order_acquire); });
-    if (!ok) {
-      lost_liveness_ = true;
-      st.result.status =
-          Status(StatusCode::kLivenessLost,
-                 "kv store cannot complete the operation (crashed quorum "
-                 "or stuck run)");
-    }
+  void finish_window() {
+    if (outstanding_ > 0) drive([this] { return outstanding_ == 0; });
   }
 
-  KvClient& client() noexcept { return client_; }
-  const BatchStats& batch_stats() const noexcept { return batch_; }
+  /// Run the simulation until `done` holds. If it cannot (more than t
+  /// crashes, or an event-budget blowout), the store latches: the open
+  /// window's unfinished ops fail with kLivenessLost, and the simulator
+  /// never runs again. The stalled registers keep their one-op-at-a-time
+  /// guard armed, so no later op may be issued into them, and the stuck
+  /// completions can never fire late into recycled op state.
+  void drive(const std::function<bool()>& done) {
+    if (lost_liveness_ || net_->run_until(done)) return;
+    lost_liveness_ = true;
+    // Ops that already completed are ready (wait mode) or recycled with a
+    // new generation (callback mode); only the stuck ones fail. The pool
+    // lock orders this scan against waiters on other threads.
+    std::vector<OpState*> stuck;
+    if (!issued_.empty()) {
+      OpPool& pool = issued_.front().first->owner->pool();
+      const std::scoped_lock lock(pool.mu());
+      for (const auto& [op, gen] : issued_) {
+        if (op->ready.load(std::memory_order_acquire) || op->gen != gen) {
+          continue;
+        }
+        stuck.push_back(op);
+      }
+    }
+    for (OpState* op : stuck) fail(*op, kStoreLiveness);
+  }
 
- private:
-  SimNetwork* net_;
   std::uint32_t n_ = 0;
-  std::uint32_t slots_ = 0;
   bool coalesce_ = true;
-  ProcessId next_reader_ = 0;
-  std::size_t outstanding_ = 0;
-  bool lost_liveness_ = false;
-  std::vector<OpState*> pending_;
+  ShardRouter router_;
+  std::unique_ptr<SimNetwork> net_;
+
+  // Window state.
+  std::vector<OpState*> pending_;  ///< client(): submitted, not yet issued
+  std::vector<OpState*> window_;   ///< client(): the window being issued
   std::vector<std::vector<MuxProcess::BatchOp>> per_node_;
+  std::vector<std::pair<OpState*, std::uint32_t>> issued_;  // (op, gen)
+  ProcessId next_reader_ = 0;
+  std::size_t outstanding_ = 0;  ///< node batches still running
+  bool lost_liveness_ = false;
   BatchStats batch_;
+  std::uint64_t failed_ops_ = 0;
+
   KvClient client_;
 };
 
-KvStore::KvStore(KvStore&&) noexcept = default;
-KvStore& KvStore::operator=(KvStore&&) noexcept = default;
-KvStore::~KvStore() = default;
-
-KvClient& KvStore::client() {
-  if (!client_impl_) {
-    client_impl_ =
-        std::make_unique<ClientImpl>(*net_, n_, slots_, coalesce_writes_);
-  }
-  return client_impl_->client();
-}
-
-KvStore::KvStore(Options options)
+KvStore::Group::Group(Options options)
     : n_(options.n),
-      slots_(options.slots),
-      coalesce_writes_(options.coalesce_writes) {
-  TBR_ENSURE(slots_ >= 1, "store needs at least one slot");
+      coalesce_(options.coalesce_writes),
+      router_(1, options.slots, options.n),
+      client_(*this) {
   const std::uint32_t n = options.n;
   const std::uint32_t t = options.t;
   const Value initial = options.initial;
@@ -184,52 +235,80 @@ KvStore::KvStore(Options options)
   }
 
   std::vector<std::unique_ptr<ProcessBase>> processes;
-  processes.reserve(n_);
-  for (ProcessId pid = 0; pid < n_; ++pid) {
+  processes.reserve(n);
+  for (ProcessId pid = 0; pid < n; ++pid) {
     processes.push_back(
-        std::make_unique<MuxProcess>(slots_, slot_cfg, pid, factory));
+        std::make_unique<MuxProcess>(options.slots, slot_cfg, pid, factory));
   }
   SimNetwork::Options net_opt;
   net_opt.seed = options.seed;
   net_opt.loss_rate = options.loss_rate;
+  net_opt.service_time = options.service_time;
   net_opt.delay =
       options.delay ? std::move(options.delay) : make_constant_delay(1000);
   net_ = std::make_unique<SimNetwork>(std::move(processes),
                                       std::move(net_opt));
+  per_node_.resize(n);
+}
+
+// ---- KvStore: the facade -----------------------------------------------------
+
+KvStore::KvStore(Options options)
+    : group_(std::make_unique<Group>(std::move(options))) {}
+KvStore::KvStore(KvStore&&) noexcept = default;
+KvStore& KvStore::operator=(KvStore&&) noexcept = default;
+KvStore::~KvStore() = default;
+
+KvClient& KvStore::client() { return group_->client(); }
+
+void KvStore::run_window(std::span<OpState* const> ops) {
+  group_->run_window(ops);
 }
 
 std::uint32_t KvStore::slot_of(std::string_view key) const {
-  // Same FNV-1a the sharded engine routes with (full hash mod slots: the
-  // flat store predates the split-hash router and keeps its placement).
-  return static_cast<std::uint32_t>(ShardRouter::hash(key) % slots_);
+  return group_->router().slot_of(key);
 }
 
 ProcessId KvStore::home_node(std::string_view key) const {
-  return slot_of(key) % n_;
+  return group_->router().home_node(key);
 }
 
-MuxProcess& KvStore::mux_at(ProcessId node) {
-  return net_->process_as<MuxProcess>(node);
+void KvStore::crash(ProcessId node) { group_->net().crash_now(node); }
+
+bool KvStore::crashed(ProcessId node) const {
+  return group_->net().crashed(node);
 }
 
-void KvStore::crash(ProcessId node) { net_->crash_now(node); }
+void KvStore::settle() { group_->settle(); }
 
-bool KvStore::crashed(ProcessId node) const { return net_->crashed(node); }
+SimNetwork& KvStore::net() noexcept { return group_->net(); }
 
-void KvStore::settle() {
-  // Hand any deferred client window to the protocol first: settle() is
-  // the flat store's "drive everything" call, and callback-mode or
-  // polled client ops have no wait() to trigger the flush.
-  if (client_impl_) client_impl_->client_flush();
-  (void)net_->run();
+std::uint32_t KvStore::node_count() const noexcept {
+  return group_->router().nodes_per_shard();
+}
+
+std::uint32_t KvStore::slot_count() const noexcept {
+  return group_->router().slots_per_shard();
 }
 
 std::uint64_t KvStore::total_memory_bytes() {
   std::uint64_t bytes = 0;
-  for (ProcessId pid = 0; pid < n_; ++pid) {
-    bytes += mux_at(pid).local_memory_bytes();
+  for (ProcessId pid = 0; pid < node_count(); ++pid) {
+    bytes += net().process_as<MuxProcess>(pid).local_memory_bytes();
   }
   return bytes;
+}
+
+const BatchStats& KvStore::batch_stats() const noexcept {
+  return group_->batch_stats();
+}
+
+std::uint64_t KvStore::failed_ops() const noexcept {
+  return group_->failed_ops();
+}
+
+bool KvStore::lost_liveness() const noexcept {
+  return group_->lost_liveness();
 }
 
 }  // namespace tbr

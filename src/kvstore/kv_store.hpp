@@ -9,9 +9,16 @@
 // over one simulated network (MuxProcess), so per-key histories are
 // per-slot register histories — atomicity per key follows from Theorem 1,
 // and the tests check exactly that.
+//
+// KvStore is also the KV layer's only window engine: the one place where a
+// window of routed client ops becomes per-replica MuxProcess::start_batch
+// calls. Its own client() batches deferred submissions into windows, and
+// every ShardedKvStore shard is a KvStore whose worker hands each mailbox
+// window to run_window().
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string_view>
 
 #include "client/client.hpp"
@@ -40,9 +47,9 @@ class KvStore {
     /// returns, with version 0).
     Value initial;
 
-    /// client() batch windows: collapse runs of queued writes to one slot
-    /// into a single protocol write (last value wins; absorbed puts
-    /// complete with `absorbed = true`). Reads always share rounds.
+    /// Batch windows: collapse runs of queued writes to one slot into a
+    /// single protocol write (last value wins; absorbed puts complete with
+    /// `absorbed = true`). Reads always share rounds.
     bool coalesce_writes = true;
 
     /// OUT-OF-MODEL loss injection (see SimNetwork::Options::loss_rate).
@@ -50,6 +57,11 @@ class KvStore {
     /// (`register_factory` wrapping in ReliableLinkProcess) — bare
     /// registers assume the model's reliable channels.
     double loss_rate = 0.0;
+
+    /// Per-frame CPU ticks at each replica (SimNetwork::Options::
+    /// service_time); 0 = infinite capacity. The sharded capacity
+    /// projection sets it to give every replica finite CPU.
+    Tick service_time = 0;
   };
 
   explicit KvStore(Options options);
@@ -60,37 +72,56 @@ class KvStore {
   // ---- the unified client API ------------------------------------------------
   /// Pooled Ticket/callback completions with uniform Status outcomes
   /// (src/client/client.hpp). Ops submitted between waits form one
-  /// batching window, handed to MuxProcess::start_batch per replica —
-  /// reads issued at one replica share a protocol round, queued writes to
-  /// one slot coalesce last-write-wins (Options::coalesce_writes). wait()
-  /// drives the simulation. Lazily built; stable across store moves.
+  /// batching window, run like run_window() — reads issued at one replica
+  /// share a protocol round, queued writes to one slot coalesce
+  /// last-write-wins (Options::coalesce_writes). wait() drives the
+  /// simulation. Stable across store moves.
   KvClient& client();
 
+  // ---- the window engine ---------------------------------------------------------
+  /// Run `ops` as one batching window to completion, for hosts that pool
+  /// and route ops themselves (ShardedKvStore's shard workers). Each op
+  /// carries a slot and node from a placement that agrees with slot_of():
+  /// writes at the slot's home, reads at a replica or kAnyReplica (rotate
+  /// over live replicas). Every op completes through its owner before this
+  /// returns — kCrashed at a crashed replica, kLivenessLost if the window
+  /// stalls. A stall latches the store (lost_liveness()): later ops fail
+  /// fast, and the simulator never runs again.
+  void run_window(std::span<OpState* const> ops);
+
   // ---- placement ----------------------------------------------------------------
+  /// ShardRouter(1, slots, n) placement, so a key lands in the same slot
+  /// here as in a ShardedKvStore shard of the same size.
   std::uint32_t slot_of(std::string_view key) const;
   ProcessId home_node(std::string_view key) const;
 
   // ---- environment ----------------------------------------------------------------
   void crash(ProcessId node);
   bool crashed(ProcessId node) const;
-  /// Drain in-flight protocol traffic (steady state between measurements).
+  /// Finish the client's open window, then drain in-flight protocol
+  /// traffic (steady state between measurements). Callback-mode and
+  /// polled ops complete here too: a stalled window fails them with
+  /// kLivenessLost.
   void settle();
-  SimNetwork& net() noexcept { return *net_; }
-  std::uint32_t node_count() const noexcept { return n_; }
-  std::uint32_t slot_count() const noexcept { return slots_; }
+  SimNetwork& net() noexcept;
+  std::uint32_t node_count() const noexcept;
+  std::uint32_t slot_count() const noexcept;
   /// Protocol state across all nodes and slots.
   std::uint64_t total_memory_bytes();
 
+  // ---- observability ----------------------------------------------------------------
+  const BatchStats& batch_stats() const noexcept;  ///< every window so far
+  /// Ops the store failed: at a crashed replica, stuck in a stalled
+  /// window, or refused after the stall.
+  std::uint64_t failed_ops() const noexcept;
+  /// A window stalled (more than t crashes, or an event-budget blowout);
+  /// the store now refuses every op with kLivenessLost.
+  bool lost_liveness() const noexcept;
+
  private:
-  class ClientImpl;
+  class Group;  // the register group, its window engine and KvClient
 
-  MuxProcess& mux_at(ProcessId node);
-
-  std::uint32_t n_ = 0;
-  std::uint32_t slots_ = 0;
-  bool coalesce_writes_ = true;
-  std::unique_ptr<SimNetwork> net_;
-  std::unique_ptr<ClientImpl> client_impl_;  // engine + KvClient
+  std::unique_ptr<Group> group_;
 };
 
 }  // namespace tbr

@@ -1,22 +1,22 @@
 // ShardedKvStore: the keyspace partitioned across independent register
 // groups, with a per-shard batching window.
 //
-// The flat KvStore multiplexes every slot over ONE n-node network and
-// drives it one blocking operation at a time — fine for a demo, a wall for
-// throughput: every key in the store serializes through one event loop.
-// This engine is the scale-out layer:
+// The flat KvStore multiplexes every slot over ONE n-node network, driven
+// by the caller's thread: its client batches whatever was submitted between
+// waits into one window, but every key in the store serializes through one
+// event loop. This engine is the scale-out layer:
 //
-//   * ShardRouter splits the keyspace across `shards` register GROUPS, each
-//     a full n-node crash-prone network of its own (its own MuxProcess per
-//     node, its own simulator, its own worker thread). Groups share
+//   * ShardRouter splits the keyspace across `shards` register GROUPS. Each
+//     shard IS a KvStore (shard_options(): its own n MuxProcesses over its
+//     own simulator), driven by its own worker thread. Groups share
 //     nothing, so throughput scales with cores.
 //   * Each shard has a mailbox (MailboxT<ShardOp>) and one worker thread.
 //     The worker drains whatever accumulated while it executed the previous
 //     batch — a natural batching window, as in group commit — and hands the
-//     window to MuxProcess::start_batch, which collapses it into as few
-//     protocol rounds as the register spec allows (reads issued at the same
-//     replica share one round; queued writes to one slot can collapse
-//     last-write-wins).
+//     window to its KvStore's window engine (KvStore::run_window), which
+//     collapses it into as few protocol rounds as the register spec allows
+//     (reads issued at the same replica share one round; queued writes to
+//     one slot can collapse last-write-wins).
 //   * Clients use the unified client() API (src/client/client.hpp): pooled
 //     Ticket/callback completions resolved on the owning shard's worker,
 //     with uniform Status outcomes. Any thread may submit. (The legacy
@@ -38,12 +38,9 @@
 #include <vector>
 
 #include "client/client.hpp"
-#include "kvstore/mux_process.hpp"
+#include "kvstore/kv_store.hpp"
 #include "kvstore/shard_router.hpp"
 #include "metrics/message_stats.hpp"
-#include "runtime/mailbox.hpp"
-#include "sim/sim_network.hpp"
-#include "workload/algorithms.hpp"
 
 namespace tbr {
 
@@ -74,17 +71,17 @@ class ShardedKvStore {
     std::chrono::microseconds min_batch_wait{1000};
     /// Pin shard worker s to core s (best-effort; see runtime/affinity.hpp).
     bool pin_shard_threads = false;
-
-    /// Per-shard network knobs (defaults match KvStore).
-    Tick delay_ticks = 1000;  ///< constant channel delay when no factory set
-    std::function<std::unique_ptr<DelayModel>(std::uint32_t shard)>
-        delay_factory;                         ///< overrides delay_ticks
-    Tick service_time = 0;                     ///< SimNetwork node capacity
-    /// Per-slot register engine when `register_factory` is unset
-    /// (two-bit default, or a fast-path read engine for 3Δ/2Δ gets).
+    /// Per-slot register engine (two-bit default, or a fast-path read
+    /// engine for 3Δ/2Δ gets).
     Algorithm engine = Algorithm::kTwoBit;
-    MuxProcess::SlotFactory register_factory;  ///< overrides `engine`
   };
+
+  /// The flat store shard `shard` runs: the group knobs above, seed
+  /// `seed ^ 0x5A17·(shard+1)`, and KvStore's default network
+  /// (ConstantDelay(1000), infinite CPU). The capacity projection builds
+  /// its per-shard stores from this too.
+  static KvStore::Options shard_options(const Options& options,
+                                        std::uint32_t shard);
 
   /// Replica selector for gets: rotate over the shard's live-looking nodes.
   static constexpr ProcessId kAnyReplica = kNoProcess;
@@ -98,7 +95,8 @@ class ShardedKvStore {
   /// Pooled Ticket/callback completions with uniform Status outcomes
   /// (src/client/client.hpp). Ops execute inside their shard's next
   /// batching window; completions (and callbacks) run on the shard worker.
-  /// put results carry version/absorbed; steady state costs at most one
+  /// put results carry version/absorbed, and every result's latency is
+  /// in its shard's virtual ticks; steady state costs at most one
   /// allocation per op end to end (gated).
   KvClient& client() noexcept;
 
@@ -134,8 +132,7 @@ class ShardedKvStore {
   struct ShardOp;
   class ClientImpl;
 
-  Shard& shard_for(std::string_view key, ShardRouter::Placement& out);
-  static void worker_loop(Shard& shard, std::stop_token st);
+  void worker_loop(Shard& shard, std::stop_token st);
   /// Copy the worker-owned counters into the cross-thread snapshot.
   static void publish_report(Shard& shard);
 

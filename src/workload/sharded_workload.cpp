@@ -15,6 +15,9 @@ namespace tbr {
 
 namespace {
 
+/// Per-frame CPU at every replica in the capacity projection.
+constexpr Tick kProjectionServiceTime = 200;
+
 /// One generated client operation, before routing.
 struct GenOp {
   std::uint32_t key_id = 0;
@@ -53,15 +56,15 @@ class KeySampler {
   std::vector<std::uint32_t> rank_to_key_;
 };
 
-std::vector<GenOp> generate_ops(const ShardedWorkloadOptions& opt) {
-  Rng rng(opt.seed ^ 0x5EEDF00DULL);
-  KeySampler sampler(opt.keys, opt.zipf_s, rng);
+std::vector<GenOp> generate_ops(std::uint64_t seed, const KvOpMix& mix) {
+  Rng rng(seed ^ 0x5EEDF00DULL);
+  KeySampler sampler(mix.keys, mix.zipf_s, rng);
   std::vector<GenOp> ops;
-  ops.reserve(opt.total_ops);
-  for (std::uint64_t k = 0; k < opt.total_ops; ++k) {
+  ops.reserve(mix.total_ops);
+  for (std::uint64_t k = 0; k < mix.total_ops; ++k) {
     GenOp op;
     op.key_id = sampler.sample(rng);
-    op.is_write = !rng.chance(opt.read_fraction);
+    op.is_write = !rng.chance(mix.read_fraction);
     op.payload = static_cast<std::int64_t>(k + 1);
     ops.push_back(op);
   }
@@ -82,32 +85,22 @@ std::vector<std::string> make_key_names(std::uint32_t keys) {
 // ---- mode 1: the live engine, wall-clock ------------------------------------
 
 ShardedWorkloadResult run_sharded_workload(
-    const ShardedWorkloadOptions& options) {
-  TBR_ENSURE(options.client_threads >= 1, "need at least one client");
-  ShardedKvStore::Options store_opt;
-  store_opt.shards = options.shards;
-  store_opt.n = options.n;
-  store_opt.t = options.t;
-  store_opt.slots_per_shard = options.slots_per_shard;
-  store_opt.seed = options.seed;
-  store_opt.engine = options.engine;
-  store_opt.coalesce_writes = options.coalesce_writes;
-  store_opt.max_batch = options.max_batch;
-  store_opt.min_batch = options.min_batch;
-  store_opt.pin_shard_threads = options.pin_shard_threads;
-  ShardedKvStore store(std::move(store_opt));
+    const ShardedKvStore::Options& store_options, const KvOpMix& mix,
+    std::uint32_t client_threads, std::size_t client_pipeline) {
+  TBR_ENSURE(client_threads >= 1, "need at least one client");
+  ShardedKvStore store(store_options);
 
-  const auto ops = generate_ops(options);
-  const auto keys = make_key_names(options.keys);
+  const auto ops = generate_ops(store_options.seed, mix);
+  const auto keys = make_key_names(mix.keys);
 
-  std::vector<std::uint64_t> completed(options.client_threads, 0);
-  std::vector<std::uint64_t> failed(options.client_threads, 0);
+  std::vector<std::uint64_t> completed(client_threads, 0);
+  std::vector<std::uint64_t> failed(client_threads, 0);
 
   const auto started = std::chrono::steady_clock::now();
   {
     std::vector<std::jthread> clients;
-    clients.reserve(options.client_threads);
-    for (std::uint32_t c = 0; c < options.client_threads; ++c) {
+    clients.reserve(client_threads);
+    for (std::uint32_t c = 0; c < client_threads; ++c) {
       clients.emplace_back([&, c] {
         // Client c owns ops c, c+threads, c+2*threads, ... — every client
         // sees the full key/skew mix. Submission runs in waves of
@@ -116,7 +109,7 @@ ShardedWorkloadResult run_sharded_workload(
         // a real batching window.
         KvClient& client = store.client();
         std::vector<Ticket> wave;
-        wave.reserve(options.client_pipeline);
+        wave.reserve(client_pipeline);
         auto settle_wave = [&] {
           for (const Ticket& t : wave) {
             const OpResult r = client.wait(t);
@@ -128,8 +121,7 @@ ShardedWorkloadResult run_sharded_workload(
           }
           wave.clear();
         };
-        for (std::uint64_t k = c; k < ops.size();
-             k += options.client_threads) {
+        for (std::uint64_t k = c; k < ops.size(); k += client_threads) {
           const GenOp& op = ops[k];
           if (op.is_write) {
             wave.push_back(client.put(keys[op.key_id],
@@ -137,7 +129,7 @@ ShardedWorkloadResult run_sharded_workload(
           } else {
             wave.push_back(client.get(keys[op.key_id]));
           }
-          if (wave.size() >= options.client_pipeline) settle_wave();
+          if (wave.size() >= client_pipeline) settle_wave();
         }
         settle_wave();
       });
@@ -147,7 +139,7 @@ ShardedWorkloadResult run_sharded_workload(
   const auto stopped = std::chrono::steady_clock::now();
 
   ShardedWorkloadResult result;
-  for (std::uint32_t c = 0; c < options.client_threads; ++c) {
+  for (std::uint32_t c = 0; c < client_threads; ++c) {
     result.ops_completed += completed[c];
     result.ops_failed += failed[c];
   }
@@ -164,135 +156,83 @@ ShardedWorkloadResult run_sharded_workload(
 // ---- mode 2: deterministic capacity projection -------------------------------
 
 CapacityProjection project_sharded_capacity(
-    const ShardedWorkloadOptions& options) {
-  TBR_ENSURE(options.service_time > 0,
-             "the capacity projection needs a per-frame service time");
-  ShardRouter router(options.shards, options.slots_per_shard, options.n);
-
-  struct RoutedOp {
-    Tick arrival = 0;
-    std::uint32_t slot = 0;
-    ProcessId home = 0;
-    bool is_write = false;
-    std::int64_t payload = 0;
-  };
-  const auto ops = generate_ops(options);
-  const auto keys = make_key_names(options.keys);
-  std::vector<std::vector<RoutedOp>> per_shard(options.shards);
+    const ShardedKvStore::Options& store, const KvOpMix& mix,
+    Tick inter_arrival) {
+  const ShardRouter router(store.shards, store.slots_per_shard, store.n);
+  const auto ops = generate_ops(store.seed, mix);
+  const auto keys = make_key_names(mix.keys);
+  // Each shard's arrival trace: indices into `ops`; op k arrives at
+  // k * inter_arrival.
+  std::vector<std::vector<std::uint64_t>> per_shard(store.shards);
   for (std::uint64_t k = 0; k < ops.size(); ++k) {
-    const auto at = router.place(keys[ops[k].key_id]);
-    RoutedOp routed;
-    routed.arrival = static_cast<Tick>(k) * options.inter_arrival;
-    routed.slot = at.slot;
-    routed.home = at.home;
-    routed.is_write = ops[k].is_write;
-    routed.payload = ops[k].payload;
-    per_shard[at.shard].push_back(routed);
+    per_shard[router.shard_of(keys[ops[k].key_id])].push_back(k);
   }
-
-  const std::uint32_t n = options.n;
-  const std::uint32_t t = options.t;
-  auto slot_cfg = [n, t](std::uint32_t slot) {
-    GroupConfig cfg;
-    cfg.n = n;
-    cfg.t = t;
-    cfg.writer = slot % n;
-    cfg.initial = Value();
-    cfg.validate();
-    return cfg;
+  auto arrival = [inter_arrival](std::uint64_t k) {
+    return static_cast<Tick>(k) * inter_arrival;
   };
 
   CapacityProjection projection;
   projection.ops = ops.size();
-  projection.shard_ticks.assign(options.shards, 0);
+  projection.shard_ticks.assign(store.shards, 0);
   double latency_sum = 0.0;
+  std::vector<Ticket> tickets;
 
-  for (std::uint32_t s = 0; s < options.shards; ++s) {
-    const auto& shard_ops = per_shard[s];
-    if (shard_ops.empty()) continue;
+  for (std::uint32_t s = 0; s < store.shards; ++s) {
+    const auto& trace = per_shard[s];
+    if (trace.empty()) continue;
 
-    std::vector<std::unique_ptr<ProcessBase>> processes;
-    processes.reserve(n);
-    const Algorithm engine = options.engine;
-    auto factory = [engine](const GroupConfig& cfg, ProcessId pid) {
-      return make_register_process(engine, cfg, pid);
-    };
-    for (ProcessId pid = 0; pid < n; ++pid) {
-      processes.push_back(std::make_unique<MuxProcess>(
-          options.slots_per_shard, slot_cfg, pid, factory));
-    }
-    SimNetwork::Options net_opt;
-    net_opt.seed = options.seed ^ (0xCAFEULL * (s + 1));
-    net_opt.delay = make_constant_delay(options.delay_ticks);
-    net_opt.service_time = options.service_time;
-    SimNetwork net(std::move(processes), std::move(net_opt));
+    KvStore::Options group_options = ShardedKvStore::shard_options(store, s);
+    group_options.service_time = kProjectionServiceTime;
+    KvStore group(std::move(group_options));
+    SimNetwork& net = group.net();
+    KvClient& client = group.client();
 
-    ProcessId next_reader = 0;
     std::size_t next = 0;
-    while (next < shard_ops.size()) {
+    while (next < trace.size()) {
       // The batching window: everything that has arrived by the time the
       // previous window finished (bounded by max_batch), or — if the shard
       // is idle — the next op alone at its arrival instant. A min_batch
       // floor (group commit) holds the window open until enough ops have
       // arrived; the tail of the trace opens partial so the run drains.
-      Tick start = std::max(net.now(), shard_ops[next].arrival);
-      if (options.min_batch > 1) {
+      Tick start = std::max(net.now(), arrival(trace[next]));
+      if (store.min_batch > 1) {
         const std::size_t want =
-            std::min(options.min_batch, shard_ops.size() - next);
-        start = std::max(start, shard_ops[next + want - 1].arrival);
+            std::min(store.min_batch, trace.size() - next);
+        start = std::max(start, arrival(trace[next + want - 1]));
       }
       std::size_t end = next;
-      while (end < shard_ops.size() && shard_ops[end].arrival <= start &&
-             (options.max_batch == 0 ||
-              end - next < options.max_batch)) {
+      while (end < trace.size() && arrival(trace[end]) <= start &&
+             (store.max_batch == 0 || end - next < store.max_batch)) {
         ++end;
       }
 
-      std::vector<std::vector<MuxProcess::BatchOp>> per_node(n);
+      // Open the window at `start` in virtual time, submit it through the
+      // store's client, and wait it out: the whole window completes
+      // together, so every op in it waited from its arrival to the
+      // window's finish.
+      bool opened = false;
+      net.schedule_at(start, [&opened] { opened = true; });
+      (void)net.run_until([&opened] { return opened; });
+      tickets.clear();
       for (std::size_t k = next; k < end; ++k) {
-        const RoutedOp& op = shard_ops[k];
-        MuxProcess::BatchOp batch_op;
-        batch_op.slot = op.slot;
-        if (op.is_write) {
-          batch_op.is_write = true;
-          batch_op.value = Value::from_int64(op.payload);
-          per_node[op.home].push_back(std::move(batch_op));
-        } else {
-          const ProcessId reader = next_reader;
-          next_reader = (next_reader + 1) % n;
-          per_node[reader].push_back(std::move(batch_op));
-        }
+        const GenOp& op = ops[trace[k]];
+        tickets.push_back(
+            op.is_write
+                ? client.put(keys[op.key_id], Value::from_int64(op.payload))
+                : client.get(keys[op.key_id]));
       }
-
-      auto outstanding = std::make_shared<std::size_t>(0);
-      for (ProcessId pid = 0; pid < n; ++pid) {
-        if (per_node[pid].empty()) continue;
-        ++*outstanding;
+      for (const Ticket& t : tickets) {
+        TBR_ENSURE(client.wait(t).status.ok(),
+                   "capacity projection lost liveness (bug)");
       }
-      net.schedule_at(start, [&net, &per_node, n, outstanding,
-                              coalesce = options.coalesce_writes,
-                              stats = &projection.batch] {
-        for (ProcessId pid = 0; pid < n; ++pid) {
-          if (per_node[pid].empty()) continue;
-          auto& mux = net.process_as<MuxProcess>(pid);
-          mux.start_batch(net.context(pid), std::move(per_node[pid]),
-                          coalesce, [outstanding] { --*outstanding; },
-                          stats);
-        }
-      });
-      const bool ok = net.run_until(
-          [outstanding] { return *outstanding == 0; });
-      TBR_ENSURE(ok, "capacity projection lost liveness (bug)");
-      // Client-observed latency: the whole window completes together, so
-      // every op in it waited from its arrival to the window's finish.
       for (std::size_t k = next; k < end; ++k) {
-        latency_sum +=
-            static_cast<double>(net.now() - shard_ops[k].arrival);
+        latency_sum += static_cast<double>(net.now() - arrival(trace[k]));
       }
       next = end;
     }
     projection.shard_ticks[s] = net.now();
     projection.frames += net.stats().total_sent();
+    projection.batch.merge(group.batch_stats());
   }
   projection.mean_latency_ticks =
       projection.ops > 0 ? latency_sum / static_cast<double>(projection.ops)

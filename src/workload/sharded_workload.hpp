@@ -1,5 +1,6 @@
 // Workload driver for the sharded KV engine: skewed multi-key traffic in
-// two complementary modes.
+// two complementary modes. Both take the store's own options plus the op
+// mix; neither re-forwards store knobs.
 //
 // 1. run_sharded_workload — the ENGINE measurement. Client threads push a
 //    read-dominated, zipf-skewed op mix through a live ShardedKvStore
@@ -9,15 +10,17 @@
 //    truly in parallel.
 //
 // 2. project_sharded_capacity — the DEPLOYMENT projection. The same op
-//    mix is routed to per-shard register groups driven directly in
-//    virtual time, with SimNetwork's per-node service-time model giving
-//    every replica finite CPU. Each shard's simulator clock then reads
-//    off how long that shard would take on its own hardware; the store's
-//    completion time is the busiest shard's clock (shards share nothing).
-//    This is deterministic — same options, same result, on any host — so
-//    CI can track it without multi-core runners, and it isolates the two
-//    effects the engine mixes: partitioning (more groups = more replica
-//    CPU) and batching (fewer protocol rounds per client op).
+//    mix is routed to one KvStore per shard (the store a ShardedKvStore
+//    shard runs, built by ShardedKvStore::shard_options) and replayed
+//    through that store's own KvClient in virtual time, with SimNetwork's
+//    per-node service-time model giving every replica finite CPU. Each
+//    shard's simulator clock then reads off how long that shard would take
+//    on its own hardware; the store's completion time is the busiest
+//    shard's clock (shards share nothing). This is deterministic — same
+//    options, same result, on any host — so CI can track it without
+//    multi-core runners, and it isolates the two effects the engine mixes:
+//    partitioning (more groups = more replica CPU) and batching (fewer
+//    protocol rounds per client op).
 #pragma once
 
 #include <vector>
@@ -26,49 +29,15 @@
 
 namespace tbr {
 
-struct ShardedWorkloadOptions {
-  std::uint32_t shards = 4;
-  std::uint32_t n = 3;               ///< replicas per shard
-  std::uint32_t t = 1;
-  std::uint32_t slots_per_shard = 16;
-  std::uint64_t seed = 1;
-
-  // ---- op mix ---------------------------------------------------------------
+/// The op stream both drivers replay: `total_ops` ops over keys named
+/// "key-<id>", drawn from the store's `seed ^ 0x5EEDF00D`.
+struct KvOpMix {
   std::uint32_t keys = 256;
   /// Zipf exponent over key ranks (0 = uniform). Ranks are shuffled onto
   /// key ids by seed, so hot keys land on seed-determined shards.
   double zipf_s = 0.9;
   double read_fraction = 0.9;
   std::uint64_t total_ops = 4000;
-
-  // ---- engine mode ----------------------------------------------------------
-  std::uint32_t client_threads = 4;
-  /// Async ops each client keeps in flight (its submission wave size).
-  std::size_t client_pipeline = 64;
-  bool pin_shard_threads = false;
-
-  // ---- shared engine/projection knobs ---------------------------------------
-  /// Per-slot register engine (two-bit default, or a fast-path read
-  /// engine: Algorithm::kOhRam / kTimeEfficient).
-  Algorithm engine = Algorithm::kTwoBit;
-  bool coalesce_writes = true;
-  /// Batching-window cap (ops). In the projection this bounds how much a
-  /// backlog can amortize; 0 = unbounded.
-  std::size_t max_batch = 256;
-  /// Batching-window floor (group-commit style; see ShardedKvStore::
-  /// Options::min_batch). 0 = drain whatever accumulated. In the
-  /// projection this delays a window until `min_batch` ops have arrived
-  /// (the tail opens partial), trading per-op latency for coalescing —
-  /// the sweep in bench_sharded_throughput measures that trade.
-  std::size_t min_batch = 0;
-
-  // ---- projection mode ------------------------------------------------------
-  Tick delay_ticks = 1000;   ///< channel delay Δ
-  Tick service_time = 200;   ///< per-frame CPU cost at a replica
-  /// Virtual ticks between successive client arrivals (store-wide); lower
-  /// = heavier offered load. The default saturates the replicas so the
-  /// projection measures capacity, not channel latency.
-  Tick inter_arrival = 2;
 };
 
 struct ShardedWorkloadResult {
@@ -80,8 +49,11 @@ struct ShardedWorkloadResult {
   std::uint64_t frames = 0;
 };
 
+/// `client_threads` threads each keep waves of `client_pipeline` ops in
+/// flight against a ShardedKvStore built from `store`.
 ShardedWorkloadResult run_sharded_workload(
-    const ShardedWorkloadOptions& options);
+    const ShardedKvStore::Options& store, const KvOpMix& mix,
+    std::uint32_t client_threads = 4, std::size_t client_pipeline = 64);
 
 struct CapacityProjection {
   std::uint64_t ops = 0;
@@ -95,7 +67,17 @@ struct CapacityProjection {
   std::uint64_t frames = 0;
 };
 
+/// Every replica gets 200 ticks of CPU per frame (KvStore::Options::
+/// service_time) over KvStore's default channel, ConstantDelay(1000).
+/// Ops arrive store-wide every `inter_arrival` virtual ticks (lower =
+/// heavier offered load; the default saturates the replicas, so the
+/// projection measures capacity, not channel latency). A shard opens a
+/// window when its previous one finished: everything arrived by then, up
+/// to `store.max_batch` ops, and — with a `store.min_batch` floor — not
+/// before that many ops have arrived (the tail opens partial). The store's
+/// min_batch_wait and pin_shard_threads are wall-clock knobs and unused.
 CapacityProjection project_sharded_capacity(
-    const ShardedWorkloadOptions& options);
+    const ShardedKvStore::Options& store, const KvOpMix& mix,
+    Tick inter_arrival = 2);
 
 }  // namespace tbr

@@ -517,6 +517,59 @@ TEST(ClientConformance, LivenessLossMatchesAcrossSimEngines) {
   EXPECT_EQ(later.status.code(), StatusCode::kLivenessLost);
 }
 
+TEST(ClientConformance, CallbackOpsFailOnLivenessLossAcrossFlatAndSharded) {
+  // Over-budget crashes (t = 1, replicas 0 and 1 down), callback-mode ops
+  // at the survivor: no wait() ever drives them, so the store's own drive
+  // call (flat settle(), sharded drain()) must finish the stalled window
+  // and fire every callback with kLivenessLost instead of stranding it.
+  auto script = [](KvClient& client, const std::string& key,
+                   const std::function<void()>& drive) {
+    std::vector<StatusCode> codes;
+    auto record = [&codes](const OpResult& r) {
+      codes.push_back(r.status.code());
+    };
+    (void)client.put(key, Value::from_int64(1), record);
+    (void)client.get(key, 2, record);
+    drive();
+    drive();
+    return codes;
+  };
+  auto key_homed_at_2 = [](const std::function<ProcessId(const std::string&)>&
+                               home_of) {
+    for (int i = 0;; ++i) {
+      std::string key = "stuck-" + std::to_string(i);
+      if (home_of(key) == 2) return key;
+    }
+  };
+  const std::vector<StatusCode> expected{StatusCode::kLivenessLost,
+                                         StatusCode::kLivenessLost};
+
+  auto flat = make_flat_store();
+  flat.crash(0);
+  flat.crash(1);
+  const std::string flat_key = key_homed_at_2(
+      [&flat](const std::string& k) { return flat.home_node(k); });
+  EXPECT_EQ(script(flat.client(), flat_key, [&flat] { flat.settle(); }),
+            expected);
+
+  ShardedKvStore::Options opt;
+  opt.shards = 1;
+  opt.n = 3;
+  opt.t = 1;
+  opt.slots_per_shard = 8;
+  ShardedKvStore sharded(std::move(opt));
+  sharded.crash(0, 0);
+  sharded.crash(0, 1);
+  sharded.drain();
+  const std::string sharded_key =
+      key_homed_at_2([&sharded](const std::string& k) {
+        return sharded.router().home_node(k);
+      });
+  EXPECT_EQ(script(sharded.client(), sharded_key,
+                   [&sharded] { sharded.drain(); }),
+            expected);
+}
+
 TEST(ClientConformance, TryResultPollsWithoutBlocking) {
   auto group = make_sim_group();
   RegisterClient& client = group.client();

@@ -9,6 +9,7 @@
 #include "checker/swmr_checker.hpp"
 #include "core/twobit_codec.hpp"
 #include "kvstore/kv_store.hpp"
+#include "kvstore/shard_router.hpp"
 
 namespace tbr {
 namespace {
@@ -74,6 +75,21 @@ TEST(KvStore, PlacementIsStableAndSpreads) {
     per_home[store.home_node(key)] += 1;
   }
   EXPECT_GE(per_home.size(), 4u) << "64 keys should touch most homes";
+}
+
+// One placement for flat and sharded stores: a flat store puts every key
+// in the slot the sharded router gives it, whatever the shard count (the
+// router derives shard and slot from disjoint halves of one hash).
+TEST(KvStore, PlacementMatchesTheShardRouter) {
+  KvStore store(small_store(16));
+  for (const std::uint32_t shards : {1u, 4u}) {
+    const ShardRouter router(shards, store.slot_count(), store.node_count());
+    for (int k = 0; k < 256; ++k) {
+      const std::string key = "key-" + std::to_string(k);
+      EXPECT_EQ(store.slot_of(key), router.place(key).slot)
+          << key << " with " << shards << " shards";
+    }
+  }
 }
 
 TEST(KvStore, ControlBitsStayTwoPerProtocolFrame) {

@@ -1,15 +1,19 @@
 // Sharded KV engine (src/kvstore): router placement, end-to-end store
 // semantics across shard boundaries, deterministic batching semantics at
 // the MuxProcess level (read coalescing, last-write-wins absorption, chain
-// order), and crash isolation between shards.
+// order), crash isolation between shards, and the capacity projection's
+// pinned rows.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "kvstore/kv_store.hpp"
 #include "kvstore/shard_router.hpp"
 #include "kvstore/sharded_store.hpp"
+#include "workload/sharded_workload.hpp"
 
 namespace tbr {
 namespace {
@@ -222,30 +226,20 @@ TEST(ShardedKvStore, ShardReportsAccumulate) {
 
 // ---- deterministic batching semantics (direct MuxProcess batches) -----------
 
+/// A flat store's register group, driven below its window engine.
 struct BatchRig {
   static constexpr std::uint32_t kN = 3;
   static constexpr std::uint32_t kSlots = 4;
-  std::unique_ptr<SimNetwork> net;
+  KvStore store{[] {
+    KvStore::Options opt;
+    opt.n = kN;
+    opt.t = 1;
+    opt.slots = kSlots;
+    opt.initial = Value::from_string("v0");
+    return opt;
+  }()};
+  SimNetwork* net = &store.net();
   BatchStats stats;
-
-  BatchRig() {
-    auto slot_cfg = [](std::uint32_t slot) {
-      GroupConfig cfg;
-      cfg.n = kN;
-      cfg.t = 1;
-      cfg.writer = slot % kN;
-      cfg.initial = Value::from_string("v0");
-      cfg.validate();
-      return cfg;
-    };
-    std::vector<std::unique_ptr<ProcessBase>> processes;
-    for (ProcessId pid = 0; pid < kN; ++pid) {
-      processes.push_back(
-          std::make_unique<MuxProcess>(kSlots, slot_cfg, pid));
-    }
-    net = std::make_unique<SimNetwork>(std::move(processes),
-                                       SimNetwork::Options{});
-  }
 
   MuxProcess& mux(ProcessId pid) { return net->process_as<MuxProcess>(pid); }
 
@@ -390,6 +384,49 @@ TEST(MuxBatch, ChainsForDistinctSlotsInterleave) {
   EXPECT_EQ(rig.stats.protocol_writes, 1u);
   EXPECT_EQ(rig.stats.absorbed_writes, 1u);
   EXPECT_EQ(rig.stats.coalesced_reads, 1u);
+}
+
+// ---- capacity projection golden rows ---------------------------------------
+
+/// bench_sharded_throughput's quick-mode projection config at 4 shards:
+/// n = 3, t = 1, 16 slots per shard, 1500 zipf(0.9) ops over 512 keys with
+/// 90% reads, windows capped at 256 ops.
+CapacityProjection project_quick_four_shards(std::size_t min_batch,
+                                             Tick inter_arrival) {
+  ShardedKvStore::Options store;
+  store.shards = 4;
+  store.n = 3;
+  store.t = 1;
+  store.slots_per_shard = 16;
+  store.seed = 1;
+  store.max_batch = 256;
+  store.min_batch = min_batch;
+  KvOpMix mix;
+  mix.keys = 512;
+  mix.zipf_s = 0.9;
+  mix.read_fraction = 0.9;
+  mix.total_ops = 1500;
+  return project_sharded_capacity(store, mix, inter_arrival);
+}
+
+TEST(ShardedCapacity, SaturatedFourShardRowIsPinned) {
+  const CapacityProjection p =
+      project_quick_four_shards(/*min_batch=*/0, /*inter_arrival=*/2);
+  EXPECT_EQ(p.ops, 1500u);
+  EXPECT_EQ(p.busiest_shard_ticks, 67006);
+  EXPECT_EQ(p.frames, 2338u);
+  EXPECT_EQ(p.batch.protocol_reads, 394u);
+  EXPECT_EQ(p.batch.protocol_writes, 127u);
+  EXPECT_EQ(p.batch.absorbed_writes, 24u);
+}
+
+TEST(ShardedCapacity, MinBatchFloorRowIsPinned) {
+  const CapacityProjection p =
+      project_quick_four_shards(/*min_batch=*/16, /*inter_arrival=*/150);
+  EXPECT_EQ(p.batch.protocol_reads, 1077u);
+  EXPECT_EQ(p.batch.absorbed_writes, 8u);
+  EXPECT_EQ(p.frames, 5166u);
+  EXPECT_EQ(std::llround(p.mean_latency_ticks), 9582);
 }
 
 }  // namespace

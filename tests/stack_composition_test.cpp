@@ -10,6 +10,9 @@
 // algorithm-agnostic.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "abd/specs.hpp"
 #include "core/twobit_process.hpp"
 #include "kvstore/kv_store.hpp"
@@ -100,14 +103,24 @@ TEST(StackComposition, DoubleDecorationLinkUnderMux) {
   opt.slots = 4;
   opt.register_factory = linked_factory(Algorithm::kTwoBit);
   KvStore store(std::move(opt));
+  // Four keys owning the four distinct slots, so each slot's register sees
+  // exactly one key's five writes.
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 4; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    bool taken = false;
+    for (const std::string& k : keys) {
+      taken |= store.slot_of(k) == store.slot_of(key);
+    }
+    if (!taken) keys.push_back(key);
+  }
   for (int round = 1; round <= 5; ++round) {
     for (int k = 0; k < 4; ++k) {
-      store.client().put_sync("key" + std::to_string(k),
-                Value::from_int64(round * 10 + k));
+      store.client().put_sync(keys[k], Value::from_int64(round * 10 + k));
     }
   }
   for (int k = 0; k < 4; ++k) {
-    const auto got = store.client().get_sync("key" + std::to_string(k), 1);
+    const auto got = store.client().get_sync(keys[k], 1);
     EXPECT_EQ(got.value.to_int64(), 50 + k);
     EXPECT_EQ(got.version, 5);
   }

@@ -149,37 +149,39 @@ int cmd_run(FlagParser& flags) {
 }
 
 int cmd_kv(FlagParser& flags) {
-  ShardedWorkloadOptions opt;
-  opt.shards = static_cast<std::uint32_t>(flags.get_int("shards"));
-  opt.n = static_cast<std::uint32_t>(flags.get_int("n"));
-  opt.t = flags.get_int("t") < 0
-              ? (opt.n - 1) / 2
-              : static_cast<std::uint32_t>(flags.get_int("t"));
-  opt.slots_per_shard = static_cast<std::uint32_t>(flags.get_int("slots"));
-  opt.keys = static_cast<std::uint32_t>(flags.get_int("keys"));
-  opt.zipf_s = flags.get_double("skew");
-  opt.read_fraction = flags.get_double("read-fraction");
-  opt.total_ops = static_cast<std::uint64_t>(flags.get_int("ops"));
-  opt.client_threads = static_cast<std::uint32_t>(flags.get_int("clients"));
-  opt.coalesce_writes = flags.get_bool("coalesce-writes");
-  opt.min_batch = static_cast<std::size_t>(flags.get_int("min-batch"));
-  opt.pin_shard_threads = flags.get_bool("pin");
-  opt.engine = parse_engine(flags.get_string("engine"));
-  opt.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  ShardedKvStore::Options store;
+  store.shards = static_cast<std::uint32_t>(flags.get_int("shards"));
+  store.n = static_cast<std::uint32_t>(flags.get_int("n"));
+  store.t = flags.get_int("t") < 0
+                ? (store.n - 1) / 2
+                : static_cast<std::uint32_t>(flags.get_int("t"));
+  store.slots_per_shard = static_cast<std::uint32_t>(flags.get_int("slots"));
+  store.coalesce_writes = flags.get_bool("coalesce-writes");
+  store.max_batch = 256;
+  store.min_batch = static_cast<std::size_t>(flags.get_int("min-batch"));
+  store.pin_shard_threads = flags.get_bool("pin");
+  store.engine = parse_engine(flags.get_string("engine"));
+  store.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  KvOpMix mix;
+  mix.keys = static_cast<std::uint32_t>(flags.get_int("keys"));
+  mix.zipf_s = flags.get_double("skew");
+  mix.read_fraction = flags.get_double("read-fraction");
+  mix.total_ops = static_cast<std::uint64_t>(flags.get_int("ops"));
 
-  const auto engine = run_sharded_workload(opt);
-  const auto projection = project_sharded_capacity(opt);
+  const auto engine = run_sharded_workload(
+      store, mix, static_cast<std::uint32_t>(flags.get_int("clients")));
+  const auto projection = project_sharded_capacity(store, mix);
 
   TextTable table({"metric", "value"});
-  table.add_row({"shards x replicas", std::to_string(opt.shards) + " x " +
-                                          std::to_string(opt.n)});
-  table.add_row({"register engine", algorithm_name(opt.engine)});
+  table.add_row({"shards x replicas", std::to_string(store.shards) + " x " +
+                                          std::to_string(store.n)});
+  table.add_row({"register engine", algorithm_name(store.engine)});
   table.add_row({"keys / slots per shard",
-                 std::to_string(opt.keys) + " / " +
-                     std::to_string(opt.slots_per_shard)});
-  table.add_row({"op mix", format_double(100.0 * opt.read_fraction, 0) +
+                 std::to_string(mix.keys) + " / " +
+                     std::to_string(store.slots_per_shard)});
+  table.add_row({"op mix", format_double(100.0 * mix.read_fraction, 0) +
                                "% reads, zipf s=" +
-                               format_double(opt.zipf_s, 2)});
+                               format_double(mix.zipf_s, 2)});
   table.add_row({"engine ops ok / failed",
                  format_count(engine.ops_completed) + " / " +
                      format_count(engine.ops_failed)});
