@@ -25,13 +25,6 @@ class DelayModel {
   /// Transit time (> 0 ticks) for `msg` on channel from -> to.
   virtual Tick delay(Rng& rng, ProcessId from, ProcessId to,
                      const Message& msg) = 0;
-
-  /// True when the model's delays cluster event horizons into a narrow band
-  /// (constant / bounded two-point / uniform): the shape the calendar-queue
-  /// scheduler serves in O(1) amortized. Heavy-tailed and fully
-  /// programmable models return false so EventQueue::Policy::kAuto falls
-  /// back to the binary heap.
-  virtual bool clustered_delays() const { return false; }
 };
 
 /// Every message takes exactly Δ: the paper's timing model (Table 1 rows 5-6).
@@ -39,7 +32,6 @@ class ConstantDelay final : public DelayModel {
  public:
   explicit ConstantDelay(Tick delta);
   Tick delay(Rng&, ProcessId, ProcessId, const Message&) override;
-  bool clustered_delays() const override { return true; }
   Tick delta() const noexcept { return delta_; }
 
  private:
@@ -51,7 +43,6 @@ class UniformDelay final : public DelayModel {
  public:
   UniformDelay(Tick lo, Tick hi);
   Tick delay(Rng& rng, ProcessId, ProcessId, const Message&) override;
-  bool clustered_delays() const override { return true; }
 
  private:
   Tick lo_, hi_;
@@ -74,7 +65,6 @@ class FlipFlopDelay final : public DelayModel {
  public:
   FlipFlopDelay(Tick fast, Tick slow, std::uint32_t n);
   Tick delay(Rng&, ProcessId from, ProcessId to, const Message&) override;
-  bool clustered_delays() const override { return true; }
 
  private:
   Tick fast_, slow_;
@@ -88,7 +78,6 @@ class StragglerDelay final : public DelayModel {
  public:
   StragglerDelay(ProcessId straggler, Tick slow, Tick fast);
   Tick delay(Rng&, ProcessId from, ProcessId to, const Message&) override;
-  bool clustered_delays() const override { return true; }
 
  private:
   ProcessId straggler_;

@@ -57,6 +57,8 @@ class KeySampler {
 };
 
 std::vector<GenOp> generate_ops(std::uint64_t seed, const KvOpMix& mix) {
+  TBR_ENSURE(mix.read_fraction >= 0.0 && mix.read_fraction <= 1.0,
+             "read fraction must be in [0, 1]");
   Rng rng(seed ^ 0x5EEDF00DULL);
   KeySampler sampler(mix.keys, mix.zipf_s, rng);
   std::vector<GenOp> ops;

@@ -95,7 +95,6 @@ SimRegisterGroup::SimRegisterGroup(Options options)
   net_opt.delay = options.delay ? std::move(options.delay)
                                 : make_constant_delay(kDefaultDelta);
   net_opt.loss_rate = options.loss_rate;
-  net_opt.scheduler_policy = options.scheduler_policy;
   net_opt.service_time = options.service_time;
   net_opt.service_loops = options.service_loops;
   net_opt.track_in_flight = options.track_in_flight;

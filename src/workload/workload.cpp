@@ -123,6 +123,9 @@ FaultPlan make_fault_plan(const GroupConfig& cfg,
   cfg.validate();
   TBR_ENSURE(options.crashes <= cfg.t,
              "workload cannot crash more than t processes");
+  TBR_ENSURE(options.writer_read_fraction >= 0.0 &&
+                 options.writer_read_fraction <= 1.0,
+             "writer read fraction must be in [0, 1]");
   if (options.crashes == 0) return FaultPlan::none();
   Rng fault_rng(seed ^ 0xFA117ULL);
   return FaultPlan::random(fault_rng, cfg, options.crashes,

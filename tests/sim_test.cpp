@@ -91,183 +91,90 @@ TEST(EventQueueTest, RejectsNullAndNegative) {
   EXPECT_THROW(q.schedule(-1, [] {}), ContractViolation);
 }
 
-// ---- CalendarQueue backend ----------------------------------------------------
-
-EventQueue::Options calendar_options(std::uint32_t buckets = 0,
-                                     Tick width = 0) {
-  EventQueue::Options opt;
-  opt.policy = EventQueue::Policy::kCalendar;
-  opt.calendar.buckets = buckets;
-  opt.calendar.width = width;
-  return opt;
-}
-
-TEST(CalendarQueueTest, FiresInTimeOrder) {
-  EventQueue q(calendar_options());
-  EXPECT_EQ(q.policy(), EventQueue::Policy::kCalendar);
-  std::vector<int> order;
-  q.schedule(30, [&] { order.push_back(3); });
-  q.schedule(10, [&] { order.push_back(1); });
-  q.schedule(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.run_next();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(CalendarQueueTest, EqualTimesFireInScheduleOrder) {
-  EventQueue q(calendar_options());
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(5, [&order, i] { order.push_back(i); });
-  }
-  while (!q.empty()) q.run_next();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(CalendarQueueTest, EmptyNonemptyEmptyTransitions) {
-  EventQueue q(calendar_options());
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_time(), kNever);
-  // Several full drain cycles: the cursor/window state must re-anchor each
-  // time the queue goes empty, including at times far from the last batch.
-  for (Tick base : {Tick{0}, Tick{7'000}, Tick{5'000'000'000}}) {
-    q.schedule(base + 42, [] {});
-    EXPECT_FALSE(q.empty());
-    EXPECT_EQ(q.next_time(), base + 42);
-    EXPECT_EQ(q.size(), 1u);
-    q.schedule(base + 7, [] {});
-    EXPECT_EQ(q.next_time(), base + 7);
-    EXPECT_EQ(q.run_next().at, base + 7);
-    EXPECT_EQ(q.next_time(), base + 42);
-    EXPECT_EQ(q.run_next().at, base + 42);
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.next_time(), kNever);
-  }
-}
-
-TEST(CalendarQueueTest, RejectsNullAndNegative) {
-  EventQueue q(calendar_options());
-  EXPECT_THROW(q.schedule(1, nullptr), ContractViolation);
-  EXPECT_THROW(q.schedule(-1, [] {}), ContractViolation);
-}
-
-TEST(CalendarQueueTest, FarFutureOutliersLandInOverflow) {
-  // Fixed geometry (16 buckets x 10 ticks = a 160-tick year) so the
-  // outliers demonstrably sit in the far-future list until the window
-  // advances to them.
-  EventQueue q(calendar_options(16, 10));
-  std::vector<Tick> want;
-  for (int i = 0; i < 20; ++i) {
-    q.schedule(i * 7, [] {});
-    want.push_back(i * 7);
-  }
-  q.schedule(1'000'000'000, [] {});
-  q.schedule(2'000'000'000, [] {});
-  want.push_back(1'000'000'000);
-  want.push_back(2'000'000'000);
-  EXPECT_GE(q.calendar().overflow_size(), 2u);
-  std::vector<Tick> got;
-  while (!q.empty()) got.push_back(q.run_next().at);
-  EXPECT_EQ(got, want);
-}
-
-TEST(CalendarQueueTest, ResizeTracksOccupancy) {
-  EventQueue q(calendar_options());
-  Rng rng(99);
-  // Burst: enough events to force the ring to grow well past the minimum.
-  std::vector<Tick> want;
-  for (int i = 0; i < 2000; ++i) {
-    const Tick at = rng.uniform(0, 100'000);
-    q.schedule(at, [] {});
-    want.push_back(at);
-  }
-  std::sort(want.begin(), want.end());
-  EXPECT_GT(q.calendar().bucket_count(), 16u);
-  EXPECT_GT(q.calendar().resizes(), 0u);
-  // Drain: pops come out sorted across every grow/shrink boundary, and the
-  // ring contracts back toward the minimum.
-  std::vector<Tick> got;
-  while (!q.empty()) got.push_back(q.run_next().at);
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(q.calendar().bucket_count(), 16u);
-}
-
-// The backend-equivalence property: any interleaving of schedules and pops
-// produces byte-identical (time, id, kind, routing) pop sequences on kHeap
-// and kCalendar. Phases alternate push-heavy and pop-heavy so occupancy
-// sweeps across resize boundaries in both directions; timestamps mix
-// duplicates, small steps and +1e9 far-future outliers.
-void cross_check_backends(std::uint64_t seed, EventQueue::Options cal_opt) {
-  EventQueue heap;  // default policy: kHeap
-  EventQueue cal(cal_opt);
-  ASSERT_EQ(cal.policy(), EventQueue::Policy::kCalendar);
-  Rng rng(seed);
-  Tick frontier = 0;
-
-  auto push_one = [&] {
-    Tick at = frontier;
-    const double shape = rng.uniform01();
-    if (shape < 0.25) {
-      // duplicate timestamp: FIFO tiebreak must agree
-    } else if (shape < 0.92) {
-      at = frontier + rng.uniform(1, 5000);
-    } else {
-      at = frontier + 1'000'000'000;  // far-future outlier
-    }
-    const auto kind = rng.uniform(0, 2);
-    const auto from = static_cast<ProcessId>(rng.uniform(0, 7));
-    const auto to = static_cast<ProcessId>(rng.uniform(0, 7));
-    const auto frame = static_cast<EventQueue::FrameId>(rng.uniform(0, 999));
-    if (kind == 0) {
-      heap.schedule(at, [] {});
-      cal.schedule(at, [] {});
-    } else if (kind == 1) {
-      heap.schedule_deliver(at, from, to, frame);
-      cal.schedule_deliver(at, from, to, frame);
-    } else {
-      heap.schedule_drain(at, to);
-      cal.schedule_drain(at, to);
-    }
+// The heap's ordering property: any interleaving of typed schedules and
+// pops comes out in ascending (at, id) order with every routing field
+// intact, checked against a brute-force reference. Phases alternate
+// push-heavy and pop-heavy; timestamps mix duplicates, small steps and
+// +1e9 far-future outliers.
+TEST(EventQueueTest, RandomInterleavingPopsInTimeThenIdOrder) {
+  struct Pending {
+    Tick at = 0;
+    EventQueue::EventId id = 0;
+    EventQueue::Kind kind = EventQueue::Kind::kClosure;
+    ProcessId from = kNoProcess;
+    ProcessId to = kNoProcess;
+    EventQueue::FrameId frame = 0;
   };
-  auto pop_and_compare = [&] {
-    ASSERT_EQ(heap.next_time(), cal.next_time());
-    ASSERT_EQ(heap.size(), cal.size());
-    const auto a = heap.pop_next();
-    const auto b = cal.pop_next();
-    ASSERT_EQ(a.at, b.at);
-    ASSERT_EQ(a.id, b.id);
-    ASSERT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind));
-    ASSERT_EQ(a.from, b.from);
-    ASSERT_EQ(a.to, b.to);
-    ASSERT_EQ(a.frame, b.frame);
-    frontier = a.at;
-  };
+  for (const std::uint64_t seed : {1u, 42u, 1337u}) {
+    SCOPED_TRACE(seed);
+    EventQueue q;
+    std::vector<Pending> pending;
+    Rng rng(seed);
+    Tick frontier = 0;
 
-  for (int phase = 0; phase < 6; ++phase) {
-    const double push_bias = (phase % 2 == 0) ? 0.8 : 0.2;
-    for (int step = 0; step < 600; ++step) {
-      if (heap.empty() || rng.chance(push_bias)) {
-        push_one();
+    auto push_one = [&] {
+      Tick at = frontier;
+      const double shape = rng.uniform01();
+      if (shape < 0.25) {
+        // duplicate timestamp: ties must pop in schedule order
+      } else if (shape < 0.92) {
+        at = frontier + rng.uniform(1, 5000);
       } else {
-        pop_and_compare();
+        at = frontier + 1'000'000'000;  // far-future outlier
+      }
+      const auto from = static_cast<ProcessId>(rng.uniform(0, 7));
+      const auto to = static_cast<ProcessId>(rng.uniform(0, 7));
+      const auto frame = static_cast<EventQueue::FrameId>(rng.uniform(0, 999));
+      switch (rng.uniform(0, 2)) {
+        case 0:
+          pending.push_back({at, q.schedule(at, [] {}),
+                             EventQueue::Kind::kClosure, kNoProcess,
+                             kNoProcess, 0});
+          break;
+        case 1:
+          pending.push_back({at, q.schedule_deliver(at, from, to, frame),
+                             EventQueue::Kind::kDeliver, from, to, frame});
+          break;
+        default:
+          pending.push_back({at, q.schedule_drain(at, to),
+                             EventQueue::Kind::kDrain, kNoProcess, to, 0});
+          break;
+      }
+    };
+    auto pop_and_compare = [&] {
+      const auto want = std::min_element(
+          pending.begin(), pending.end(),
+          [](const Pending& a, const Pending& b) {
+            return std::tie(a.at, a.id) < std::tie(b.at, b.id);
+          });
+      ASSERT_EQ(q.size(), pending.size());
+      ASSERT_EQ(q.next_time(), want->at);
+      const auto got = q.pop_next();
+      ASSERT_EQ(got.at, want->at);
+      ASSERT_EQ(got.id, want->id);
+      ASSERT_EQ(static_cast<int>(got.kind), static_cast<int>(want->kind));
+      ASSERT_EQ(got.from, want->from);
+      ASSERT_EQ(got.to, want->to);
+      ASSERT_EQ(got.frame, want->frame);
+      ASSERT_EQ(static_cast<bool>(got.fn),
+                got.kind == EventQueue::Kind::kClosure);
+      frontier = got.at;
+      pending.erase(want);
+    };
+
+    for (int phase = 0; phase < 6; ++phase) {
+      const double push_bias = (phase % 2 == 0) ? 0.8 : 0.2;
+      for (int step = 0; step < 600; ++step) {
+        if (pending.empty() || rng.chance(push_bias)) {
+          push_one();
+        } else {
+          ASSERT_NO_FATAL_FAILURE(pop_and_compare());
+        }
       }
     }
-  }
-  while (!heap.empty()) pop_and_compare();
-  EXPECT_TRUE(cal.empty());
-  EXPECT_EQ(cal.next_time(), kNever);
-}
-
-TEST(CalendarQueueTest, CrossCheckMatchesHeapAutoGeometry) {
-  for (const std::uint64_t seed : {1u, 42u, 1337u}) {
-    cross_check_backends(seed, calendar_options());
-  }
-}
-
-TEST(CalendarQueueTest, CrossCheckMatchesHeapTinyFixedGeometry) {
-  // 16 buckets x 1 tick pins a pathological geometry: nearly everything
-  // overflows and every pop churns the year-advance path.
-  for (const std::uint64_t seed : {3u, 99u}) {
-    cross_check_backends(seed, calendar_options(16, 1));
+    while (!pending.empty()) ASSERT_NO_FATAL_FAILURE(pop_and_compare());
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.next_time(), kNever);
   }
 }
 
@@ -366,48 +273,6 @@ TEST(SimNetworkTest, DeterministicAcrossRuns) {
   };
   EXPECT_EQ(run_once(7), run_once(7));
   EXPECT_NE(run_once(7), run_once(8));
-}
-
-TEST(SimNetworkTest, AutoPolicyFollowsDelayModel) {
-  {
-    SimNetwork::Options opt;
-    opt.scheduler_policy = EventQueue::Policy::kAuto;
-    opt.delay = make_constant_delay(100);
-    SimNetwork net(make_pings(2), std::move(opt));
-    EXPECT_EQ(net.scheduler_policy(), EventQueue::Policy::kCalendar);
-  }
-  {
-    SimNetwork::Options opt;
-    opt.scheduler_policy = EventQueue::Policy::kAuto;
-    opt.delay = make_exponential_delay(100, 10'000);
-    SimNetwork net(make_pings(2), std::move(opt));
-    EXPECT_EQ(net.scheduler_policy(), EventQueue::Policy::kHeap);
-  }
-  {
-    // kAuto with the default (constant) delay model clusters too.
-    SimNetwork::Options opt;
-    opt.scheduler_policy = EventQueue::Policy::kAuto;
-    SimNetwork net(make_pings(2), std::move(opt));
-    EXPECT_EQ(net.scheduler_policy(), EventQueue::Policy::kCalendar);
-  }
-}
-
-TEST(SimNetworkTest, CalendarPolicyMatchesHeapExecution) {
-  auto run_once = [](EventQueue::Policy policy) {
-    SimNetwork::Options opt;
-    opt.seed = 7;
-    opt.scheduler_policy = policy;
-    opt.delay = make_uniform_delay(1, 1000);
-    SimNetwork net(make_pings(3), std::move(opt));
-    net.process_as<PingProcess>(0).bounce_budget = 50;
-    net.process_as<PingProcess>(1).bounce_budget = 50;
-    net.schedule_at(0, [&] { net.context(1).send(0, mk(0)); });
-    (void)net.run();
-    return std::make_tuple(net.now(), net.events_executed(),
-                           net.stats().total_sent());
-  };
-  EXPECT_EQ(run_once(EventQueue::Policy::kHeap),
-            run_once(EventQueue::Policy::kCalendar));
 }
 
 TEST(SimNetworkTest, CrashStopsDelivery) {

@@ -105,6 +105,43 @@ TEST(TraceTest, CrashAndDropRecorded) {
   EXPECT_FALSE(trace.of_kind(TraceEvent::Kind::kDrop).empty());
 }
 
+TEST(TraceTest, RenderBlamesOnlyCrashDropsOnTheCrash) {
+  // A drop at a crashed receiver names the crash.
+  {
+    auto group = make_group(3);
+    TraceLog trace;
+    group.net().set_trace(&trace);
+    group.crash(2);
+    group.client().write_sync(Value::from_int64(1));
+    group.settle();
+    const auto text = trace.render(twobit_codec(), kDelta);
+    EXPECT_NE(text.find("-> p2  WRITE1 (receiver crashed)"),
+              std::string::npos)
+        << text;
+  }
+  // Out-of-model loss drops frames at live receivers: no crash to blame.
+  {
+    SimRegisterGroup::Options opt;
+    opt.cfg.n = 3;
+    opt.cfg.t = 1;
+    opt.cfg.writer = 0;
+    opt.cfg.initial = Value::from_int64(0);
+    opt.algo = Algorithm::kTwoBit;
+    opt.loss_rate = 0.5;
+    opt.seed = 3;
+    SimRegisterGroup group(std::move(opt));
+    TraceLog trace;
+    group.net().set_trace(&trace);
+    group.begin_write(Value::from_int64(1), [] {});
+    (void)group.net().run(10000);
+    ASSERT_EQ(group.net().crash_count(), 0u);
+    ASSERT_GT(group.net().frames_lost(), 0u);
+    const auto text = trace.render(twobit_codec(), kDelta);
+    EXPECT_NE(text.find("(dropped)"), std::string::npos) << text;
+    EXPECT_EQ(text.find("receiver crashed"), std::string::npos) << text;
+  }
+}
+
 TEST(TraceTest, RenderContainsTypeNamesAndTimes) {
   auto group = make_group(3);
   TraceLog trace;

@@ -60,6 +60,8 @@ status=0
 for bench in "${build_dir}"/bench/bench_*; do
   [ -x "${bench}" ] || continue
   name="$(basename "${bench}")"
+  # A reused build tree can still hold binaries of deleted benches.
+  [ -f "${repo_root}/bench/${name}.cpp" ] || continue
   if [ -n "${filter}" ] && ! [[ "${name}" =~ ${filter} ]]; then
     continue
   fi

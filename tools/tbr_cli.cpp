@@ -78,17 +78,21 @@ std::unique_ptr<DelayModel> parse_delay(const std::string& kind,
                           "' (const, uniform, expo, flipflop, straggler)");
 }
 
-EventQueue::Policy parse_scheduler(const std::string& kind) {
-  if (kind == "heap") return EventQueue::Policy::kHeap;
-  if (kind == "calendar") return EventQueue::Policy::kCalendar;
-  if (kind == "auto") return EventQueue::Policy::kAuto;
-  throw ContractViolation("unknown --scheduler '" + kind +
-                          "' (heap, calendar, auto)");
+// Count flags feed unsigned fields: a negative value must fail by name
+// rather than wrap to ~4e9 (a hang or a failed reserve).
+template <typename T = std::uint32_t>
+T count_flag(const FlagParser& flags, const std::string& name) {
+  const std::int64_t value = flags.get_int(name);
+  if (value < 0) {
+    throw ContractViolation("--" + name + " cannot be negative (got " +
+                            std::to_string(value) + ")");
+  }
+  return static_cast<T>(value);
 }
 
 int cmd_run(FlagParser& flags) {
   SimRegisterGroup::Options engine;
-  engine.cfg.n = static_cast<std::uint32_t>(flags.get_int("n"));
+  engine.cfg.n = count_flag(flags, "n");
   engine.cfg.t = flags.get_int("t") < 0
                      ? (engine.cfg.n - 1) / 2
                      : static_cast<std::uint32_t>(flags.get_int("t"));
@@ -96,17 +100,16 @@ int cmd_run(FlagParser& flags) {
   engine.cfg.initial = Value::from_int64(0);
   engine.algo = resolve_run_algorithm(flags);
   engine.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  engine.scheduler_policy = parse_scheduler(flags.get_string("scheduler"));
   engine.delay = parse_delay(flags.get_string("delay"), engine.cfg,
                              flags.get_int("delta"));
   const GroupConfig cfg = engine.cfg;
   const Algorithm algo = engine.algo;
 
   WorkloadOptions opt;
-  opt.ops_per_process = static_cast<std::uint32_t>(flags.get_int("ops"));
+  opt.ops_per_process = count_flag(flags, "ops");
   opt.writer_read_fraction = flags.get_double("writer-read-fraction");
   opt.think_time_max = flags.get_int("think");
-  opt.crashes = static_cast<std::uint32_t>(flags.get_int("crashes"));
+  opt.crashes = count_flag(flags, "crashes");
   opt.allow_writer_crash = flags.get_bool("crash-writer");
   opt.invariant_checks =
       flags.get_bool("invariants") && algo == Algorithm::kTwoBit;
@@ -150,26 +153,26 @@ int cmd_run(FlagParser& flags) {
 
 int cmd_kv(FlagParser& flags) {
   ShardedKvStore::Options store;
-  store.shards = static_cast<std::uint32_t>(flags.get_int("shards"));
-  store.n = static_cast<std::uint32_t>(flags.get_int("n"));
+  store.shards = count_flag(flags, "shards");
+  store.n = count_flag(flags, "n");
   store.t = flags.get_int("t") < 0
                 ? (store.n - 1) / 2
                 : static_cast<std::uint32_t>(flags.get_int("t"));
-  store.slots_per_shard = static_cast<std::uint32_t>(flags.get_int("slots"));
+  store.slots_per_shard = count_flag(flags, "slots");
   store.coalesce_writes = flags.get_bool("coalesce-writes");
   store.max_batch = 256;
-  store.min_batch = static_cast<std::size_t>(flags.get_int("min-batch"));
+  store.min_batch = count_flag<std::size_t>(flags, "min-batch");
   store.pin_shard_threads = flags.get_bool("pin");
   store.engine = parse_engine(flags.get_string("engine"));
   store.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   KvOpMix mix;
-  mix.keys = static_cast<std::uint32_t>(flags.get_int("keys"));
+  mix.keys = count_flag(flags, "keys");
   mix.zipf_s = flags.get_double("skew");
   mix.read_fraction = flags.get_double("read-fraction");
-  mix.total_ops = static_cast<std::uint64_t>(flags.get_int("ops"));
+  mix.total_ops = count_flag<std::uint64_t>(flags, "ops");
 
-  const auto engine = run_sharded_workload(
-      store, mix, static_cast<std::uint32_t>(flags.get_int("clients")));
+  const auto engine =
+      run_sharded_workload(store, mix, count_flag(flags, "clients"));
   const auto projection = project_sharded_capacity(store, mix);
 
   TextTable table({"metric", "value"});
@@ -205,7 +208,7 @@ int cmd_kv(FlagParser& flags) {
 
 int cmd_trace(FlagParser& flags) {
   GroupConfig cfg;
-  cfg.n = static_cast<std::uint32_t>(flags.get_int("n"));
+  cfg.n = count_flag(flags, "n");
   cfg.t = (cfg.n - 1) / 2;
   cfg.writer = 0;
   cfg.initial = Value::from_int64(0);
@@ -217,7 +220,6 @@ int cmd_trace(FlagParser& flags) {
   gopt.algo = algo;
   gopt.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   gopt.delay = make_constant_delay(delta);
-  gopt.scheduler_policy = parse_scheduler(flags.get_string("scheduler"));
   SimRegisterGroup group(std::move(gopt));
 
   TraceLog trace;
@@ -244,7 +246,7 @@ int cmd_trace(FlagParser& flags) {
 }
 
 int cmd_ops(FlagParser& flags) {
-  const auto n = static_cast<std::uint64_t>(flags.get_int("n"));
+  const auto n = count_flag<std::uint64_t>(flags, "n");
   TextTable table({"algorithm", "msgs/write", "msgs/read", "write time",
                    "read time (worst)"});
   table.add_row({"abd-unbounded", format_count(2 * (n - 1)),
@@ -261,7 +263,7 @@ int cmd_ops(FlagParser& flags) {
 
 int cmd_modelcheck(FlagParser& flags) {
   Scenario scenario;
-  scenario.cfg.n = static_cast<std::uint32_t>(flags.get_int("n"));
+  scenario.cfg.n = count_flag(flags, "n");
   scenario.cfg.t = flags.get_int("t") < 0
                        ? (scenario.cfg.n - 1) / 2
                        : static_cast<std::uint32_t>(flags.get_int("t"));
@@ -315,9 +317,8 @@ int cmd_modelcheck(FlagParser& flags) {
   }
 
   ExploreOptions mc_opt;
-  mc_opt.max_nodes =
-      static_cast<std::uint64_t>(flags.get_int("max-nodes"));
-  const auto walks = static_cast<std::uint64_t>(flags.get_int("walks"));
+  mc_opt.max_nodes = count_flag<std::uint64_t>(flags, "max-nodes");
+  const auto walks = count_flag<std::uint64_t>(flags, "walks");
   const auto result =
       walks == 0
           ? explore(scenario, mc_opt)
@@ -352,7 +353,7 @@ int cmd_modelcheck(FlagParser& flags) {
 int real_main(int argc, char** argv) {
   FlagParser flags("tbr_cli",
                    "drive the two-bit register and its baselines "
-                   "(subcommands: run, trace, ops)");
+                   "(subcommands: run, kv, trace, ops, modelcheck)");
   flags.add_string("algo", "twobit",
                    "twobit | abd-unbounded | abd-bounded | attiya");
   flags.add_string("engine", "twobit",
@@ -364,8 +365,6 @@ int real_main(int argc, char** argv) {
   flags.add_int("delta", 1000, "base message delay in ticks");
   flags.add_string("delay", "uniform",
                    "const | uniform | expo | flipflop | straggler");
-  flags.add_string("scheduler", "heap",
-                   "event scheduler: heap | calendar | auto (run/trace)");
   flags.add_int("think", 500, "max think time between ops (run)");
   flags.add_int("crashes", 0, "processes to crash (run)");
   flags.add_bool("crash-writer", false, "writer is crash-eligible (run)");
