@@ -6,7 +6,9 @@
 // per-op traffic is flat in the number of slots (slots are independent
 // protocols, the mux only routes), the addressing tag is a constant
 // 32 bits of data-plane overhead per frame, protocol control stays at
-// 2 bits, and store memory grows with *written* slots only.
+// 2 bits, and store memory grows with *written* slots only: the store's
+// default two-bit slots run bounded history, so a slot's footprint does
+// not grow with its write count (bench_local_memory's KV row).
 #include "bench_common.hpp"
 
 #include "kvstore/kv_store.hpp"

@@ -5,13 +5,19 @@
 // modeled label stores grow polynomially, twobit/abd stay flat in n (up to
 // the O(n) w_sync vectors). Sweep (b): bytes vs #writes at fixed n — the
 // twobit history grows linearly (its cost for constant-size messages),
-// abd-unbounded stays O(1), the bounded stores are flat.
+// abd-unbounded stays O(1), the bounded stores are flat. Then the bounded
+// two-bit mode (known-prefix GC on w_sync alone, no extra frames): a
+// register group, and the KV store that runs it by default, each against
+// the faithful protocol.
 #include "bench_common.hpp"
 
 #include <cstring>
+#include <string>
 
 #include "common/bits.hpp"
+#include "common/rng.hpp"
 #include "core/twobit_process.hpp"
+#include "kvstore/kv_store.hpp"
 
 namespace tbr::bench {
 namespace {
@@ -23,29 +29,28 @@ std::uint64_t memory_after(Algorithm algo, std::uint32_t n, int writes) {
   return group.process(1).local_memory_bytes();
 }
 
-SimRegisterGroup make_bounded_group(std::uint32_t n,
-                                    std::uint32_t ack_interval) {
+SimRegisterGroup make_bounded_group(std::uint32_t n) {
   SimRegisterGroup::Options opt;
   opt.cfg = make_cfg(n);
   opt.algo = Algorithm::kTwoBit;
   opt.delay = make_constant_delay(kDelta);
-  opt.process_factory = [ack_interval](const GroupConfig& cfg, ProcessId pid) {
+  opt.process_factory = [](const GroupConfig& cfg, ProcessId pid) {
     TwoBitOptions o;
     o.bounded_history = true;
-    o.ack_interval = ack_interval;
     return std::make_unique<TwoBitProcess>(cfg, pid, o);
   };
   return SimRegisterGroup(std::move(opt));
 }
 
+/// Most history entries a bounded process may retain at steady state.
+constexpr std::size_t kRetainedBound = 32;
+
 /// The bytes-retained projection for bounded mode: deterministic (constant
 /// delay, closed loop), so CI can gate on it. Steady-state history bytes
-/// must be a function of the GC window (ack interval + channel lag), not of
-/// the write count. Returns whether that criterion holds.
+/// must be a function of the channel lag, not of the write count. Returns
+/// whether that criterion holds.
 bool run_bounded_projection() {
-  constexpr std::uint32_t kAckInterval = 8;
-  std::cout << "-- bounded mode (acked-prefix GC, ack interval "
-            << kAckInterval << ", n = 5) --\n";
+  std::cout << "-- bounded mode (known-prefix GC, n = 5) --\n";
   const std::vector<int> write_counts =
       quick_mode() ? std::vector<int>{64, 512} : std::vector<int>{64, 512, 4096};
   TextTable table({"#writes", "history bytes", "retained entries",
@@ -54,7 +59,7 @@ bool run_bounded_projection() {
   std::uint64_t last_history_bytes = 0;
   std::size_t last_retained = 0;
   for (const int writes : write_counts) {
-    auto group = make_bounded_group(5, kAckInterval);
+    auto group = make_bounded_group(5);
     for (int k = 1; k <= writes; ++k) {
       group.client().write_sync(Value::from_int64(k));
     }
@@ -72,36 +77,112 @@ bool run_bounded_projection() {
   }
   std::cout << table.render() << "\n";
   // Flat across a 64x write-count sweep and small in absolute terms: that
-  // is the O(window) bound. Both write counts are multiples of the ack
-  // interval, so the retained tail is identical and the comparison exact.
+  // is the O(window) bound. A settled group has echoed every value, so the
+  // retained tail is identical at every write count and the comparison
+  // exact.
   const bool flat = last_history_bytes == first_history_bytes;
-  const bool small = last_retained <= 4u * kAckInterval;
+  const bool small = last_retained <= kRetainedBound;
   std::cout << "acceptance: steady-state history bytes bounded by O(window) = "
             << ((flat && small) ? "yes" : "NO") << " (history bytes "
             << first_history_bytes << " -> " << last_history_bytes
             << " across the sweep, " << last_retained
-            << " entries retained, criterion: flat and <= "
-            << 4 * kAckInterval << " entries)\n\n";
+            << " entries retained, criterion: flat and <= " << kRetainedBound
+            << " entries)\n\n";
   return flat && small;
 }
 
-/// --soak: a long workload measured in virtual time (>= 10M ticks), with
-/// the memory footprint sampled at the halfway and final marks. Bounded
-/// mode must be exactly flat between the two — the dedicated CI job's
-/// whole verdict is this function's exit code.
-int run_soak() {
-  constexpr Tick kHorizon = 10'000'000;
-  auto group = make_bounded_group(3, /*ack_interval=*/1);
+// ---- the KV store ------------------------------------------------------------
+
+constexpr std::uint32_t kKvKeys = 512;
+constexpr std::size_t kKvValueBytes = 256;
+
+KvStore make_kv_store(MuxProcess::SlotFactory factory) {
+  KvStore::Options opt;
+  opt.n = 3;
+  opt.t = 1;
+  opt.slots = 64;
+  opt.register_factory = std::move(factory);
+  return KvStore(std::move(opt));
+}
+
+std::string kv_key(Rng& rng) {
+  return "key-" + std::to_string(rng.uniform(0, kKvKeys - 1));
+}
+
+struct KvRow {
+  std::uint64_t half_bytes = 0;
+  std::uint64_t full_bytes = 0;
+  std::uint64_t frames = 0;
+  std::uint32_t max_control_bits = 0;
+};
+
+/// `puts` sequential 256-B puts over 512 uniform keys; the footprint is
+/// sampled after settle() at the 50% and 100% marks.
+KvRow run_kv_puts(MuxProcess::SlotFactory factory, int puts) {
+  KvStore store = make_kv_store(std::move(factory));
+  Rng rng(7);
+  KvRow row;
+  for (int k = 1; k <= puts; ++k) {
+    (void)store.client().put_sync(kv_key(rng), Value::filler(kKvValueBytes));
+    if (k == puts / 2) {
+      store.settle();
+      row.half_bytes = store.total_memory_bytes();
+    }
+  }
+  store.settle();
+  row.full_bytes = store.total_memory_bytes();
+  row.frames = store.net().stats().total_sent();
+  row.max_control_bits = store.net().stats().max_control_bits_per_msg();
+  return row;
+}
+
+/// The KV row: a default KvStore (bounded two-bit slots) against one built
+/// with the faithful make_twobit_process factory, on the same puts.
+/// Returns whether the default store's footprint is flat between the two
+/// marks with no frame over 2 control bits.
+bool run_kv_projection() {
+  constexpr int kPuts = 32 * 1024;
+  std::cout << "-- KV store (n = 3, t = 1, 64 slots, " << kPuts << " puts of "
+            << kKvValueBytes << " B over " << kKvKeys
+            << " uniform keys; bytes across all nodes) --\n";
+  const KvRow bounded = run_kv_puts({}, kPuts);
+  const KvRow faithful = run_kv_puts(make_twobit_process, kPuts);
+  TextTable table({"slots", "bytes at 50%", "bytes at 100%", "frames",
+                   "max control bits"});
+  const auto add = [&table](const char* name, const KvRow& row) {
+    table.add_row({name, format_count(row.half_bytes),
+                   format_count(row.full_bytes), format_count(row.frames),
+                   std::to_string(row.max_control_bits)});
+  };
+  add("default (bounded)", bounded);
+  add("faithful factory", faithful);
+  std::cout << table.render() << "\n";
+  const bool flat = bounded.half_bytes != 0 &&
+                    bounded.full_bytes == bounded.half_bytes;
+  const bool two_bits = bounded.max_control_bits <= 2;
+  std::cout << "acceptance: default KV store memory flat at <= 2 control bits = "
+            << ((flat && two_bits) ? "yes" : "NO") << " (bytes "
+            << bounded.half_bytes << " -> " << bounded.full_bytes
+            << " between the 50% and 100% marks, faithful " << faithful.full_bytes
+            << "; max control bits " << bounded.max_control_bits << ")\n\n";
+  return flat && two_bits;
+}
+
+/// Virtual-time length of each --soak workload.
+constexpr Tick kSoakHorizon = 10'000'000;
+
+bool soak_group() {
+  auto group = make_bounded_group(3);
   std::uint64_t writes = 0;
   std::uint64_t half_total = 0;
   std::size_t half_retained = 0;
-  while (group.net().now() < kHorizon) {
+  while (group.net().now() < kSoakHorizon) {
     ++writes;
     group.client().write_sync(Value::from_int64(static_cast<std::int64_t>(writes)));
     if ((writes & 15) == 0) {
       (void)group.client().read_sync(static_cast<ProcessId>(writes % 3));
     }
-    if (half_total == 0 && group.net().now() >= kHorizon / 2) {
+    if (half_total == 0 && group.net().now() >= kSoakHorizon / 2) {
       group.settle();
       const auto fp =
           group.net().process_as<TwoBitProcess>(0).memory_footprint();
@@ -112,7 +193,7 @@ int run_soak() {
   group.settle();
   const auto& writer = group.net().process_as<TwoBitProcess>(0);
   const auto fp = writer.memory_footprint();
-  std::cout << "== soak: bounded memory over " << kHorizon
+  std::cout << "== soak: bounded register group over " << kSoakHorizon
             << " virtual ticks ==\n"
             << writes << " writes, " << writer.gc_reclaimed_count()
             << " history entries reclaimed\n"
@@ -122,7 +203,56 @@ int run_soak() {
   const bool flat = half_total != 0 && fp.total == half_total;
   std::cout << "acceptance: soak footprint flat between 50% and 100% = "
             << (flat ? "yes" : "NO") << "\n";
-  return flat ? 0 : 1;
+  return flat;
+}
+
+bool soak_kv_store() {
+  // Windows of 16 puts and one get, so chains on distinct slots interleave
+  // and reads overlap the writes whose echoes advance the watermark.
+  constexpr int kWindowPuts = 16;
+  KvStore store = make_kv_store({});
+  KvClient& client = store.client();
+  Rng rng(11);
+  std::vector<Ticket> tickets;
+  std::uint64_t puts = 0;
+  std::uint64_t half_bytes = 0;
+  while (store.net().now() < kSoakHorizon) {
+    tickets.clear();
+    for (int k = 0; k < kWindowPuts; ++k) {
+      tickets.push_back(client.put(kv_key(rng), Value::filler(kKvValueBytes)));
+    }
+    tickets.push_back(client.get(kv_key(rng)));
+    for (const Ticket t : tickets) (void)client.wait(t);
+    puts += kWindowPuts;
+    if (half_bytes == 0 && store.net().now() >= kSoakHorizon / 2) {
+      store.settle();
+      half_bytes = store.total_memory_bytes();
+    }
+  }
+  store.settle();
+  const std::uint64_t full_bytes = store.total_memory_bytes();
+  const std::uint32_t bits = store.net().stats().max_control_bits_per_msg();
+  std::cout << "== soak: default KV store over " << kSoakHorizon
+            << " virtual ticks ==\n"
+            << puts << " puts, " << store.failed_ops() << " failed ops\n"
+            << "bytes at 50%: " << half_bytes << ", at 100%: " << full_bytes
+            << "; max control bits " << bits << "\n";
+  const bool flat = half_bytes != 0 && full_bytes == half_bytes &&
+                    bits <= 2 && store.failed_ops() == 0;
+  std::cout << "acceptance: KV soak footprint flat at <= 2 control bits = "
+            << (flat ? "yes" : "NO") << "\n";
+  return flat;
+}
+
+/// --soak: long workloads measured in virtual time (kSoakHorizon ticks),
+/// with the memory footprint sampled at the halfway and final marks, on a
+/// bounded register group and on a default KvStore. Both must be exactly
+/// flat between the two marks — the dedicated CI job's whole verdict is
+/// this function's exit code.
+int run_soak() {
+  const bool group = soak_group();
+  const bool kv = soak_kv_store();
+  return group && kv ? 0 : 1;
 }
 
 int run() {
@@ -168,14 +298,16 @@ int run() {
     std::cout << table.render() << "\n";
   }
   const bool bounded = run_bounded_projection();
+  const bool kv = run_kv_projection();
 
   std::cout
       << "twobit trades local memory (the full history, linear in #writes)\n"
-      << "for 2-bit messages — unless acked-prefix GC is on, which caps the\n"
-      << "history at O(window); abd-unbounded keeps one value; the bounded\n"
-      << "baselines pay polynomial-in-n label stores (modeled sizes, see\n"
-      << "DESIGN.md section 4).\n";
-  return bounded ? 0 : 1;
+      << "for 2-bit messages — unless known-prefix GC is on (the KV store\n"
+      << "default), which caps the history at O(lag) with the same frames;\n"
+      << "abd-unbounded keeps one value; the bounded baselines pay\n"
+      << "polynomial-in-n label stores (modeled sizes, see DESIGN.md\n"
+      << "section 4).\n";
+  return bounded && kv ? 0 : 1;
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 // history. Entry `base` is the *checkpoint record*: a (index, value) pair
 // that supersedes the whole prefix history[0..base]. Faithful mode never
 // moves the base, reproducing the paper's unbounded history. Bounded mode
-// advances the base to the acked-prefix watermark (the minimum index every
+// advances the base to the known-prefix watermark (the minimum index every
 // peer provably stores), reclaiming superseded entries; crash-rejoin resets
 // the whole log to a checkpoint received from a peer.
 //

@@ -64,18 +64,24 @@ const Value& TwoBitProcess::history_at(SeqNo idx) const { return log_.at(idx); }
 
 SeqNo TwoBitProcess::history_head() const { return log_.head(); }
 
-// ---- the acked-prefix watermark and GC -------------------------------------
+// ---- the known-prefix watermark and GC -------------------------------------
 
 SeqNo TwoBitProcess::known(ProcessId j) const {
   if (j == self_) return w_sync_[self_];
   // An unconfirmed w_sync entry is our own optimistic claim (set when we
-  // served this peer's catch-up); only an explicit ACK or genuine channel
-  // traffic from the peer may back freshness or quorum decisions.
+  // served this peer's catch-up); only a rejoiner's ACK or genuine channel
+  // traffic from the peer may back freshness or quorum decisions. acked_
+  // stays 0 on channels no rejoin touched, so there this is w_sync[j].
   return wsync_confirmed_[j] ? std::max(w_sync_[j], acked_[j]) : acked_[j];
 }
 
 void TwoBitProcess::maybe_gc() {
   if (!options_.bounded_history) return;
+  // Sound with no frame of its own: w_sync[j] counts the WRITE frames j
+  // sent us, and j sends value k only after applying it, so no peer needs
+  // the watermark prefix from us again. A Rule-R2 catch-up to j sends
+  // w_sync[j]+1, above the watermark, and Rule R1 forwards our head: no
+  // send needs a reclaimed value.
   SeqNo watermark = w_sync_[self_];
   for (ProcessId j = 0; j < cfg_.n; ++j) {
     if (j != self_) watermark = std::min(watermark, known(j));
@@ -87,15 +93,6 @@ void TwoBitProcess::maybe_gc() {
   }
   if (watermark > log_.base()) {
     gc_reclaimed_ += log_.advance_checkpoint(watermark);
-  }
-}
-
-void TwoBitProcess::maybe_send_acks(NetworkContext& net) {
-  if (!acks_enabled() || recovering_) return;
-  if (w_sync_[self_] < last_ack_sent_ + options_.ack_interval) return;
-  last_ack_sent_ = w_sync_[self_];
-  for (ProcessId j = 0; j < cfg_.n; ++j) {
-    if (j != self_) send_index_frame(net, j, TwoBitType::kAck, last_ack_sent_);
   }
 }
 
@@ -271,7 +268,7 @@ void TwoBitProcess::process_write(NetworkContext& net, ProcessId from,
     // resumes from the peer's actual prefix. Unreachable in faithful mode
     // (Lemma 5 keeps the counter at wsn or wsn+1 here).
     if (write_frames_sent_[from] < wsn) {
-      TBR_ENSURE(acks_enabled() || options_.history_window > 0,
+      TBR_ENSURE(checkpointing() || options_.history_window > 0,
                  "send counter fell behind w_sync on a faithful channel");
       write_frames_sent_[from] = wsn;
     }
@@ -279,11 +276,11 @@ void TwoBitProcess::process_write(NetworkContext& net, ProcessId from,
       // line 16: the sender lags behind us — return its next value (Rule R2).
       if (history_has(wsn + 1)) {
         send_write_frame(net, from, wsn + 1);
-      } else if (acks_enabled()) {
-        // The value was superseded by our checkpoint. Under acked-prefix GC
-        // that is only possible when the peer itself acknowledged it; after
-        // a rejoin our adopted checkpoint may also skip past a laggard, in
-        // which case a peer that retains the value serves the catch-up.
+      } else if (checkpointing()) {
+        // The value was superseded by our checkpoint. GC never passes
+        // w_sync[from], so only a channel a rejoin reset gets here: the
+        // rejoiner's ACK vouched for the value, or our adopted checkpoint
+        // skipped past a laggard that a peer retaining the value serves.
         // Either way, skipping the send loses no liveness.
         TBR_ENSURE(!options_.bounded_history ||
                        options_.recover_via_catchup ||
@@ -318,8 +315,8 @@ void TwoBitProcess::on_read(NetworkContext& net, ProcessId from) {
   // line 19: freshness point = our newest value.
   const SeqNo sn = w_sync_[self_];
   // line 20: wait (w_sync[from] >= sn); line 21: send PROCEED. The wait is
-  // on the prefix the reader provably stores — its channel counter or, in
-  // bounded mode, its explicit ACK, whichever is larger.
+  // on the prefix the reader provably stores — its channel counter or, if
+  // it rejoined, its handshake ACK, whichever is larger.
   if (known(from) >= sn) {
     send_control_frame(net, from, TwoBitType::kProceed);
   } else {
@@ -435,10 +432,9 @@ void TwoBitProcess::on_checkpoint(NetworkContext& net, ProcessId from,
     // Quorum reached: the adopted maximum dominates every prefix our old
     // incarnation can have acknowledged. Go live.
     recovering_ = false;
-    last_ack_sent_ = w_sync_[self_];
     for (ProcessId j = 0; j < cfg_.n; ++j) {
       if (j != self_) {
-        send_index_frame(net, j, TwoBitType::kAck, last_ack_sent_);
+        send_index_frame(net, j, TwoBitType::kAck, w_sync_[self_]);
       }
     }
     // Serve the READs parked during recovery at our restored freshness.
@@ -472,7 +468,6 @@ void TwoBitProcess::after_state_change(NetworkContext& net) {
     if (drain_parked_reads(net)) progress = true;
     if (check_pending_ops(net)) progress = true;
   }
-  maybe_send_acks(net);
   maybe_gc();
   in_after_state_change_ = false;
 }

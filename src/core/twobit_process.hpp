@@ -14,17 +14,23 @@
 // History lives in a BoundedHistoryLog (core/history_log.hpp). Faithful mode
 // never moves its base, reproducing the paper's unbounded history. The
 // bounded-memory extension (opt-in) adds:
-//   - ACK frames: every ack_interval applied values a process tells its
-//     peers the prefix it stores, feeding acked_[j];
 //   - known(j) = the prefix j provably stores; min over j (clamped by a
 //     pending read's freshness index) is the GC watermark the checkpoint
-//     advances to, reclaiming superseded entries;
-//   - Rule-R2 catch-ups whose value was reclaimed are *skipped*, soundly:
-//     the watermark guarantees the peer already acked that prefix;
+//     advances to, reclaiming superseded entries. On a confirmed channel
+//     known(j) is w_sync[j]: the two-bit ping-pong already raises it to
+//     every value j holds, so steady-state GC sends no extra frame and
+//     every frame keeps its 2 control bits;
 //   - crash-rejoin (recover_via_catchup): a restarted process broadcasts
 //     CATCHUP, peers reset their channel to it and answer CHECKPOINT
 //     (head index + value); the rejoiner adopts the largest checkpoint it
 //     receives and resumes from there instead of replaying from genesis.
+//     Its ACK frames (feeding acked_[j]) close that handshake: one
+//     broadcast when it goes live, and one reply to each CHECKPOINT
+//     smaller than what it already holds;
+//   - Rule-R2 catch-ups whose value was reclaimed are *skipped*, soundly.
+//     Only a channel a rejoin reset can need one: there the peer's ACK may
+//     vouch for a prefix beyond w_sync[j], or an adopted checkpoint may
+//     skip past a laggard that a peer retaining the value serves instead.
 #pragma once
 
 #include <deque>
@@ -52,16 +58,13 @@ struct TwoBitOptions {
   /// conjecture it must. Never enable in production use.
   std::size_t history_window = 0;
 
-  /// Bounded history done right: acked-prefix GC. Processes gossip ACK
-  /// frames and advance their checkpoint to the minimum prefix every peer
-  /// provably stores, so resident history is O(lag), liveness is untouched
-  /// (nobody ever needs a reclaimed value), and memory stays flat for
-  /// arbitrarily long workloads. Mutually exclusive with history_window.
+  /// Bounded history done right: known-prefix GC. Processes advance their
+  /// checkpoint to the minimum prefix every peer provably stores (w_sync on
+  /// a confirmed channel), so resident history is O(lag), liveness is
+  /// untouched (nobody ever needs a reclaimed value), memory stays flat for
+  /// arbitrarily long workloads, and the frames sent are exactly the
+  /// faithful protocol's. Mutually exclusive with history_window.
   bool bounded_history = false;
-
-  /// Broadcast an ACK every this-many applied values (bounded mode and
-  /// rejoined processes). Smaller = tighter GC, more control traffic.
-  SeqNo ack_interval = 8;
 
   /// Crash-rejoin: this process is a fresh incarnation of a crashed one.
   /// On start it broadcasts CATCHUP and bootstraps from the largest peer
@@ -116,11 +119,11 @@ class TwoBitProcess final : public RegisterProcessBase {
   SeqNo wsync(ProcessId j) const;
   /// r_sync_i[j]: how many of our READ requests j has answered.
   SeqNo rsync(ProcessId j) const;
-  /// acked_i[j]: largest prefix j has explicitly ACKed (bounded mode).
+  /// acked_i[j]: largest prefix rejoiner j has ACKed in its handshake.
   SeqNo acked(ProcessId j) const;
   /// The prefix j provably stores: max(w_sync[j], acked[j]) on a confirmed
-  /// channel, acked[j] alone on a channel reset by a rejoin and not yet
-  /// re-confirmed by traffic from j.
+  /// channel (just w_sync[j] unless j rejoined), acked[j] alone on a
+  /// channel reset by a rejoin and not yet re-confirmed by traffic from j.
   SeqNo known(ProcessId j) const;
   /// Copy of the retained history entries; element k is history index
   /// history_base() + k. With history_window = 0 and bounded_history off
@@ -132,12 +135,13 @@ class TwoBitProcess final : public RegisterProcessBase {
   SeqNo history_base() const noexcept { return log_.base(); }
   /// Number of entries dropped by the window ablation (0 when faithful).
   std::uint64_t evicted_count() const noexcept { return evicted_; }
-  /// Number of entries reclaimed by acked-prefix GC (bounded mode).
+  /// Number of entries reclaimed by known-prefix GC (bounded mode).
   std::uint64_t gc_reclaimed_count() const noexcept { return gc_reclaimed_; }
   /// Number of Rule-R2 catch-ups skipped because the value was evicted.
   std::uint64_t skipped_catchups() const noexcept { return skipped_catchups_; }
-  /// Number of Rule-R2 catch-ups skipped because the peer had already acked
-  /// the value (bounded mode; these are *not* liveness losses).
+  /// Number of Rule-R2 catch-ups skipped because the value was superseded
+  /// by a checkpoint (these are *not* liveness losses). Always 0 unless a
+  /// rejoin reset one of this process's channels.
   std::uint64_t superseded_sends() const noexcept { return superseded_sends_; }
   std::uint64_t checkpoints_served() const noexcept {
     return checkpoints_served_;
@@ -150,9 +154,6 @@ class TwoBitProcess final : public RegisterProcessBase {
   bool has_parked_write(ProcessId from) const;
   std::size_t parked_read_count() const;
   bool crashed() const noexcept { return crashed_; }
-  /// True when acked-prefix GC is on (invariant observers relax the exact
-  /// Lemma-5 frame counts: a superseded catch-up is skipped, not sent).
-  bool bounded_mode() const noexcept { return options_.bounded_history; }
   /// True for a recover_via_catchup incarnation (invariant observers relax
   /// cross-process lemmas for channels touching a rejoined process).
   bool has_recovered() const noexcept { return options_.recover_via_catchup; }
@@ -190,9 +191,10 @@ class TwoBitProcess final : public RegisterProcessBase {
   void on_checkpoint(NetworkContext& net, ProcessId from, SeqNo index,
                      const Value& v);
   void issue_read_round(NetworkContext& net);  // lines 5-6 send phase
-  void maybe_send_acks(NetworkContext& net);
   void maybe_gc();
-  bool acks_enabled() const {
+  /// History may start above a peer's position on a channel: GC advances
+  /// the checkpoint (bounded mode) or a rejoin adopts one.
+  bool checkpointing() const {
     return options_.bounded_history || options_.recover_via_catchup;
   }
 
@@ -237,7 +239,6 @@ class TwoBitProcess final : public RegisterProcessBase {
   std::vector<std::uint32_t> deferred_reads_;  // READs parked while recovering
   bool recovering_ = false;
   std::uint32_t checkpoint_responses_ = 0;  // distinct peers that answered
-  SeqNo last_ack_sent_ = 0;
 
   // `wait` translations.
   std::vector<std::optional<ParkedWrite>> parked_write_;  // line 11, per sender

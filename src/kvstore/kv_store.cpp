@@ -1,10 +1,12 @@
 #include "kvstore/kv_store.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "core/twobit_process.hpp"
 #include "kvstore/shard_router.hpp"
 
 namespace tbr {
@@ -81,6 +83,15 @@ class KvStore::Group final : public KvClientEngine {
     client_flush();
     finish_window();
     if (!lost_liveness_) (void)net_->run();
+    // Quiescent point: refresh the local-memory gauge (max across live
+    // nodes), as SimRegisterGroup::settle() does.
+    std::uint64_t peak = 0;
+    for (ProcessId pid = 0; pid < n_; ++pid) {
+      if (net_->crashed(pid)) continue;
+      peak = std::max(peak,
+                      net_->process_as<MuxProcess>(pid).local_memory_bytes());
+    }
+    net_->stats().record_local_memory(peak);
   }
 
   const ShardRouter& router() const noexcept { return router_; }
@@ -225,9 +236,17 @@ KvStore::Group::Group(Options options)
   };
 
   // An explicit factory wins; otherwise the engine knob picks the per-slot
-  // register protocol (two-bit default, or a fast-path read engine).
+  // register protocol (two-bit default, or a fast-path read engine). The
+  // two-bit slots run known-prefix GC: the same frames as the faithful
+  // protocol, with history held flat at O(lag) instead of O(writes).
   MuxProcess::SlotFactory factory = std::move(options.register_factory);
-  if (!factory) {
+  if (!factory && options.engine == Algorithm::kTwoBit) {
+    factory = [](const GroupConfig& cfg, ProcessId pid) {
+      TwoBitOptions bounded;
+      bounded.bounded_history = true;
+      return std::make_unique<TwoBitProcess>(cfg, pid, bounded);
+    };
+  } else if (!factory) {
     const Algorithm engine = options.engine;
     factory = [engine](const GroupConfig& cfg, ProcessId pid) {
       return make_register_process(engine, cfg, pid);

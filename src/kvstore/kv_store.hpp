@@ -37,11 +37,15 @@ class KvStore {
     std::uint64_t seed = 1;
     /// nullptr => ConstantDelay(1000).
     std::unique_ptr<DelayModel> delay;
-    /// Per-slot register engine when `register_factory` is unset. The
-    /// fast-path read engines (Algorithm::kOhRam / kTimeEfficient) drop
-    /// get latency from 4Δ to 3Δ / 2Δ at the same crash budget.
+    /// Per-slot register engine when `register_factory` is unset. Two-bit
+    /// slots run with bounded history (TwoBitOptions::bounded_history):
+    /// the faithful protocol's frames, with memory flat in the write
+    /// count. The fast-path read engines (Algorithm::kOhRam /
+    /// kTimeEfficient) drop get latency from 4Δ to 3Δ / 2Δ at the same
+    /// crash budget.
     Algorithm engine = Algorithm::kTwoBit;
-    /// Per-slot register implementation; overrides `engine` when set.
+    /// Per-slot register implementation; overrides `engine` when set
+    /// (make_twobit_process gives the faithful, unbounded-history slots).
     MuxProcess::SlotFactory register_factory;
     /// Initial value of every slot (what get() of a never-written key
     /// returns, with version 0).
@@ -99,7 +103,8 @@ class KvStore {
   void crash(ProcessId node);
   bool crashed(ProcessId node) const;
   /// Finish the client's open window, then drain in-flight protocol
-  /// traffic (steady state between measurements). Callback-mode and
+  /// traffic (steady state between measurements) and record the largest
+  /// live node's local_memory_bytes() in net().stats(). Callback-mode and
   /// polled ops complete here too: a stalled window fails them with
   /// kLivenessLost.
   void settle();

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "core/twobit_process.hpp"
 
 namespace tbr {
 
@@ -61,15 +60,14 @@ MuxProcess::MuxProcess(std::uint32_t slots,
     : self_(self) {
   TBR_ENSURE(slots >= 1, "mux needs at least one slot");
   TBR_ENSURE(slot_cfg != nullptr, "mux needs a slot config source");
+  TBR_ENSURE(factory != nullptr, "mux needs a slot register factory");
   slots_.reserve(slots);
   contexts_.reserve(slots);
   batch_versions_.assign(slots, 0);
   slot_chain_.assign(slots, kNoChain);
   for (std::uint32_t s = 0; s < slots; ++s) {
     const GroupConfig cfg = slot_cfg(s);
-    slots_.push_back(factory
-                         ? factory(cfg, self)
-                         : std::make_unique<TwoBitProcess>(cfg, self));
+    slots_.push_back(factory(cfg, self));
     contexts_.push_back(std::make_unique<SlotContext>(*this, s));
   }
 }

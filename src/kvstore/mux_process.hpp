@@ -61,11 +61,11 @@ class MuxProcess final : public ProcessBase {
 
   /// Create `slots` register instances at node `self`. `slot_cfg(slot)`
   /// gives each slot's group config (writer assignment varies per slot);
-  /// `factory` builds the per-slot register (default: the two-bit
-  /// algorithm).
+  /// `factory` (required) builds the per-slot register. KvStore decides
+  /// which protocol a slot runs.
   MuxProcess(std::uint32_t slots,
              std::function<GroupConfig(std::uint32_t)> slot_cfg,
-             ProcessId self, SlotFactory factory = {});
+             ProcessId self, SlotFactory factory);
   ~MuxProcess() override;
 
   void on_start(NetworkContext& net) override;

@@ -202,7 +202,13 @@ void ShardedKvStore::worker_loop(Shard& shard, std::stop_token st) {
   while (true) {
     shard.mailbox.pop_all(st, window, opt_.max_batch, opt_.min_batch,
                           opt_.min_batch_wait);
-    if (window.empty()) return;  // closed and drained, or stop requested
+    if (window.empty()) {
+      // Closed and drained, or stop requested: drain the protocol traffic
+      // and publish a final report with the local-memory gauge.
+      shard.store.settle();
+      publish_report(shard);
+      return;
+    }
 
     // Crash markers apply between batching windows: everything in this
     // window is planned against the post-crash group.

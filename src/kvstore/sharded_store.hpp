@@ -106,8 +106,10 @@ class ShardedKvStore {
   /// Block until every shard queue is empty and its worker is idle.
   void drain();
   /// Stop accepting work and join the shard workers (already-queued
-  /// windows drain first). Idempotent; the destructor calls it. Later
-  /// submissions complete with StatusCode::kShutdown.
+  /// windows drain first). Each worker then settles its store once and
+  /// publishes a final report, so `net.local_memory_peak()` is set after
+  /// stop(). Idempotent; the destructor calls it. Later submissions
+  /// complete with StatusCode::kShutdown.
   void stop();
 
   const ShardRouter& router() const noexcept { return router_; }

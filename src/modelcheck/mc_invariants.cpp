@@ -83,7 +83,7 @@ std::string check_twobit_state_invariants(
   }
 
   // GC soundness: a process may discard only prefixes every process has
-  // already applied (that is the acked-prefix checkpoint contract —
+  // already applied (that is the known-prefix checkpoint contract —
   // base_i <= watermark_i <= known_i(j) <= w_sync_j[j] for all j). The
   // window ablation violates this the moment it evicts an entry a lagging
   // peer still needs; lawful bounded GC never does. Rejoined processes are
@@ -108,23 +108,25 @@ std::string check_twobit_state_invariants(
     }
   }
 
+  // Without a rejoin, GC never reclaims a value a catch-up needs, so no
+  // process skips one, and Lemma 5 below holds exactly in bounded mode.
+  const bool any_recovered =
+      std::any_of(ps.begin(), ps.end(),
+                  [](const TwoBitProcess* p) { return p->has_recovered(); });
+  for (ProcessId i = 0; i < n && !any_recovered; ++i) {
+    if (ps[i]->superseded_sends() != 0) {
+      return "GC skipped a catch-up without a rejoin (i=" +
+             std::to_string(i) + ")";
+    }
+  }
+
   // Lemma 5 (frame counting, correct processes, unrelaxed channels only).
-  // Bounded mode relaxes the exact counts to an upper bound: a catch-up
-  // whose value the destination already acked is skipped, not sent, so the
-  // counters may lag the literal R1/R2 values.
   for (ProcessId i = 0; i < n; ++i) {
     if (ps[i]->crashed()) continue;
     for (ProcessId j = 0; j < n; ++j) {
       if (j == i || pair_relaxed(ps, i, j)) continue;
       const SeqNo x = ps[i]->wsync(j);
       const SeqNo sent = ps[i]->write_frames_sent_to(j);
-      if (ps[i]->bounded_mode()) {
-        if (sent > x + 1) {
-          return pij("Lemma 5 (bounded) violated: sent > w_sync_i[j] + 1", i,
-                     j);
-        }
-        continue;
-      }
       if (ps[i]->wsync(i) == x && sent != x) {
         return pij("Lemma 5 R1 violated: sent != w_sync_i[j]", i, j);
       }

@@ -151,9 +151,8 @@ TEST(AllocRegression, TwoBitDisseminationSettlesAllocFree) {
 // overhead, and is measured by bench_local_memory instead.
 
 TEST(AllocRegression, BoundedHistoryWorkloadIsAllocFree) {
-  // The bounded-history subsystem end to end: ACK frames, acked-prefix
-  // checkpoint advancement, and segment recycling must all ride warmed
-  // storage. Stronger than the faithful gates above: the log's footprint is
+  // The bounded-history subsystem end to end: known-prefix checkpoint
+  // advancement and segment recycling must ride warmed storage. Stronger than the faithful gates above: the log's footprint is
   // flat by design, so there is no chunk-boundary caveat — every window of
   // the whole workload (ops AND residual gossip) must be exactly zero.
   SimRegisterGroup::Options opt;
@@ -165,13 +164,12 @@ TEST(AllocRegression, BoundedHistoryWorkloadIsAllocFree) {
   opt.process_factory = [](const GroupConfig& cfg, ProcessId pid) {
     TwoBitOptions o;
     o.bounded_history = true;
-    o.ack_interval = 1;
     return std::make_unique<TwoBitProcess>(cfg, pid, o);
   };
   SimRegisterGroup group(std::move(opt));
   RegisterClient& client = group.client();
 
-  // Warm: pools, rings, the segment freelist, acked rows, GC counters.
+  // Warm: pools, rings, the segment freelist, GC counters.
   for (int k = 0; k < 64; ++k) {
     ASSERT_TRUE(client.write_sync(Value::from_int64(k)).status.ok());
     ASSERT_TRUE(client.read_sync((k % 2) + 1).status.ok());

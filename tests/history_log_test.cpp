@@ -1,4 +1,4 @@
-// BoundedHistoryLog unit tests: the checkpoint-record contract, acked-prefix
+// BoundedHistoryLog unit tests: the checkpoint-record contract, known-prefix
 // reclamation, crash-rejoin resets, and the flat-allocation guarantee the
 // steady-state memory gates depend on.
 #include <gtest/gtest.h>

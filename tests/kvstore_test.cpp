@@ -7,7 +7,9 @@
 #include <string>
 
 #include "checker/swmr_checker.hpp"
+#include "common/rng.hpp"
 #include "core/twobit_codec.hpp"
+#include "core/twobit_process.hpp"
 #include "kvstore/kv_store.hpp"
 #include "kvstore/shard_router.hpp"
 
@@ -150,7 +152,66 @@ TEST(KvStore, MemoryGrowsWithDistinctKeysWritten) {
   }
   store.settle();
   EXPECT_GT(store.total_memory_bytes(), before)
-      << "each slot's register history retains its writes";
+      << "each written slot retains its latest value";
+}
+
+// The bounded-memory probe: n = 3, t = 1, 64 slots, 32k puts of 256 B over
+// 512 uniform keys, with the footprint sampled (after settle) at the 50%
+// and 100% marks.
+struct PutProbe {
+  std::uint64_t half_bytes = 0;
+  std::uint64_t full_bytes = 0;
+  std::uint32_t max_control_bits = 0;
+  std::uint64_t frames = 0;
+  std::uint64_t gauge_peak = 0;
+};
+
+PutProbe run_put_probe(MuxProcess::SlotFactory factory = {}) {
+  constexpr int kPuts = 32 * 1024;
+  KvStore::Options opt;
+  opt.n = 3;
+  opt.t = 1;
+  opt.slots = 64;
+  opt.register_factory = std::move(factory);
+  KvStore store(std::move(opt));
+  Rng rng(7);
+  PutProbe out;
+  for (int k = 1; k <= kPuts; ++k) {
+    const auto key = "key-" + std::to_string(rng.uniform(0, 511));
+    EXPECT_TRUE(store.client().put_sync(key, Value::filler(256)).status.ok());
+    if (k == kPuts / 2) {
+      store.settle();
+      out.half_bytes = store.total_memory_bytes();
+    }
+  }
+  store.settle();
+  out.full_bytes = store.total_memory_bytes();
+  out.max_control_bits = store.net().stats().max_control_bits_per_msg();
+  out.frames = store.net().stats().total_sent();
+  out.gauge_peak = store.net().stats().local_memory_peak();
+  return out;
+}
+
+TEST(KvStore, DefaultSlotsKeepMemoryFlatAtTwoControlBits) {
+  // Two-bit slots run known-prefix GC by default: history is reclaimed as
+  // peers echo each value, with no frame beyond the faithful protocol's.
+  const PutProbe bounded = run_put_probe();
+  EXPECT_GT(bounded.half_bytes, 0u);
+  EXPECT_EQ(bounded.full_bytes, bounded.half_bytes)
+      << "footprint grew between the 50% and 100% marks";
+  EXPECT_EQ(bounded.max_control_bits, TwoBitCodec::kControlBitsPerMessage);
+  EXPECT_GT(bounded.gauge_peak, 0u) << "settle() records the memory gauge";
+}
+
+TEST(KvStore, FaithfulFactoryOverrideKeepsTheWholeHistory) {
+  const PutProbe bounded = run_put_probe();
+  const PutProbe faithful = run_put_probe(make_twobit_process);
+  EXPECT_GE(faithful.full_bytes, 50 * bounded.full_bytes)
+      << "bounded " << bounded.full_bytes << " B, faithful "
+      << faithful.full_bytes << " B";
+  EXPECT_GT(faithful.full_bytes, faithful.half_bytes);
+  // GC sends nothing of its own: the wire traffic is identical.
+  EXPECT_EQ(bounded.frames, faithful.frames);
 }
 
 // Per-key linearizability: interleave overlapping ops on several keys via

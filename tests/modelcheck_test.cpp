@@ -378,7 +378,6 @@ constexpr std::size_t big_explore_budget() {
 TwoBitOptions bounded_opts() {
   TwoBitOptions topt;
   topt.bounded_history = true;
-  topt.ack_interval = 1;  // tightest GC: every applied value is acked
   return topt;
 }
 
@@ -406,13 +405,18 @@ void apply_kind(McRun& run, McRun::Choice::Kind kind, std::size_t arg) {
   FAIL() << "choice not enabled";
 }
 
-TEST(McBounded, AckedPrefixGcIsAtomicEverySchedule) {
-  // Acked-prefix GC under the full adversary: across every delivery order
-  // of two writes (WRITEs, ACKs, and catch-ups freely interleaved), the
-  // lemma suite — including the GC-soundness invariant that nails the
-  // window ablation — holds at every step, and every terminal history is
-  // atomic. This is the machine-checked form of "nobody ever needs a
-  // reclaimed value".
+// Every McBounded family runs the lemma suite after each step, terminal
+// states included: Lemma 5's exact R1/R2 frame counts hold in bounded
+// mode too, and no process has skipped a catch-up (superseded_sends() ==
+// 0), because without a rejoin no send ever needs a reclaimed value.
+
+TEST(McBounded, KnownPrefixGcIsAtomicEverySchedule) {
+  // Known-prefix GC under the full adversary: across every delivery order
+  // of two writes (WRITEs and catch-ups freely interleaved), the lemma
+  // suite — including the GC-soundness invariant that nails the window
+  // ablation — holds at every step, and every terminal history is atomic.
+  // This is the machine-checked form of "nobody ever needs a reclaimed
+  // value".
   auto s = base(3, 1);
   s.factory = make_bounded;
   s.ops = {write_op(0, 1), write_op(0, 2, /*after=*/0)};
@@ -421,11 +425,45 @@ TEST(McBounded, AckedPrefixGcIsAtomicEverySchedule) {
   const auto result = explore(s, opt);
   EXPECT_TRUE(result.ok()) << result.violations[0].detail;
   EXPECT_GT(result.terminal_schedules, 0u);
+#ifndef TBR_MC_SANITIZED
+  // GC sends no frame of its own, so the tree is the faithful one's and
+  // fits the budget (~650k nodes).
+  EXPECT_TRUE(result.complete);
+#endif
+}
+
+TEST(McBounded, ReadPinsTheWatermarkAcrossTheSecondWrite) {
+  // A read at p1 overlaps the second write, so GC runs while the read is
+  // pending (its freshness index clamps the watermark): line 10 must still
+  // find history[sn] in every schedule, and the lemma suite stays exact.
+  auto s = base(3, 1);
+  s.factory = make_bounded;
+  s.ops = {write_op(0, 1), write_op(0, 2, /*after=*/0),
+           read_op(1, /*after=*/0)};
+  ExploreOptions opt;
+  opt.max_nodes = big_explore_budget();
+  const auto result = explore(s, opt);
+  EXPECT_TRUE(result.ok()) << result.violations[0].detail;
+  EXPECT_GT(result.terminal_schedules, 0u);
+}
+
+TEST(McBounded, DeepWalksNeverSkipACatchUp) {
+  // Sampled coverage beyond the exhaustive families: four writes and three
+  // reads. GC that outran w_sync (a steady-state ACK broadcast, say) makes
+  // some walk skip a catch-up, which the lemma suite reports.
+  auto s = base(3, 1);
+  s.factory = make_bounded;
+  s.ops = {write_op(0, 1), write_op(0, 2, /*after=*/0),
+           write_op(0, 3, /*after=*/1), write_op(0, 4, /*after=*/2),
+           read_op(1), read_op(2, /*after=*/0), read_op(1, /*after=*/4)};
+  const auto result = random_walks(s, 5'000, /*seed=*/5);
+  EXPECT_TRUE(result.ok()) << result.violations[0].detail;
+  EXPECT_EQ(result.terminal_schedules, 5'000u);
 }
 
 TEST(McBounded, CanonicalRunReclaimsHistory) {
-  // A plain in-order drain of three writes must actually exercise GC: with
-  // ack_interval=1 the writer's checkpoint advances as peers ack, so its
+  // A plain in-order drain of three writes must actually exercise GC: the
+  // writer's checkpoint advances as peers echo each value back, so its
   // base moves off genesis while the run stays consistent end to end.
   auto s = base(3, 1);
   s.factory = make_bounded;
@@ -440,6 +478,11 @@ TEST(McBounded, CanonicalRunReclaimsHistory) {
   EXPECT_GT(writer->gc_reclaimed_count(), 0u);
   EXPECT_GT(writer->history_base(), 0);
   EXPECT_EQ(writer->evicted_count(), 0u) << "GC is not window eviction";
+  for (ProcessId pid = 0; pid < s.cfg.n; ++pid) {
+    const auto* p = dynamic_cast<const TwoBitProcess*>(&run.process(pid));
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->superseded_sends(), 0u) << "p" << pid;
+  }
   const auto check = SwmrChecker::check(run.records(), s.cfg.initial);
   EXPECT_TRUE(check.ok) << check.error;
 }
@@ -486,7 +529,7 @@ TEST(McRecovery, RecoverChoiceResetsChannelsAndRejoins) {
 TEST(McRecovery, CrashDuringGcAnyTimingStaysAtomic) {
   // Crash-during-GC, exhaustively: the adversary picks when p2 dies and
   // when (always eventually, by the frontier rules) it rejoins, against a
-  // write whose ACK/GC traffic is in full swing. Every schedule must stay
+  // write whose GC traffic is in full swing. Every schedule must stay
   // atomic and live — the checkpoint a rejoiner adopts from any n-t quorum
   // dominates everything GC reclaimed while it was gone.
   auto s = base(3, 1);

@@ -224,6 +224,20 @@ TEST(ShardedKvStore, ShardReportsAccumulate) {
   EXPECT_EQ(shard_ops, 20u);
 }
 
+TEST(ShardedKvStore, StopPublishesTheLocalMemoryGauge) {
+  ShardedKvStore store(small_store());
+  for (int k = 0; k < 64; ++k) {
+    store.client().put_sync("k" + std::to_string(k), Value::filler(64));
+  }
+  store.stop();
+  // Each worker settles its store once when its mailbox closes, so the
+  // final report carries the gauge KvStore::settle() records.
+  for (std::uint32_t s = 0; s < store.shard_count(); ++s) {
+    EXPECT_GT(store.shard_report(s).net.local_memory_peak(), 0u)
+        << "shard " << s;
+  }
+}
+
 // ---- deterministic batching semantics (direct MuxProcess batches) -----------
 
 /// A flat store's register group, driven below its window engine.

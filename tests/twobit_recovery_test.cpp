@@ -1,4 +1,4 @@
-// Bounded history and crash-rejoin, end to end: acked-prefix GC keeps the
+// Bounded history and crash-rejoin, end to end: known-prefix GC keeps the
 // per-process footprint flat, a crashed process bootstraps from a peer
 // checkpoint, reads routed to a rejoiner are deferred rather than refused,
 // and histories with a mid-stream rejoin stay atomic — on the simulator,
@@ -29,29 +29,28 @@ GroupConfig make_cfg(std::uint32_t n) {
   return cfg;
 }
 
-TwoBitOptions bounded_options(std::uint32_t ack_interval, bool rejoiner) {
+TwoBitOptions bounded_options(bool rejoiner) {
   TwoBitOptions o;
   o.bounded_history = true;
-  o.ack_interval = ack_interval;
   o.recover_via_catchup = rejoiner;
   return o;
 }
 
-/// A group whose processes all run acked-prefix GC, with a matching
+/// A group whose processes all run known-prefix GC, with a matching
 /// bounded rejoiner factory for recover().
-SimRegisterGroup make_bounded(std::uint32_t n, std::uint32_t ack_interval,
+SimRegisterGroup make_bounded(std::uint32_t n,
                               std::unique_ptr<DelayModel> delay) {
   SimRegisterGroup::Options opt;
   opt.cfg = make_cfg(n);
   opt.algo = Algorithm::kTwoBit;
   opt.delay = std::move(delay);
-  opt.process_factory = [ack_interval](const GroupConfig& cfg, ProcessId pid) {
+  opt.process_factory = [](const GroupConfig& cfg, ProcessId pid) {
     return std::make_unique<TwoBitProcess>(
-        cfg, pid, bounded_options(ack_interval, /*rejoiner=*/false));
+        cfg, pid, bounded_options(/*rejoiner=*/false));
   };
-  opt.recover_factory = [ack_interval](const GroupConfig& cfg, ProcessId pid) {
+  opt.recover_factory = [](const GroupConfig& cfg, ProcessId pid) {
     return std::make_unique<TwoBitProcess>(
-        cfg, pid, bounded_options(ack_interval, /*rejoiner=*/true));
+        cfg, pid, bounded_options(/*rejoiner=*/true));
   };
   return SimRegisterGroup(std::move(opt));
 }
@@ -64,10 +63,10 @@ SimRegisterGroup make_faithful(std::uint32_t n) {
   return SimRegisterGroup(std::move(opt));
 }
 
-// ---- acked-prefix GC -------------------------------------------------------
+// ---- known-prefix GC -------------------------------------------------------
 
 TEST(BoundedGc, SteadyStateFootprintIsFlat) {
-  auto group = make_bounded(3, /*ack_interval=*/1, make_constant_delay(kDelta));
+  auto group = make_bounded(3, make_constant_delay(kDelta));
   for (int k = 1; k <= 60; ++k) {
     group.client().write_sync(Value::from_int64(k));
   }
@@ -94,7 +93,7 @@ TEST(BoundedGc, SteadyStateFootprintIsFlat) {
 }
 
 TEST(BoundedGc, FootprintStaysFarBelowFaithful) {
-  auto bounded = make_bounded(3, /*ack_interval=*/8, make_constant_delay(kDelta));
+  auto bounded = make_bounded(3, make_constant_delay(kDelta));
   auto faithful = make_faithful(3);
   for (int k = 1; k <= 200; ++k) {
     bounded.client().write_sync(Value::from_int64(k));
@@ -105,7 +104,7 @@ TEST(BoundedGc, FootprintStaysFarBelowFaithful) {
   const auto b = bounded.net().process_as<TwoBitProcess>(1).memory_footprint();
   const auto f = faithful.net().process_as<TwoBitProcess>(1).memory_footprint();
   EXPECT_LT(b.history_bytes, f.history_bytes / 5);
-  EXPECT_LT(b.retained_entries, 32u);  // O(ack_interval + lag), not O(writes)
+  EXPECT_LT(b.retained_entries, 32u);  // O(lag), not O(writes)
   EXPECT_EQ(f.retained_entries, 201u);  // faithful keeps everything
 }
 
@@ -152,11 +151,11 @@ TEST(SimRecovery, ReadDuringBootstrapIsDeferredNotRefused) {
 
 TEST(SimRecovery, BoundedGroupRejoinsAcrossAGcdPrefix) {
   // GC stalls at the crash point while the peer is down (a crashed process
-  // is indistinguishable from a slow one, so its unacked suffix pins the
-  // watermark), then a successful rejoin unpins it: the rejoiner bootstraps
+  // is indistinguishable from a slow one, so the suffix it never echoed
+  // pins the watermark), then a successful rejoin unpins it: the rejoiner bootstraps
   // from a checkpoint *above* everything it missed, and the watermark
   // catches up to the head everywhere.
-  auto group = make_bounded(3, /*ack_interval=*/1, make_constant_delay(kDelta));
+  auto group = make_bounded(3, make_constant_delay(kDelta));
   for (int k = 1; k <= 15; ++k) {
     group.client().write_sync(Value::from_int64(k));
   }
