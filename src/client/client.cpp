@@ -11,7 +11,7 @@ Ticket ClientBase::dispatch(OpState& st) {
   Ticket t;
   if (!callback_mode) {
     t.index = st.index;
-    t.gen = st.gen;
+    t.gen = st.gen.load(std::memory_order_relaxed);
   }
   if (serialize_per_node_ && st.node < chains_.size()) {
     bool queued = false;
@@ -23,7 +23,7 @@ Ticket ClientBase::dispatch(OpState& st) {
         if (chain.tail == Ticket::kEmpty) {
           chain.head = st.index;
         } else {
-          pool_.slot(chain.tail).next_pending = st.index;
+          pool_.slot_locked(chain.tail).next_pending = st.index;
         }
         chain.tail = st.index;
         queued = true;
@@ -51,21 +51,24 @@ void ClientBase::complete(OpState& st) {
     cb(st.result);
   }
   std::uint32_t next = Ticket::kEmpty;
-  {
+  if (serialize_per_node_ && st.node < chains_.size()) {
     const std::scoped_lock lock(pool_.mu());
-    if (serialize_per_node_ && st.node < chains_.size()) {
-      Chain& chain = chains_[st.node];
-      if (chain.head != Ticket::kEmpty) {
-        next = chain.head;
-        chain.head = pool_.slot(next).next_pending;
-        if (chain.head == Ticket::kEmpty) chain.tail = Ticket::kEmpty;
-      } else {
-        chain.busy = false;
-      }
+    Chain& chain = chains_[st.node];
+    if (chain.head != Ticket::kEmpty) {
+      next = chain.head;
+      chain.head = pool_.slot_locked(next).next_pending;
+      if (chain.head == Ticket::kEmpty) chain.tail = Ticket::kEmpty;
+    } else {
+      chain.busy = false;
     }
-    if (callback_mode) pool_.release_locked(st);
   }
-  if (!callback_mode) pool_.mark_ready(st);
+  // Callback mode returns the slot lock-free: a kv shard worker completing
+  // a window takes no lock per op.
+  if (callback_mode) {
+    pool_.release(st);
+  } else {
+    pool_.mark_ready(st);
+  }
   if (next != Ticket::kEmpty) issue_chained(next);
 }
 
@@ -91,7 +94,7 @@ void ClientBase::issue_chained(std::uint32_t first) {
         unwinding_ = false;
         return;
       }
-      st = &pool_.slot(deferred_issues_[deferred_head_++]);
+      st = &pool_.slot_locked(deferred_issues_[deferred_head_++]);
     }
     // May complete synchronously (terminal engine paths), re-entering
     // complete() -> issue_chained(), which defers to this loop.
@@ -180,34 +183,67 @@ std::size_t RegisterClient::submit(std::span<RegisterOp> ops,
 KvClient::KvClient(KvClientEngine& engine)
     : ClientBase(/*serialize_per_node=*/false), engine_(engine) {}
 
-Ticket KvClient::put(std::string_view key, Value value, OpCallback cb) {
+OpState& KvClient::routed_op(KvOp& op) {
   OpState& st = fresh_op();
-  st.kind = OpKind::kWrite;
-  st.value = std::move(value);
+  st.kind = op.kind;
+  if (op.kind == OpKind::kWrite) {
+    st.value = std::move(op.value);
+  } else {
+    st.node = op.reader;
+  }
+  engine_.client_route(op.key, st);
+  return st;
+}
+
+Ticket KvClient::put(std::string_view key, Value value, OpCallback cb) {
+  KvOp op{OpKind::kWrite, key, std::move(value), kAnyReplica};
+  OpState& st = routed_op(op);
   st.callback = std::move(cb);
-  engine_.client_route(key, st);
   return dispatch(st);
 }
 
 Ticket KvClient::get(std::string_view key, ProcessId reader, OpCallback cb) {
-  OpState& st = fresh_op();
-  st.kind = OpKind::kRead;
-  st.node = reader;
+  KvOp op{OpKind::kRead, key, Value(), reader};
+  OpState& st = routed_op(op);
   st.callback = std::move(cb);
-  engine_.client_route(key, st);
   return dispatch(st);
 }
 
 std::size_t KvClient::submit(std::span<KvOp> ops, Ticket* tickets) {
+  // Route the whole span before the engine sees any of it, linking the ops
+  // through next_pending: the run costs no allocation, and an engine that
+  // queues across threads can hand it over in one piece.
+  std::uint32_t first = Ticket::kEmpty;
+  OpState* last = nullptr;
   std::size_t k = 0;
   for (KvOp& op : ops) {
-    const Ticket t = op.kind == OpKind::kWrite
-                         ? put(op.key, std::move(op.value))
-                         : get(op.key, op.reader);
-    if (tickets != nullptr) tickets[k] = t;
+    OpState& st = routed_op(op);
+    (last == nullptr ? first : last->next_pending) = st.index;
+    last = &st;
+    if (tickets != nullptr) {
+      tickets[k].index = st.index;
+      tickets[k].gen = st.gen.load(std::memory_order_relaxed);
+    }
     ++k;
   }
+  if (first != Ticket::kEmpty) engine_.client_issue_run(first, pool_);
   return k;
+}
+
+// ---- KvClientEngine ------------------------------------------------------------
+
+void KvClientEngine::client_issue_run(std::uint32_t first, OpPool& pool) {
+  while (first != Ticket::kEmpty) {
+    OpState* st = nullptr;
+    {
+      const std::scoped_lock lock(pool.mu());
+      st = &pool.slot_locked(first);
+    }
+    // Read the link first: an issued op may complete (and be recycled)
+    // before client_issue returns.
+    first = st->next_pending;
+    client_issue(*st);
+  }
 }
 
 }  // namespace tbr

@@ -19,10 +19,11 @@
 // Per-operation cost is the design target, extending the allocs-per-frame
 // discipline to allocs-per-operation: OpStates recycle through OpPool, all
 // engine-facing callbacks capture at most two pointers (std::function's
-// inline storage), so a steady-state operation through the Ticket
-// convenience API allocates nothing (sim and threaded engines; the sharded
-// engine's cross-thread window bookkeeping stays <= 1 allocation per op).
-// tests/alloc_regression_test.cpp and bench_engine_hotpath gate this.
+// inline storage), so a steady-state operation allocates nothing once the
+// pools are warm. tests/alloc_regression_test.cpp gates 0 allocations per
+// op for Ticket loops on the sim and threaded engines and for callback
+// waves on the sharded kv engine, and <= 1 per op for Ticket loops on the
+// sharded kv and socket engines; bench_engine_hotpath measures the same.
 //
 // Engines plug in via the small *ClientEngine interfaces below; the
 // facades (SimRegisterGroup, ThreadNetwork, KvStore, ShardedKvStore) each
@@ -222,6 +223,11 @@ class KvClientEngine {
   /// gets: leave st.node as requested, kAnyReplica resolves at issue).
   virtual void client_route(std::string_view key, OpState& st) = 0;
   virtual void client_issue(OpState& st) = 0;
+  /// Issue a routed run of ops (KvClient::submit), linked in submission
+  /// order through OpState::next_pending from slot `first` (resolve links
+  /// with pool.slot_locked()). The default issues them one at a time;
+  /// engines that queue across threads hand the run over in one piece.
+  virtual void client_issue_run(std::uint32_t first, OpPool& pool);
   virtual void client_park(OpState& st, OpPool& pool) = 0;
   /// Deferred-issue engines (the flat KvStore batches everything submitted
   /// since the last wait into one MuxProcess::start_batch window).
@@ -238,9 +244,11 @@ class KvClient final : public ClientBase {
   Ticket get(std::string_view key, ProcessId reader = kAnyReplica,
              OpCallback cb = {});
 
-  /// Batch window: every op routed and handed to the engine together —
-  /// one MuxProcess::start_batch per replica on the sim-backed store, one
-  /// mailbox window on the sharded store. Values/keys are consumed.
+  /// Batch window: every op routed first, then handed to the engine
+  /// together — one MuxProcess::start_batch per replica on the sim-backed
+  /// store, and on the sharded store one mailbox push per shard, so each
+  /// shard's share lands in one window (unless Options::max_batch splits
+  /// it). Values/keys are consumed.
   std::size_t submit(std::span<KvOp> ops, Ticket* tickets = nullptr);
 
   // Blocking round-trips.
@@ -257,6 +265,9 @@ class KvClient final : public ClientBase {
   void engine_flush() override { engine_.client_flush(); }
 
  private:
+  /// Acquire a slot for `op` (its value is moved in) and route it.
+  OpState& routed_op(KvOp& op);
+
   KvClientEngine& engine_;
 };
 

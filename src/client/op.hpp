@@ -9,10 +9,20 @@
 // path: after warm-up, an operation round-trip performs zero heap
 // allocations regardless of which API shape the caller prefers.
 //
-// Threading: OpPool is internally synchronized (any thread may submit or
-// wait; engine threads complete). The sim-backed engines are driven from
-// the waiting thread itself, so their park() drives the event loop rather
-// than blocking on the pool's condition variable.
+// Threading: OpPool is internally synchronized: any thread may submit or
+// wait, and engine threads complete. Per op, each side takes at most:
+//   * submit: the pool mutex once, in acquire(), plus whatever queue the
+//     engine hands the op through (a sharded kv shard's mailbox mutex);
+//   * ticket wait: the pool mutex in find(), and the park on the pool's
+//     condition variable if the op is still running;
+//   * completion: the pool mutex in mark_ready() for a ticket, none for a
+//     callback-mode op; RegisterClient's per-node chains add the pool
+//     mutex either way.
+// Returning a slot never takes a lock: release() pushes it onto an atomic
+// stack, and acquire() takes that whole stack back when its own freelist
+// runs dry. The sim-backed engines are driven from the waiting thread
+// itself, so their park() drives the event loop rather than blocking on
+// the pool's condition variable.
 #pragma once
 
 #include <atomic>
@@ -21,7 +31,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <vector>
 
 #include "client/status.hpp"
 #include "common/contracts.hpp"
@@ -101,25 +110,39 @@ struct OpState {
   /// from the freelist until the engine's late completion (if any) frees it.
   bool abandoned = false;
   std::uint32_t index = 0;
-  std::uint32_t gen = 0;
-  /// Intrusive per-node submission chain (ClientBase serializes ops per
-  /// target process for engines whose processes admit one op at a time).
+  /// Bumped by every return to the pool (and by abandon()): a ticket or a
+  /// stall scan holding an older generation knows the slot moved on. Read
+  /// from threads other than the one returning the slot, hence atomic;
+  /// relaxed is enough, since the slot itself is handed over through the
+  /// pool's mutex or its return stack.
+  std::atomic<std::uint32_t> gen{0};
+  /// Intrusive link, by slot index, for whichever list holds the slot: a
+  /// per-node submission chain (ClientBase serializes ops per target
+  /// process for engines whose processes admit one op at a time), a
+  /// KvClient::submit run, or one of the pool's free lists.
   std::uint32_t next_pending = Ticket::kEmpty;
 };
 
 /// Recycling slab of OpStates. Slots live in a deque (stable addresses
-/// while the pool grows); the freelist is a vector of indices. Steady
-/// state: acquire/release never allocate.
+/// while the pool grows). Free slots are linked through next_pending in two
+/// lists: `free_`, which acquire() pops under the mutex, and the lock-free
+/// `returned_` stack that release() pushes onto. Steady state:
+/// acquire/release never allocate.
 class OpPool {
  public:
   /// Take a warmed slot (or grow by one). Resets submission/result fields
   /// to a just-constructed shape while keeping Value capacities.
   OpState& acquire() {
     const std::scoped_lock lock(mu_);
+    if (free_ == Ticket::kEmpty) {
+      // Take back every slot returned since the last refill at once. The
+      // stack is only ever emptied whole, so its pushes cannot suffer ABA.
+      free_ = returned_.exchange(Ticket::kEmpty, std::memory_order_acquire);
+    }
     OpState* st = nullptr;
-    if (!free_.empty()) {
-      st = &slots_[free_.back()];
-      free_.pop_back();
+    if (free_ != Ticket::kEmpty) {
+      st = &slots_[free_];
+      free_ = st->next_pending;
     } else {
       st = &slots_.emplace_back();
       st->index = static_cast<std::uint32_t>(slots_.size() - 1);
@@ -139,10 +162,18 @@ class OpPool {
     return *st;
   }
 
-  /// Return a slot to the freelist and invalidate outstanding tickets.
+  /// Return a slot and invalidate outstanding tickets. Lock-free: any
+  /// thread may return a slot it owns while others acquire.
   void release(OpState& st) {
-    const std::scoped_lock lock(mu_);
-    release_locked(st);
+    st.gen.store(st.gen.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+    st.callback = nullptr;
+    std::uint32_t head = returned_.load(std::memory_order_relaxed);
+    do {
+      st.next_pending = head;
+    } while (!returned_.compare_exchange_weak(head, st.index,
+                                              std::memory_order_release,
+                                              std::memory_order_relaxed));
   }
 
   /// Resolve a ticket; nullptr if stale (already recycled) or empty.
@@ -150,8 +181,13 @@ class OpPool {
     const std::scoped_lock lock(mu_);
     if (t.index >= slots_.size()) return nullptr;
     OpState& st = slots_[t.index];
-    return st.gen == t.gen ? &st : nullptr;
+    return st.gen.load(std::memory_order_relaxed) == t.gen ? &st : nullptr;
   }
+
+  /// Resolve a slot index the caller holds (a chain or run link). The
+  /// caller holds mu(): a concurrent acquire() may grow the deque, which
+  /// moves its index map (the slots themselves stay put).
+  OpState& slot_locked(std::uint32_t index) { return slots_[index]; }
 
   /// Engine side: publish completion and wake blocked waiters. The store
   /// happens under the pool mutex: a waiter that just evaluated the
@@ -178,17 +214,16 @@ class OpPool {
   /// when/if the engine's completion shows up.
   void abandon(OpState& st) {
     const std::scoped_lock lock(mu_);
-    st.gen += 1;
+    st.gen.store(st.gen.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
     st.abandoned = true;
   }
 
   /// Free an abandoned slot from the engine's late completion path.
   void reclaim_abandoned(OpState& st) {
-    const std::scoped_lock lock(mu_);
     TBR_ENSURE(st.abandoned, "reclaim of a live op");
     st.abandoned = false;
-    st.callback = nullptr;
-    free_.push_back(st.index);
+    release(st);
   }
 
   std::mutex& mu() noexcept { return mu_; }
@@ -198,19 +233,14 @@ class OpPool {
   }
 
  private:
-  friend class ClientBase;
-
-  void release_locked(OpState& st) {
-    st.gen += 1;
-    st.callback = nullptr;
-    free_.push_back(st.index);
-  }
-  OpState& slot(std::uint32_t index) { return slots_[index]; }
-
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<OpState> slots_;
-  std::vector<std::uint32_t> free_;
+  std::uint32_t free_ = Ticket::kEmpty;  ///< guarded by mu_
+  /// On its own cache line: engine threads push here on every completed
+  /// callback op, and sharing a line with the fields acquire() reads
+  /// would cost the submitting thread a miss per op.
+  alignas(64) std::atomic<std::uint32_t> returned_{Ticket::kEmpty};
 };
 
 }  // namespace tbr

@@ -152,7 +152,7 @@ class KvStore::Group final : public KvClientEngine {
           op.owner->complete(op);
         };
       }
-      issued_.emplace_back(&op, op.gen);
+      issued_.emplace_back(&op, op.gen.load(std::memory_order_relaxed));
       per_node_[op.node].push_back(std::move(batch_op));
     }
 
@@ -182,14 +182,16 @@ class KvStore::Group final : public KvClientEngine {
     if (lost_liveness_ || net_->run_until(done)) return;
     lost_liveness_ = true;
     // Ops that already completed are ready (wait mode) or recycled with a
-    // new generation (callback mode); only the stuck ones fail. The pool
-    // lock orders this scan against waiters on other threads.
+    // new generation (callback mode, or a consumed ticket); only the stuck
+    // ones fail. The pool lock orders this scan after any acquire() that
+    // re-armed a recycled slot's `ready`, so its new `gen` shows here too.
     std::vector<OpState*> stuck;
     if (!issued_.empty()) {
       OpPool& pool = issued_.front().first->owner->pool();
       const std::scoped_lock lock(pool.mu());
       for (const auto& [op, gen] : issued_) {
-        if (op->ready.load(std::memory_order_acquire) || op->gen != gen) {
+        if (op->ready.load(std::memory_order_acquire) ||
+            op->gen.load(std::memory_order_relaxed) != gen) {
           continue;
         }
         stuck.push_back(op);

@@ -1,6 +1,6 @@
 #include "kvstore/sharded_store.hpp"
 
-#include <condition_variable>
+#include <atomic>
 #include <mutex>
 #include <utility>
 
@@ -40,26 +40,25 @@ struct ShardedKvStore::Shard {
   KvStore store;
   std::vector<OpState*> ops;
 
-  // drain(): ops accepted but not yet resolved.
-  std::mutex idle_mu;
-  std::condition_variable idle_cv;
-  std::int64_t inflight = 0;
+  // drain(): ops (and crash markers) accepted but not yet resolved. A
+  // 32-bit count, which std::atomic::wait handles natively on Linux, on a
+  // cache line of its own: submitters bump it on every op.
+  alignas(64) std::atomic<std::int32_t> inflight{0};
 
   // Published after every window; readable from any thread.
   mutable std::mutex report_mu;
   ShardReport report;
 
-  void op_accepted() {
-    const std::scoped_lock lock(idle_mu);
-    ++inflight;
+  void ops_accepted(std::int32_t count) {
+    inflight.fetch_add(count, std::memory_order_relaxed);
   }
-  void ops_resolved(std::int64_t count) {
-    {
-      const std::scoped_lock lock(idle_mu);
-      inflight -= count;
-      TBR_ENSURE(inflight >= 0, "inflight underflow");
-    }
-    idle_cv.notify_all();
+  /// Only the drop to zero wakes drain(): the waiter wants an idle shard,
+  /// not every window's progress.
+  void ops_resolved(std::int32_t count) {
+    const std::int32_t left =
+        inflight.fetch_sub(count, std::memory_order_acq_rel) - count;
+    TBR_ENSURE(left >= 0, "inflight underflow");
+    if (left == 0) inflight.notify_all();
   }
 };
 
@@ -83,13 +82,59 @@ class ShardedKvStore::ClientImpl final : public KvClientEngine {
 
   void client_issue(OpState& st) override {
     Shard& shard = *store_.shards_[st.shard];
-    shard.op_accepted();
+    shard.ops_accepted(1);
     ShardOp op;
     op.op = &st;
     if (!shard.mailbox.push(std::move(op))) {
       shard.ops_resolved(1);
       st.owner->complete_failed(st, kStoreShutdown);
     }
+  }
+
+  /// Hand each shard its share of the run with one mailbox push, so a
+  /// worker never wakes to a partial share. Under the pool mutex, which
+  /// resolves the run's links: take the head's shard, unlink that shard's
+  /// ops (keeping their order), push them, repeat. Ops a closed shard
+  /// refuses are relinked into `refused` and failed once the locks drop.
+  void client_issue_run(std::uint32_t first, OpPool& pool) override {
+    std::uint32_t refused = Ticket::kEmpty;
+    std::uint32_t* refused_tail = &refused;
+    {
+      const std::scoped_lock lock(pool.mu());
+      while (first != Ticket::kEmpty) {
+        Shard& shard = *store_.shards_[pool.slot_locked(first).shard];
+        std::uint32_t share = Ticket::kEmpty;
+        std::uint32_t* share_tail = &share;
+        std::int32_t count = 0;
+        for (std::uint32_t* link = &first; *link != Ticket::kEmpty;) {
+          const std::uint32_t index = *link;
+          OpState& st = pool.slot_locked(index);
+          if (st.shard != shard.id) {
+            link = &st.next_pending;
+            continue;
+          }
+          *link = st.next_pending;
+          *share_tail = index;
+          share_tail = &st.next_pending;
+          ++count;
+        }
+        *share_tail = Ticket::kEmpty;
+        shard.ops_accepted(count);
+        const bool queued = shard.mailbox.push_n(
+            static_cast<std::size_t>(count), [&](ShardOp& op) {
+              op = ShardOp{&pool.slot_locked(share), kNoProcess};
+              share = op.op->next_pending;
+            });
+        if (!queued) {
+          shard.ops_resolved(count);
+          *refused_tail = share;
+          refused_tail = share_tail;
+        }
+      }
+    }
+    // Refused ops are ours alone again. Issuing them one at a time fails
+    // each against its closed mailbox, exactly as client_issue does.
+    KvClientEngine::client_issue_run(refused, pool);
   }
 
   void client_park(OpState& st, OpPool& pool) override {
@@ -155,14 +200,16 @@ void ShardedKvStore::crash(std::uint32_t shard, ProcessId node) {
   ShardOp op;
   op.crash_node = node;
   Shard& s = *shards_[shard];
-  s.op_accepted();
+  s.ops_accepted(1);
   if (!s.mailbox.push(std::move(op))) s.ops_resolved(1);
 }
 
 void ShardedKvStore::drain() {
   for (auto& shard : shards_) {
-    std::unique_lock lock(shard->idle_mu);
-    shard->idle_cv.wait(lock, [&] { return shard->inflight == 0; });
+    for (std::int32_t left = shard->inflight.load(std::memory_order_acquire);
+         left != 0; left = shard->inflight.load(std::memory_order_acquire)) {
+      shard->inflight.wait(left, std::memory_order_acquire);
+    }
   }
 }
 
@@ -223,7 +270,7 @@ void ShardedKvStore::worker_loop(Shard& shard, std::stop_token st) {
     shard.store.run_window(shard.ops);
 
     publish_report(shard);
-    shard.ops_resolved(static_cast<std::int64_t>(window.size()));
+    shard.ops_resolved(static_cast<std::int32_t>(window.size()));
   }
 }
 

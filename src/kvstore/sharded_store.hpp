@@ -96,8 +96,9 @@ class ShardedKvStore {
   /// (src/client/client.hpp). Ops execute inside their shard's next
   /// batching window; completions (and callbacks) run on the shard worker.
   /// put results carry version/absorbed, and every result's latency is
-  /// in its shard's virtual ticks; steady state costs at most one
-  /// allocation per op end to end (gated).
+  /// in its shard's virtual ticks. Steady state allocates nothing per
+  /// callback op and at most once per ticket op, end to end (both gated).
+  /// A worker completing callback ops takes no lock per op.
   KvClient& client() noexcept;
 
   // ---- environment ---------------------------------------------------------------

@@ -14,6 +14,11 @@
 // deque crosses (and frees/reallocates) a chunk boundary every ~few dozen
 // envelopes, which on the message hot path is a steady allocation drip.
 // The ring grows to the high-water mark once and then never allocates.
+//
+// A push notifies the condition variable only when the consumer is parked
+// on it (a sleeper count kept under the mutex). A busy consumer finds the
+// items when it next looks, so pushes into its box skip the notify, whose
+// condition_variable_any takes an internal lock of its own.
 #pragma once
 
 #include <algorithm>
@@ -101,21 +106,35 @@ class MailboxT {
   /// envelope carrying a completion callback — is still intact for the
   /// caller's failure handling.
   bool push(T&& item) {
+    return push_n(1, [&item](T& slot) { slot = std::move(item); });
+  }
+
+  /// Enqueue `count` items under one lock, waking a parked consumer at
+  /// most once: `fill(slot)` moves the next item into `slot`, in arrival
+  /// order. Returns false, without calling `fill`, if the box is closed.
+  template <typename Fill>
+  bool push_n(std::size_t count, Fill&& fill) {
+    bool wake = false;
     {
       const std::scoped_lock lock(mu_);
       if (closed_) return false;
-      if (count_ == ring_.size()) grow();
-      ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(item);
-      ++count_;
+      if (count_ + count > ring_.size()) grow(count_ + count);
+      for (std::size_t k = 0; k < count; ++k) {
+        fill(ring_[(head_ + count_) & (ring_.size() - 1)]);
+        ++count_;
+      }
+      wake = sleepers_ > 0;
     }
-    cv_.notify_one();
+    if (wake) cv_.notify_one();
     return true;
   }
 
   /// Block until an item is available or stop is requested / box closed.
   std::optional<T> pop(std::stop_token st) {
     std::unique_lock lock(mu_);
+    ++sleepers_;
     cv_.wait(lock, st, [this] { return count_ > 0 || closed_; });
+    --sleepers_;
     if (count_ == 0) return std::nullopt;  // stopped or closed
     return take();
   }
@@ -136,6 +155,9 @@ class MailboxT {
                    std::chrono::microseconds(0)) {
     out.clear();
     std::unique_lock lock(mu_);
+    // Counted as a sleeper through both waits: a push that lands while
+    // the consumer lingers for min_items must wake it to re-check.
+    ++sleepers_;
     cv_.wait(lock, st, [this] { return count_ > 0 || closed_; });
     if (min_items > 1 && count_ < min_items && !closed_ &&
         min_wait.count() > 0) {
@@ -143,6 +165,7 @@ class MailboxT {
         return count_ >= min_items || closed_;
       });
     }
+    --sleepers_;
     if (count_ == 0) return;  // stopped or closed
     const std::size_t take_n =
         max_items == 0 ? count_ : std::min(count_, max_items);
@@ -171,8 +194,12 @@ class MailboxT {
     return item;
   }
 
-  void grow() {
-    std::vector<T> bigger(ring_.empty() ? 8 : ring_.size() * 2);
+  /// Reallocate to the smallest power of two (at least 8) that holds
+  /// `need` items.
+  void grow(std::size_t need) {
+    std::size_t size = std::max<std::size_t>(ring_.size(), 8);
+    while (size < need) size *= 2;
+    std::vector<T> bigger(size);
     for (std::size_t k = 0; k < count_; ++k) {
       bigger[k] = std::move(ring_[(head_ + k) & (ring_.size() - 1)]);
     }
@@ -185,6 +212,7 @@ class MailboxT {
   std::vector<T> ring_;  // capacity always a power of two
   std::size_t head_ = 0;
   std::size_t count_ = 0;
+  std::size_t sleepers_ = 0;  ///< consumers waiting on cv_
   bool closed_ = false;
 };
 

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -390,6 +391,57 @@ TEST(AllocRegression, ShardedKvClientStaysWithinOneAllocPerOp) {
   EXPECT_LE(per_op, 1.0)
       << "sharded KvClient ops must stay within one allocation per op ("
       << w.allocations() << " allocs over " << kWaves * kWaveOps << " ops)";
+}
+
+TEST(AllocRegression, ShardedKvCallbackOpsAreAllocFree) {
+  // The callback-mode twin of the gate above, and the shape the repo
+  // benchmark's kv workloads run: the same pinned 64-op windows, each
+  // wave drained before the next. Slots come back through the pool's
+  // lock-free return stack, so the waves reuse the same 64 slots.
+  constexpr std::uint32_t kWaveOps = 64;
+  constexpr std::uint32_t kWaves = 8;
+  ShardedKvStore::Options opt;
+  opt.shards = 1;
+  opt.n = 3;
+  opt.t = 1;
+  opt.slots_per_shard = 16;
+  opt.min_batch = kWaveOps;
+  opt.max_batch = kWaveOps;
+  opt.min_batch_wait = std::chrono::microseconds(200'000);
+  ShardedKvStore store(std::move(opt));
+  KvClient& client = store.client();
+
+  std::vector<std::string> keys;
+  for (int k = 0; k < 8; ++k) keys.push_back("key-" + std::to_string(k));
+  std::atomic<std::uint64_t> done{0};
+  std::atomic<std::uint64_t> failed{0};
+  auto run_wave = [&](std::uint32_t wave) {
+    for (std::uint32_t k = 0; k < kWaveOps; ++k) {
+      const std::string& key = keys[(wave + k) % keys.size()];
+      // Two pointers: std::function's inline storage.
+      OpCallback cb = [d = &done, f = &failed](const OpResult& r) {
+        (r.status.ok() ? d : f)->fetch_add(1, std::memory_order_relaxed);
+      };
+      if (k % 4 == 0) {
+        client.put(key, Value::from_int64(wave + k), std::move(cb));
+      } else {
+        client.get(key, kAnyReplica, std::move(cb));
+      }
+    }
+    store.drain();
+  };
+
+  for (std::uint32_t wave = 0; wave < 8; ++wave) run_wave(wave);  // warm
+
+  const alloc::Window w;
+  for (std::uint32_t wave = 0; wave < kWaves; ++wave) run_wave(wave);
+  const std::uint64_t allocs = w.allocations();
+  EXPECT_EQ(allocs, 0u) << "sharded KvClient callback ops allocated ("
+                        << allocs << " allocs over " << kWaves * kWaveOps
+                        << " ops)";
+  EXPECT_EQ(client.pool().capacity(), kWaveOps);
+  EXPECT_EQ(done.load(), 16u * kWaveOps);
+  EXPECT_EQ(failed.load(), 0u);
 }
 
 }  // namespace

@@ -1,8 +1,15 @@
 // Threaded-runtime tests: real concurrency, the unified client and crash
-// semantics. Linearizability under genuine thread interleavings is swept
-// in workload_test, alongside the sim and socket engines.
+// semantics, and the mailbox's wake-ups. Linearizability under genuine
+// thread interleavings is swept in workload_test, alongside the sim and
+// socket engines.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
+#include "runtime/mailbox.hpp"
 #include "runtime/thread_network.hpp"
 
 namespace tbr {
@@ -105,6 +112,86 @@ TEST(ThreadNetworkTest, BaselinesRunOnThreadsToo) {
         << algorithm_name(algo);
     net.stop();
   }
+}
+
+// ---- MailboxT wake-ups ----------------------------------------------------------
+//
+// A push notifies only a consumer parked on the mailbox. These check that a
+// parked consumer still wakes: each consumer parks first (the sleeps give it
+// time to), and a lost wake-up would leave it asleep past the deadline.
+
+using namespace std::chrono_literals;
+
+constexpr auto kParkTime = 50ms;
+constexpr auto kWakeDeadline = 5s;
+
+/// Poll `flag` until it is set or `deadline` passes.
+bool wait_for_flag(const std::atomic<bool>& flag,
+                   std::chrono::milliseconds deadline) {
+  const auto until = std::chrono::steady_clock::now() + deadline;
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+TEST(MailboxWake, MinItemsWindowOpensOnTheLastPush) {
+  MailboxT<int> box;
+  std::vector<int> out;
+  std::atomic<bool> returned{false};
+  const auto start = std::chrono::steady_clock::now();
+  std::jthread consumer([&](std::stop_token st) {
+    box.pop_all(st, out, /*max_items=*/0, /*min_items=*/4,
+                /*min_wait=*/10s);
+    returned.store(true, std::memory_order_release);
+  });
+  for (int k = 1; k <= 3; ++k) {
+    std::this_thread::sleep_for(kParkTime);
+    ASSERT_TRUE(box.push(int{k}));
+  }
+  std::this_thread::sleep_for(kParkTime);
+  EXPECT_FALSE(returned.load()) << "the window opened below min_items";
+  ASSERT_TRUE(box.push(4));
+  EXPECT_TRUE(wait_for_flag(returned, kWakeDeadline))
+      << "the 4th push did not wake the lingering consumer";
+  consumer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(MailboxWake, ParkedPopWakesOnOnePush) {
+  MailboxT<int> box;
+  std::optional<int> got;
+  std::atomic<bool> returned{false};
+  std::jthread consumer([&](std::stop_token st) {
+    got = box.pop(st);
+    returned.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(kParkTime);
+  ASSERT_TRUE(box.push(7));
+  const bool woke = wait_for_flag(returned, kWakeDeadline);
+  EXPECT_TRUE(woke) << "a single push did not wake the parked pop";
+  if (!woke) box.close();  // release the consumer so the test can end
+  consumer.join();
+  EXPECT_EQ(got, std::optional<int>(7));
+}
+
+TEST(MailboxWake, CloseWakesAParkedConsumer) {
+  MailboxT<int> box;
+  std::vector<int> out{-1};
+  std::atomic<bool> returned{false};
+  std::jthread consumer([&](std::stop_token st) {
+    box.pop_all(st, out);
+    returned.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(kParkTime);
+  box.close();
+  EXPECT_TRUE(wait_for_flag(returned, kWakeDeadline))
+      << "close() did not wake the parked consumer";
+  consumer.join();
+  EXPECT_TRUE(out.empty()) << "a closed, empty box drains nothing";
+  EXPECT_FALSE(box.push(1)) << "a closed box rejects pushes";
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 // pinned rows.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kvstore/kv_store.hpp"
@@ -236,6 +238,139 @@ TEST(ShardedKvStore, StopPublishesTheLocalMemoryGauge) {
     EXPECT_GT(store.shard_report(s).net.local_memory_peak(), 0u)
         << "shard " << s;
   }
+}
+
+// Regression: submit(span) used to push its ops one at a time, so a worker
+// that woke partway through took a partial window, and the span cost one
+// protocol write per window. Each shard's share now lands under one
+// mailbox lock, so with max_batch = 0 the whole span is one window and
+// collapses to one protocol write.
+TEST(ShardedKvStore, SubmitSpanLandsInOneWindowPerShard) {
+  constexpr int kOps = 4096;
+  std::vector<KvOp> ops(kOps);
+  std::vector<Ticket> tickets(kOps);
+  for (std::uint64_t trial = 1; trial <= 50; ++trial) {
+    ShardedKvStore store(small_store(/*shards=*/2, trial));
+    for (int k = 0; k < kOps; ++k) {
+      ops[k] =
+          KvOp{OpKind::kWrite, "hot", Value::from_int64(k), kAnyReplica};
+    }
+    ASSERT_EQ(store.client().submit(ops, tickets.data()),
+              static_cast<std::size_t>(kOps));
+    for (const Ticket& t : tickets) {
+      ASSERT_TRUE(store.client().wait(t).status.ok());
+    }
+    store.drain();
+    const BatchStats stats = store.batch_stats();
+    EXPECT_EQ(stats.batches, 1u) << "trial " << trial;
+    EXPECT_EQ(stats.protocol_writes, 1u) << "trial " << trial;
+    EXPECT_EQ(stats.absorbed_writes, static_cast<std::uint64_t>(kOps - 1))
+        << "trial " << trial;
+    const OpResult got = store.client().get_sync("hot");
+    EXPECT_EQ(got.value.to_int64(), kOps - 1) << "the last put wins";
+  }
+
+  // A span over two shards: each shard gets its share, in span order, as
+  // one window of its own.
+  ShardedKvStore store(small_store(/*shards=*/2));
+  std::string a = "a-key", b;
+  for (int k = 0; b.empty() && k < 1000; ++k) {
+    const std::string candidate = "b-key-" + std::to_string(k);
+    if (store.router().shard_of(candidate) != store.router().shard_of(a)) {
+      b = candidate;
+    }
+  }
+  ASSERT_FALSE(b.empty());
+  for (int k = 0; k < kOps; ++k) {
+    ops[k] = KvOp{OpKind::kWrite, k % 2 == 0 ? a : b, Value::from_int64(k),
+                  kAnyReplica};
+  }
+  store.client().submit(ops, tickets.data());
+  for (const Ticket& t : tickets) {
+    ASSERT_TRUE(store.client().wait(t).status.ok());
+  }
+  store.drain();
+  for (std::uint32_t s = 0; s < store.shard_count(); ++s) {
+    const BatchStats shard = store.shard_report(s).batch;
+    EXPECT_EQ(shard.batches, 1u) << "shard " << s;
+    EXPECT_EQ(shard.protocol_writes, 1u) << "shard " << s;
+    EXPECT_EQ(shard.absorbed_writes, static_cast<std::uint64_t>(kOps / 2 - 1))
+        << "shard " << s;
+  }
+  EXPECT_EQ(store.client().get_sync(a).value.to_int64(), kOps - 2);
+  EXPECT_EQ(store.client().get_sync(b).value.to_int64(), kOps - 1);
+}
+
+// Many threads submitting callbacks while the shard workers return their
+// slots lock-free: every callback runs once, drain() sees the store idle,
+// and the pool never grows past what was in flight at once. (A pool that
+// never took returned slots back would grow to all 80,000 ops.)
+TEST(ShardedKvStore, CallbackStormRecyclesSlotsAndDrains) {
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 20'000;
+  constexpr int kMaxInflight = 256;
+  ShardedKvStore store(small_store(/*shards=*/2));
+  KvClient& client = store.client();
+  std::vector<std::string> keys;
+  for (int k = 0; k < 64; ++k) keys.push_back("key-" + std::to_string(k));
+
+  struct Submitter {
+    std::vector<std::atomic<std::uint8_t>> runs =
+        std::vector<std::atomic<std::uint8_t>>(kOpsPerThread);
+    std::atomic<int> inflight{0};
+    std::atomic<int> failed{0};
+  };
+  std::vector<Submitter> subs(kThreads);
+
+  std::atomic<bool> stop_sync{false};
+  std::atomic<int> sync_failed{0};
+  std::thread sync([&] {
+    for (std::int64_t k = 0; !stop_sync.load(std::memory_order_relaxed); ++k) {
+      if (!client.put_sync("sync", Value::from_int64(k)).status.ok() ||
+          !client.get_sync("sync").status.ok()) {
+        sync_failed.fetch_add(1);
+      }
+    }
+  });
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Submitter& me = subs[t];
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        while (me.inflight.load(std::memory_order_acquire) >= kMaxInflight) {
+          std::this_thread::yield();
+        }
+        me.inflight.fetch_add(1, std::memory_order_relaxed);
+        OpCallback cb = [run = &me.runs[i], sub = &me](const OpResult& r) {
+          if (!r.status.ok()) sub->failed.fetch_add(1);
+          run->fetch_add(1, std::memory_order_relaxed);
+          sub->inflight.fetch_sub(1, std::memory_order_release);
+        };
+        const std::string& key = keys[(i * 7 + t) % keys.size()];
+        if (i % 10 == 0) {
+          client.put(key, Value::from_int64(i), std::move(cb));
+        } else {
+          client.get(key, kAnyReplica, std::move(cb));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  stop_sync.store(true);
+  sync.join();
+  store.drain();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(subs[t].failed.load(), 0) << "thread " << t;
+    EXPECT_EQ(subs[t].inflight.load(), 0) << "thread " << t;
+    int wrong = 0;
+    for (const auto& run : subs[t].runs) wrong += run.load() != 1 ? 1 : 0;
+    EXPECT_EQ(wrong, 0) << "thread " << t << ": callbacks not run exactly once";
+  }
+  EXPECT_EQ(sync_failed.load(), 0);
+  EXPECT_LE(client.pool().capacity(),
+            static_cast<std::size_t>(kThreads * (kMaxInflight + 1) + 1));
 }
 
 // ---- deterministic batching semantics (direct MuxProcess batches) -----------
