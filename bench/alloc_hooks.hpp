@@ -7,11 +7,10 @@
 // speed, which is what makes "allocations per delivered frame" a gateable
 // criterion on a 1-core CI runner.
 //
-// Only bench_engine_hotpath and alloc_regression_test link the hooks; the
-// library itself never does, so ordinary binaries keep the stock allocator
-// and the sanitizer builds (which interpose their own operator new) are
-// never mixed with ours — the alloc-gated targets are registered for
-// non-sanitized builds only.
+// Only alloc_regression_test links the hooks; the library itself never
+// does, so ordinary binaries keep the stock allocator and the sanitizer
+// builds (which interpose their own operator new) are never mixed with
+// ours — the alloc-gated test is registered for non-sanitized builds only.
 #pragma once
 
 #include <cstdint>

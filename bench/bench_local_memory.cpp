@@ -96,7 +96,7 @@ bool run_bounded_projection() {
 constexpr std::uint32_t kKvKeys = 512;
 constexpr std::size_t kKvValueBytes = 256;
 
-KvStore make_kv_store(MuxProcess::SlotFactory factory) {
+KvStore make_kv_store(ProcessFactory factory) {
   KvStore::Options opt;
   opt.n = 3;
   opt.t = 1;
@@ -118,7 +118,7 @@ struct KvRow {
 
 /// `puts` sequential 256-B puts over 512 uniform keys; the footprint is
 /// sampled after settle() at the 50% and 100% marks.
-KvRow run_kv_puts(MuxProcess::SlotFactory factory, int puts) {
+KvRow run_kv_puts(ProcessFactory factory, int puts) {
   KvStore store = make_kv_store(std::move(factory));
   Rng rng(7);
   KvRow row;

@@ -17,7 +17,6 @@ ThreadNetwork::Options net_options(Algorithm algo, std::uint32_t n) {
   opt.cfg.writer = 0;
   opt.cfg.initial = Value::from_int64(0);
   opt.algo = algo;
-  opt.min_delay_us = 0;
   opt.max_delay_us = 0;  // as fast as the threads go
   return opt;
 }

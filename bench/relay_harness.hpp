@@ -4,9 +4,8 @@
 // the engine's inner loop (pop event, deliver, handler sends, schedule)
 // with no client-op machinery. msg.seq counts remaining hops.
 //
-// Used by BOTH allocation gates — tests/alloc_regression_test.cpp (the
-// exact ==0 CTest criterion) and bench/bench_engine_hotpath.cpp (the CI
-// bench-smoke criterion) — so the two necessarily measure the same loop.
+// Used by the delivery-loop gates in tests/alloc_regression_test.cpp (the
+// exact ==0 CTest criteria).
 #pragma once
 
 #include <memory>

@@ -13,7 +13,7 @@ Ticket ClientBase::dispatch(OpState& st) {
     t.index = st.index;
     t.gen = st.gen.load(std::memory_order_relaxed);
   }
-  if (serialize_per_node_ && st.node < chains_.size()) {
+  if (st.node < chains_.size()) {
     bool queued = false;
     {
       const std::scoped_lock lock(pool_.mu());
@@ -33,7 +33,7 @@ Ticket ClientBase::dispatch(OpState& st) {
     }
     if (queued) return t;
   }
-  engine_issue(st);
+  engine_.client_issue(st);
   return t;
 }
 
@@ -51,7 +51,7 @@ void ClientBase::complete(OpState& st) {
     cb(st.result);
   }
   std::uint32_t next = Ticket::kEmpty;
-  if (serialize_per_node_ && st.node < chains_.size()) {
+  if (st.node < chains_.size()) {
     const std::scoped_lock lock(pool_.mu());
     Chain& chain = chains_[st.node];
     if (chain.head != Ticket::kEmpty) {
@@ -98,7 +98,7 @@ void ClientBase::issue_chained(std::uint32_t first) {
     }
     // May complete synchronously (terminal engine paths), re-entering
     // complete() -> issue_chained(), which defers to this loop.
-    engine_issue(*st);
+    engine_.client_issue(*st);
   }
 }
 
@@ -106,8 +106,10 @@ OpResult ClientBase::wait(Ticket t) {
   OpState* st = pool_.find(t);
   TBR_ENSURE(st != nullptr, "wait on an empty, stale or consumed ticket");
   if (!st->ready.load(std::memory_order_acquire)) {
-    engine_flush();
-    if (!st->ready.load(std::memory_order_acquire)) engine_park(*st);
+    engine_.client_flush();
+    if (!st->ready.load(std::memory_order_acquire)) {
+      engine_.client_park(*st, pool_);
+    }
   }
   if (!st->ready.load(std::memory_order_acquire)) {
     // The drive failed (liveness lost). The engine stamped a status; the
@@ -132,7 +134,7 @@ bool ClientBase::try_result(Ticket t, OpResult& out) {
     // Deferred-issue engines (the flat KvStore) hand the window to the
     // protocol here, so a poll loop makes progress; the caller still
     // drives completion (wait(), or the sim facade's settle()).
-    engine_flush();
+    engine_.client_flush();
   }
   if (!st->ready.load(std::memory_order_acquire)) return false;
   out = st->result;
@@ -142,26 +144,36 @@ bool ClientBase::try_result(Ticket t, OpResult& out) {
 
 // ---- RegisterClient ----------------------------------------------------------
 
-RegisterClient::RegisterClient(RegisterClientEngine& engine)
-    : ClientBase(/*serialize_per_node=*/true), engine_(engine) {
-  init_chains(engine.client_nodes());
+RegisterClient::RegisterClient(RegisterClientEngine& engine,
+                               const GroupConfig& cfg)
+    : ClientBase(engine, cfg.n),
+      replicas_(engine),
+      n_(cfg.n),
+      writer_(cfg.writer) {}
+
+ProcessId RegisterClient::pick_reader() {
+  for (std::uint32_t tries = 0; tries < n_; ++tries) {
+    const auto r = static_cast<ProcessId>(
+        next_reader_.fetch_add(1, std::memory_order_relaxed) % n_);
+    if (!replicas_.client_crashed(r)) return r;
+  }
+  return 0;
 }
 
 Ticket RegisterClient::write(Value v, OpCallback cb) {
   OpState& st = fresh_op();
   st.kind = OpKind::kWrite;
-  st.node = engine_.client_writer();
+  st.node = writer_;
   st.value = std::move(v);
   st.callback = std::move(cb);
   return dispatch(st);
 }
 
 Ticket RegisterClient::read(ProcessId reader, OpCallback cb) {
-  TBR_ENSURE(reader == kAnyReplica || reader < engine_.client_nodes(),
-             "reader id out of range");
+  TBR_ENSURE(reader == kAnyReplica || reader < n_, "reader id out of range");
   OpState& st = fresh_op();
   st.kind = OpKind::kRead;
-  st.node = reader == kAnyReplica ? engine_.client_pick_reader() : reader;
+  st.node = reader == kAnyReplica ? pick_reader() : reader;
   st.callback = std::move(cb);
   return dispatch(st);
 }
@@ -181,7 +193,7 @@ std::size_t RegisterClient::submit(std::span<RegisterOp> ops,
 // ---- KvClient ----------------------------------------------------------------
 
 KvClient::KvClient(KvClientEngine& engine)
-    : ClientBase(/*serialize_per_node=*/false), engine_(engine) {}
+    : ClientBase(engine, /*nodes=*/0), kv_(engine) {}
 
 OpState& KvClient::routed_op(KvOp& op) {
   OpState& st = fresh_op();
@@ -191,7 +203,7 @@ OpState& KvClient::routed_op(KvOp& op) {
   } else {
     st.node = op.reader;
   }
-  engine_.client_route(op.key, st);
+  kv_.client_route(op.key, st);
   return st;
 }
 
@@ -226,7 +238,7 @@ std::size_t KvClient::submit(std::span<KvOp> ops, Ticket* tickets) {
     }
     ++k;
   }
-  if (first != Ticket::kEmpty) engine_.client_issue_run(first, pool_);
+  if (first != Ticket::kEmpty) kv_.client_issue_run(first, pool_);
   return k;
 }
 

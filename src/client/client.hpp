@@ -23,11 +23,16 @@
 // pools are warm. tests/alloc_regression_test.cpp gates 0 allocations per
 // op for Ticket loops on the sim and threaded engines and for callback
 // waves on the sharded kv engine, and <= 1 per op for Ticket loops on the
-// sharded kv and socket engines; bench_engine_hotpath measures the same.
+// sharded kv and socket engines.
 //
-// Engines plug in via the small *ClientEngine interfaces below; the
-// facades (SimRegisterGroup, ThreadNetwork, KvStore, ShardedKvStore) each
-// expose a lazily-built client() backed by their implementation.
+// Engines plug in via the small ClientEngine interface below, which the
+// client calls directly. An engine implements only what differs between
+// engines: how an op reaches its process, how a waiter parks, and (for
+// register engines) whether a replica is crashed. The client owns the
+// rest: pooling, per-process chains, and routing ops to the writer or,
+// for kAnyReplica reads, round-robin over live replicas. The facades
+// (SimRegisterGroup, ThreadNetwork, SocketNetwork, KvStore,
+// ShardedKvStore) each expose a client() backed by their implementation.
 #pragma once
 
 #include <atomic>
@@ -37,8 +42,28 @@
 #include <vector>
 
 #include "client/op.hpp"
+#include "net/register_process.hpp"
 
 namespace tbr {
+
+/// What an engine implements to host a client.
+class ClientEngine {
+ public:
+  virtual ~ClientEngine() = default;
+  /// Issue `st` into the runtime; on completion fill st.result and call
+  /// st.owner->complete(st).
+  virtual void client_issue(OpState& st) = 0;
+  /// Block until st.ready. The default parks on the pool's condition
+  /// variable (thread engines, whose crash and shutdown paths complete
+  /// every accepted op); sim engines drive their event loop instead and,
+  /// on a failed drive, fill st.result.status and return.
+  virtual void client_park(OpState& st, OpPool& pool) {
+    pool.block_until_ready(st);
+  }
+  /// Deferred-issue engines (the flat KvStore) hand everything submitted
+  /// since the last wait to the protocol here.
+  virtual void client_flush() {}
+};
 
 /// Shared machinery: the op pool, per-node submission chains, the
 /// wait/poll surface, and the engine-facing completion entry point.
@@ -75,8 +100,10 @@ class ClientBase {
   OpPool& pool() noexcept { return pool_; }
 
  protected:
-  explicit ClientBase(bool serialize_per_node)
-      : serialize_per_node_(serialize_per_node) {}
+  /// `nodes` > 0 serializes ops per target process through chains
+  /// (register engines); kv engines pass 0 and skip them.
+  ClientBase(ClientEngine& engine, std::uint32_t nodes)
+      : engine_(engine), chains_(nodes) {}
 
   /// Acquire + stamp a pooled op for this client.
   OpState& fresh_op() {
@@ -93,16 +120,8 @@ class ClientBase {
   /// synchronously on their terminal paths (crashed target, closed
   /// queue), and that completion pops the NEXT chain entry — a deeply
   /// pipelined chain unwinding at shutdown must drain as a loop, not as
-  /// mutual recursion complete() -> engine_issue() -> complete().
+  /// mutual recursion complete() -> client_issue() -> complete().
   void issue_chained(std::uint32_t first);
-
-  // Engine hooks, implemented by the concrete client over its engine.
-  virtual void engine_issue(OpState& st) = 0;
-  virtual void engine_park(OpState& st) = 0;
-  virtual void engine_flush() {}
-
-  /// Size the per-node chains (register engines; kv engines skip them).
-  void init_chains(std::uint32_t nodes) { chains_.resize(nodes); }
 
   OpPool pool_;
 
@@ -117,7 +136,7 @@ class ClientBase {
     bool busy = false;
   };
 
-  bool serialize_per_node_ = false;
+  ClientEngine& engine_;
   std::vector<Chain> chains_;
 
   // Chained-issue drain state (guarded by the pool mutex): one thread at
@@ -138,47 +157,17 @@ struct RegisterOp {
   ProcessId reader = kAnyReplica; ///< reads: replica (kAnyReplica = rotate)
 };
 
-/// Round-robin live-replica rotation for kAnyReplica reads, shared by
-/// the engines' client_pick_reader implementations. Falls back to
-/// replica 0 when every replica looks crashed (the op then fails with
-/// kCrashed at issue). Safe from any thread; on the single-threaded sim
-/// engine the relaxed counter degenerates to a plain increment, so the
-/// rotation sequence stays deterministic.
-class ReaderRotor {
- public:
-  template <typename CrashedFn>
-  ProcessId pick(std::uint32_t n, CrashedFn&& crashed) {
-    for (std::uint32_t tries = 0; tries < n; ++tries) {
-      const ProcessId r = static_cast<ProcessId>(
-          next_.fetch_add(1, std::memory_order_relaxed) % n);
-      if (!crashed(r)) return r;
-    }
-    return 0;
-  }
-
- private:
-  std::atomic<std::uint32_t> next_{0};
-};
-
 /// What a runtime facade implements to host a RegisterClient.
-class RegisterClientEngine {
+class RegisterClientEngine : public ClientEngine {
  public:
-  virtual ~RegisterClientEngine() = default;
-  virtual std::uint32_t client_nodes() const = 0;
-  virtual ProcessId client_writer() const = 0;
-  /// Rotate over live-looking replicas for kAnyReplica reads.
-  virtual ProcessId client_pick_reader() = 0;
-  /// Issue `st` into the runtime; on completion fill st.result and call
-  /// st.owner->complete(st).
-  virtual void client_issue(OpState& st) = 0;
-  /// Block until st.ready: drive the event loop (sim) or park on the pool
-  /// (threads). On a failed drive, fill st.result.status and return.
-  virtual void client_park(OpState& st, OpPool& pool) = 0;
+  /// Whether replica `pid` looks crashed (kAnyReplica read routing).
+  virtual bool client_crashed(ProcessId pid) const = 0;
 };
 
 class RegisterClient final : public ClientBase {
  public:
-  explicit RegisterClient(RegisterClientEngine& engine);
+  /// Writes go to cfg.writer; kAnyReplica reads rotate over cfg.n replicas.
+  RegisterClient(RegisterClientEngine& engine, const GroupConfig& cfg);
 
   /// Start REG.write(v) at the group's writer.
   Ticket write(Value v, OpCallback cb = {});
@@ -196,12 +185,18 @@ class RegisterClient final : public ClientBase {
     return wait(read(reader));
   }
 
- protected:
-  void engine_issue(OpState& st) override { engine_.client_issue(st); }
-  void engine_park(OpState& st) override { engine_.client_park(st, pool_); }
-
  private:
-  RegisterClientEngine& engine_;
+  /// Round-robin over live-looking replicas. Falls back to replica 0 when
+  /// every replica looks crashed (the op then fails with kCrashed at
+  /// issue). Safe from any thread; on the single-threaded sim engine the
+  /// relaxed counter degenerates to a plain increment, so the rotation
+  /// sequence stays deterministic.
+  ProcessId pick_reader();
+
+  const RegisterClientEngine& replicas_;
+  std::uint32_t n_;
+  ProcessId writer_;
+  std::atomic<std::uint32_t> next_reader_{0};
 };
 
 // ---- the key-value client ----------------------------------------------------
@@ -216,22 +211,16 @@ struct KvOp {
 };
 
 /// What a kv engine implements to host a KvClient.
-class KvClientEngine {
+class KvClientEngine : public ClientEngine {
  public:
-  virtual ~KvClientEngine() = default;
   /// Resolve `key` into st.shard / st.slot / st.node (puts: home replica;
   /// gets: leave st.node as requested, kAnyReplica resolves at issue).
   virtual void client_route(std::string_view key, OpState& st) = 0;
-  virtual void client_issue(OpState& st) = 0;
   /// Issue a routed run of ops (KvClient::submit), linked in submission
   /// order through OpState::next_pending from slot `first` (resolve links
   /// with pool.slot_locked()). The default issues them one at a time;
   /// engines that queue across threads hand the run over in one piece.
   virtual void client_issue_run(std::uint32_t first, OpPool& pool);
-  virtual void client_park(OpState& st, OpPool& pool) = 0;
-  /// Deferred-issue engines (the flat KvStore batches everything submitted
-  /// since the last wait into one MuxProcess::start_batch window).
-  virtual void client_flush() {}
 };
 
 class KvClient final : public ClientBase {
@@ -259,16 +248,11 @@ class KvClient final : public ClientBase {
     return wait(get(key, reader));
   }
 
- protected:
-  void engine_issue(OpState& st) override { engine_.client_issue(st); }
-  void engine_park(OpState& st) override { engine_.client_park(st, pool_); }
-  void engine_flush() override { engine_.client_flush(); }
-
  private:
   /// Acquire a slot for `op` (its value is moved in) and route it.
   OpState& routed_op(KvOp& op);
 
-  KvClientEngine& engine_;
+  KvClientEngine& kv_;
 };
 
 }  // namespace tbr

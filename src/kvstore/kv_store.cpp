@@ -241,7 +241,7 @@ KvStore::Group::Group(Options options)
   // register protocol (two-bit default, or a fast-path read engine). The
   // two-bit slots run known-prefix GC: the same frames as the faithful
   // protocol, with history held flat at O(lag) instead of O(writes).
-  MuxProcess::SlotFactory factory = std::move(options.register_factory);
+  ProcessFactory factory = std::move(options.register_factory);
   if (!factory && options.engine == Algorithm::kTwoBit) {
     factory = [](const GroupConfig& cfg, ProcessId pid) {
       TwoBitOptions bounded;

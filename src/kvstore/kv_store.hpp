@@ -46,7 +46,7 @@ class KvStore {
     Algorithm engine = Algorithm::kTwoBit;
     /// Per-slot register implementation; overrides `engine` when set
     /// (make_twobit_process gives the faithful, unbounded-history slots).
-    MuxProcess::SlotFactory register_factory;
+    ProcessFactory register_factory;
     /// Initial value of every slot (what get() of a never-written key
     /// returns, with version 0).
     Value initial;

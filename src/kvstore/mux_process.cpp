@@ -56,7 +56,7 @@ class MuxProcess::SlotContext final : public NetworkContext {
 
 MuxProcess::MuxProcess(std::uint32_t slots,
                        std::function<GroupConfig(std::uint32_t)> slot_cfg,
-                       ProcessId self, SlotFactory factory)
+                       ProcessId self, ProcessFactory factory)
     : self_(self) {
   TBR_ENSURE(slots >= 1, "mux needs at least one slot");
   TBR_ENSURE(slot_cfg != nullptr, "mux needs a slot config source");

@@ -56,16 +56,13 @@ struct BatchStats {
 
 class MuxProcess final : public ProcessBase {
  public:
-  using SlotFactory = std::function<std::unique_ptr<RegisterProcessBase>(
-      const GroupConfig&, ProcessId)>;
-
   /// Create `slots` register instances at node `self`. `slot_cfg(slot)`
   /// gives each slot's group config (writer assignment varies per slot);
   /// `factory` (required) builds the per-slot register. KvStore decides
   /// which protocol a slot runs.
   MuxProcess(std::uint32_t slots,
              std::function<GroupConfig(std::uint32_t)> slot_cfg,
-             ProcessId self, SlotFactory factory);
+             ProcessId self, ProcessFactory factory);
   ~MuxProcess() override;
 
   void on_start(NetworkContext& net) override;

@@ -137,10 +137,6 @@ class ShardedKvStore::ClientImpl final : public KvClientEngine {
     KvClientEngine::client_issue_run(refused, pool);
   }
 
-  void client_park(OpState& st, OpPool& pool) override {
-    pool.block_until_ready(st);
-  }
-
   KvClient& client() noexcept { return client_; }
 
  private:

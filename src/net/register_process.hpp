@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "common/contracts.hpp"
 #include "common/ids.hpp"
@@ -79,5 +80,10 @@ class RegisterProcessBase : public ProcessBase {
  private:
   bool op_in_progress_ = false;
 };
+
+/// Builds process `pid` of a group: what every engine, the kv mux and the
+/// model checker accept to override how a protocol is instantiated.
+using ProcessFactory = std::function<std::unique_ptr<RegisterProcessBase>(
+    const GroupConfig&, ProcessId)>;
 
 }  // namespace tbr

@@ -1,6 +1,5 @@
-// Mailbox: the per-process event queue of the threaded runtime, and — in its
-// generic MailboxT<T> form — the per-shard operation queue of the sharded
-// KV engine.
+// MailboxT: the per-process event queue of the threaded runtime and the
+// per-shard operation queue of the sharded KV engine.
 //
 // Exactly one consumer (the owning thread) pops; any thread may push.
 // Blocking pop integrates with jthread stop tokens so shutdown never hangs
@@ -24,79 +23,14 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <functional>
-#include <memory>
+#include <cstddef>
 #include <mutex>
 #include <optional>
 #include <stop_token>
-#include <string>
-#include <variant>
+#include <utility>
 #include <vector>
 
-#include "client/status.hpp"
-#include "common/ids.hpp"
-#include "common/value.hpp"
-#include "net/message.hpp"
-
 namespace tbr {
-
-/// A message delivery. `encoded` travels by move from the sender's encode
-/// buffer through the dispatcher into the receiving process, which recycles
-/// it back to the network's buffer pool after decoding.
-struct DeliverEnvelope {
-  ProcessId from = kNoProcess;
-  std::string encoded;  ///< wire bytes; decoded by the recipient's codec
-  /// Channel epoch at send time (crash-rejoin fencing). The receiver drops
-  /// the frame if the from->to channel was re-established after the stamp.
-  std::uint32_t epoch = 0;
-};
-
-/// Completion callbacks for the client fast path. `status` is the client
-/// layer's uniform outcome type (ok / crashed / shut down; see
-/// client/status.hpp) built from static strings — no allocation. Callbacks
-/// run on the owning process's thread; captures up to two pointers stay
-/// inside std::function's inline storage, so a lean caller pays no
-/// allocation per operation.
-struct ReadResultT {
-  Value value;
-  SeqNo index = -1;
-  Tick latency = 0;
-};
-using WriteCallback = std::function<void(Tick latency_ns, Status status)>;
-using ReadCallback =
-    std::function<void(const ReadResultT& result, Status status)>;
-
-/// Client request: start a write on this (writer) process.
-struct WriteEnvelope {
-  Value value;
-  WriteCallback done;
-};
-
-/// Client request: start a read on this process.
-struct ReadEnvelope {
-  ReadCallback done;
-};
-
-/// Crash marker: the process stops handling everything at this point.
-struct CrashEnvelope {};
-
-class RegisterProcessBase;
-
-/// Rejoin marker: replace the crashed process with a fresh incarnation
-/// built by `make` (run on the loop thread, so the new process is
-/// constructed where it will live). Handled even while crashed — it is the
-/// one envelope that ends the crashed state.
-struct RecoverEnvelope {
-  std::function<std::unique_ptr<RegisterProcessBase>()> make;
-};
-
-/// Timer expiry (NetworkContext::schedule): run `fn` on the process thread.
-struct TimerEnvelope {
-  std::function<void()> fn;
-};
-
-using Envelope = std::variant<DeliverEnvelope, WriteEnvelope, ReadEnvelope,
-                              CrashEnvelope, RecoverEnvelope, TimerEnvelope>;
 
 template <typename T>
 class MailboxT {
@@ -215,8 +149,5 @@ class MailboxT {
   std::size_t sleepers_ = 0;  ///< consumers waiting on cv_
   bool closed_ = false;
 };
-
-/// The threaded register runtime's mailbox (its historical name).
-using Mailbox = MailboxT<Envelope>;
 
 }  // namespace tbr

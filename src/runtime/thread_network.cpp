@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <utility>
+#include <variant>
 
-#include "core/twobit_process.hpp"
-#include "runtime/affinity.hpp"
+#include "runtime/mailbox.hpp"
 
 namespace tbr {
 
@@ -15,6 +15,39 @@ namespace {
 constexpr Status kCrashedStatus{StatusCode::kCrashed, "process has crashed"};
 constexpr Status kShutdownStatus{StatusCode::kShutdown,
                                  "network is shut down"};
+
+// ---- the envelopes a process thread consumes ------------------------------
+
+/// A message delivery. `encoded` travels by move from the sender's encode
+/// buffer through the dispatcher into the receiving process, which recycles
+/// it back to the network's buffer pool after decoding.
+struct DeliverEnvelope {
+  ProcessId from = kNoProcess;
+  std::string encoded;  ///< wire bytes; decoded by the recipient's codec
+  /// Channel epoch at send time (crash-rejoin fencing). The receiver drops
+  /// the frame if the from->to channel was re-established after the stamp.
+  std::uint32_t epoch = 0;
+};
+
+/// Crash marker: the process stops handling everything at this point.
+struct CrashEnvelope {};
+
+/// Rejoin marker: replace the crashed process with a fresh incarnation,
+/// built on the loop thread where it will live. Handled even while crashed
+/// — it is the one envelope that ends the crashed state.
+struct RecoverEnvelope {};
+
+/// Timer expiry (NetworkContext::schedule): run `fn` on the process
+/// thread, unless the incarnation that armed it has since crashed.
+struct TimerEnvelope {
+  std::function<void()> fn;
+  std::uint32_t incarnation = 0;
+};
+
+/// A client operation travels as its pooled OpState (RegisterClient issue).
+using Envelope = std::variant<DeliverEnvelope, OpState*, CrashEnvelope,
+                              RecoverEnvelope, TimerEnvelope>;
+using Mailbox = MailboxT<Envelope>;
 }  // namespace
 
 // ---- ProcessHost: one process, its mailbox, its thread ----------------------
@@ -33,7 +66,7 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
   std::uint32_t process_count() const override { return net_.cfg_.n; }
   Tick now() const override { return net_.now(); }
   void schedule(Tick delay, std::function<void()> fn) override {
-    net_.schedule_timer(pid_, delay, std::move(fn));
+    net_.schedule_timer(pid_, incarnation_, delay, std::move(fn));
   }
   void fence_peer(ProcessId to) override {
     // Runs on this host's loop thread (inside a handler): re-establish our
@@ -48,34 +81,24 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
   }
 
   void run(std::stop_token st) {
-    while (auto env = mailbox_.pop(st)) {
-      handle(std::move(*env));
-    }
+    stop_ = st;
+    while (auto env = mailbox_.pop(st)) handle(std::move(*env));
+    // The network stopped: the in-flight op can never complete. Ops
+    // drained after the stop were failed on arrival.
+    fail_pending(kShutdownStatus);
   }
 
  private:
   void handle(Envelope env) {
-    if (crashed()) {
-      // The one envelope a dead process still honours is its own rebirth.
-      if (auto* r = std::get_if<RecoverEnvelope>(&env)) {
-        handle_one(std::move(*r));
-        return;
-      }
-      fail_if_request(env);
+    // A dead process handles nothing but its own rebirth and, to fail
+    // them, client ops.
+    if (crashed() && !std::holds_alternative<RecoverEnvelope>(env) &&
+        !std::holds_alternative<OpState*>(env)) {
       return;
     }
     std::visit(
         [this](auto&& e) { this->handle_one(std::forward<decltype(e)>(e)); },
         std::move(env));
-  }
-
-  static void fail_if_request(Envelope& env) {
-    if (auto* w = std::get_if<WriteEnvelope>(&env)) {
-      w->done(0, kCrashedStatus);
-    }
-    if (auto* r = std::get_if<ReadEnvelope>(&env)) {
-      r->done(ReadResultT{}, kCrashedStatus);
-    }
   }
 
   void handle_one(DeliverEnvelope e) {
@@ -96,46 +119,41 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
     proc_->on_message(*this, e.from, inbound_);
   }
 
-  void handle_one(WriteEnvelope e) {
-    const Tick start = net_.now();
-    pending_write_ = std::move(e.done);
-    // {this, start} fits std::function's inline storage: no allocation.
-    proc_->start_write(*this, std::move(e.value), [this, start] {
-      const WriteCallback done = std::move(pending_write_);
-      pending_write_ = nullptr;
-      if (done) done(net_.now() - start, Status());
-    });
-  }
-
-  void handle_one(ReadEnvelope e) {
-    const Tick start = net_.now();
-    pending_read_ = std::move(e.done);
-    proc_->start_read(*this, [this, start](const Value& v, SeqNo index) {
-      const ReadCallback done = std::move(pending_read_);
-      pending_read_ = nullptr;
-      if (done) done(ReadResultT{v, index, net_.now() - start}, Status());
-    });
+  void handle_one(OpState* op) {
+    if (stop_.stop_requested()) {
+      op->owner->complete_failed(*op, kShutdownStatus);
+      return;
+    }
+    if (crashed()) {
+      op->owner->complete_failed(*op, kCrashedStatus);
+      return;
+    }
+    TBR_ENSURE(pending_op_ == nullptr, "per-process op overlap");
+    op->start = net_.now();
+    pending_op_ = op;
+    // The completions capture only `this`: std::function's inline storage.
+    if (op->kind == OpKind::kWrite) {
+      proc_->start_write(*this, std::move(op->value), [this] { finish_op(); });
+    } else {
+      proc_->start_read(*this, [this](const Value& v, SeqNo index) {
+        pending_op_->result.value = v;  // copy into the pooled capacity
+        pending_op_->result.version = index;
+        finish_op();
+      });
+    }
   }
 
   void handle_one(CrashEnvelope) {
     crashed_.store(true, std::memory_order_release);
+    ++incarnation_;  // pending timers die with the incarnation
     proc_->on_crash();
     // The model says a faulty process's last operation may never take
     // effect (§2.2); its *client* still must not wait forever. Fail the
-    // in-flight op's completion — the algorithm will never complete it.
-    if (pending_write_) {
-      const WriteCallback done = std::move(pending_write_);
-      pending_write_ = nullptr;
-      done(0, kCrashedStatus);
-    }
-    if (pending_read_) {
-      const ReadCallback done = std::move(pending_read_);
-      pending_read_ = nullptr;
-      done(ReadResultT{}, kCrashedStatus);
-    }
+    // in-flight op — the algorithm will never complete it.
+    fail_pending(kCrashedStatus);
   }
 
-  void handle_one(RecoverEnvelope e) {
+  void handle_one(RecoverEnvelope) {
     // Re-establish every channel touching us: frames stamped before these
     // bumps are dead on arrival wherever they are queued.
     for (ProcessId peer = 0; peer < net_.cfg_.n; ++peer) {
@@ -143,14 +161,26 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
       net_.chan_epoch(pid_, peer).fetch_add(1, std::memory_order_release);
       net_.chan_epoch(peer, pid_).fetch_add(1, std::memory_order_release);
     }
-    proc_ = e.make();
+    proc_ = net_.rejoin_(net_.cfg_, pid_);
     TBR_ENSURE(proc_ != nullptr, "recover factory returned null");
     crashed_.store(false, std::memory_order_release);
     proc_->on_start(*this);  // a rejoiner broadcasts CATCHUP here
   }
 
   void handle_one(TimerEnvelope e) {
-    if (e.fn) e.fn();
+    if (e.incarnation == incarnation_ && e.fn) e.fn();
+  }
+
+  void finish_op() {
+    OpState& op = *std::exchange(pending_op_, nullptr);
+    op.result.latency = net_.now() - op.start;
+    op.owner->complete(op);
+  }
+
+  void fail_pending(Status status) {
+    if (pending_op_ == nullptr) return;
+    OpState& op = *std::exchange(pending_op_, nullptr);
+    op.owner->complete_failed(op, status);
   }
 
   ThreadNetwork& net_;
@@ -159,70 +189,41 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
   Mailbox mailbox_;
   Message inbound_;  ///< decode_into scratch (loop thread only)
   std::atomic<bool> crashed_{false};
-  // In-flight client operation callbacks (loop thread only): invoked by
-  // the completion callback or failed by a crash, whichever comes first.
-  // Parked in members so the algorithm-facing completion lambdas capture
-  // only {this, start} and stay allocation-free.
-  WriteCallback pending_write_;
-  ReadCallback pending_read_;
+  // Loop thread only: the in-flight client op (resolved by the protocol's
+  // completion, or failed by a crash or the stop, whichever comes first),
+  // the incarnation that timers are fenced by, and the thread's stop token.
+  OpState* pending_op_ = nullptr;
+  std::uint32_t incarnation_ = 0;
+  std::stop_token stop_;
 };
 
 // ---- ClientImpl: the unified client API over this runtime -------------------
 //
-// Issue = push a Write/ReadEnvelope whose completion callback captures one
-// OpState pointer (std::function inline storage; no allocation); park =
-// block on the client pool's condition variable. Completion is guaranteed:
-// the runtime's crash and shutdown paths fail every accepted envelope.
+// Issue = push the op's OpState pointer to its process's mailbox; park =
+// the pool's condition variable (ClientEngine's default). Completion is
+// guaranteed: the process thread's crash and stop paths fail every op it
+// accepts, and a closed mailbox refuses the rest.
 
 class ThreadNetwork::ClientImpl final : public RegisterClientEngine {
  public:
-  explicit ClientImpl(ThreadNetwork& net) : net_(net), client_(*this) {}
+  explicit ClientImpl(ThreadNetwork& net)
+      : net_(net), client_(*this, net.cfg_) {}
 
-  std::uint32_t client_nodes() const override { return net_.cfg_.n; }
-  ProcessId client_writer() const override { return net_.cfg_.writer; }
-
-  ProcessId client_pick_reader() override {
-    return rotor_.pick(net_.cfg_.n,
-                       [this](ProcessId r) { return net_.crashed(r); });
+  bool client_crashed(ProcessId pid) const override {
+    return net_.crashed(pid);
   }
 
   void client_issue(OpState& st) override {
     TBR_ENSURE(net_.started_, "start() the network first");
-    st.start = net_.now();
-    if (st.kind == OpKind::kWrite) {
-      WriteEnvelope env{std::move(st.value),
-                        WriteCallback([&st](Tick latency, Status status) {
-                          st.result.status = status;
-                          st.result.latency = latency;
-                          st.owner->complete(st);
-                        })};
-      if (!net_.hosts_[st.node]->mailbox().push(std::move(env))) {
-        st.owner->complete_failed(st, kShutdownStatus);
-      }
-    } else {
-      ReadEnvelope env{
-          ReadCallback([&st](const ReadResultT& r, Status status) {
-            st.result.status = status;
-            st.result.value = r.value;  // copy into the pooled capacity
-            st.result.version = r.index;
-            st.result.latency = r.latency;
-            st.owner->complete(st);
-          })};
-      if (!net_.hosts_[st.node]->mailbox().push(std::move(env))) {
-        st.owner->complete_failed(st, kShutdownStatus);
-      }
+    if (!net_.hosts_[st.node]->mailbox().push(&st)) {
+      st.owner->complete_failed(st, kShutdownStatus);
     }
-  }
-
-  void client_park(OpState& st, OpPool& pool) override {
-    pool.block_until_ready(st);
   }
 
   RegisterClient& client() noexcept { return client_; }
 
  private:
   ThreadNetwork& net_;
-  ReaderRotor rotor_;
   RegisterClient client_;
 };
 
@@ -230,21 +231,17 @@ class ThreadNetwork::ClientImpl final : public RegisterClientEngine {
 
 ThreadNetwork::ThreadNetwork(Options options)
     : cfg_(options.cfg),
-      opt_(options),
+      opt_(std::move(options)),
+      rejoin_(rejoin_factory(opt_)),
       chan_epoch_(new std::atomic<std::uint32_t>[static_cast<std::size_t>(
-          options.cfg.n) * options.cfg.n]()),
-      delay_rng_(options.seed ^ 0xD15417C4E5ULL),
+          cfg_.n) * cfg_.n]()),
+      delay_rng_(opt_.seed ^ 0xD15417C4E5ULL),
       epoch_(Clock::now()) {
   cfg_.validate();
-  TBR_ENSURE(opt_.min_delay_us <= opt_.max_delay_us,
-             "need min_delay <= max_delay");
   hosts_.reserve(cfg_.n);
   for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
-    auto proc = opt_.process_factory
-                    ? opt_.process_factory(cfg_, pid)
-                    : make_register_process(opt_.algo, cfg_, pid);
-    hosts_.push_back(std::make_unique<ProcessHost>(*this, pid,
-                                                   std::move(proc)));
+    hosts_.push_back(std::make_unique<ProcessHost>(
+        *this, pid, make_group_process(opt_, pid)));
   }
   client_impl_ = std::make_unique<ClientImpl>(*this);
 }
@@ -266,23 +263,11 @@ void ThreadNetwork::start() {
   if (started_) return;
   started_ = true;
   threads_.reserve(cfg_.n + 1);
-  const int pin_base = opt_.pin_cpu_base;
-  for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
-    threads_.emplace_back([host = hosts_[pid].get(), pin_base,
-                           pid](std::stop_token st) {
-      if (pin_base >= 0) {
-        (void)pin_current_thread(static_cast<std::uint32_t>(pin_base) + pid);
-      }
-      host->run(st);
-    });
+  for (auto& host : hosts_) {
+    threads_.emplace_back(
+        [h = host.get()](std::stop_token st) { h->run(st); });
   }
-  threads_.emplace_back([this, pin_base](std::stop_token st) {
-    if (pin_base >= 0) {
-      (void)pin_current_thread(static_cast<std::uint32_t>(pin_base) +
-                               cfg_.n);
-    }
-    dispatcher_loop(st);
-  });
+  threads_.emplace_back([this](std::stop_token st) { dispatcher_loop(st); });
 }
 
 void ThreadNetwork::stop() {
@@ -332,10 +317,8 @@ void ThreadNetwork::dispatch(ProcessId from, ProcessId to,
   hosts_[from]->process().codec().encode_into(msg, encoded);
   {
     const std::scoped_lock lock(dispatch_mu_);
-    const Tick jitter_us = opt_.max_delay_us == 0
-                               ? 0
-                               : delay_rng_.uniform(opt_.min_delay_us,
-                                                    opt_.max_delay_us);
+    const Tick jitter_us =
+        opt_.max_delay_us == 0 ? 0 : delay_rng_.uniform(0, opt_.max_delay_us);
     PendingFrame frame;
     frame.release_at = now() + jitter_us * 1000;
     frame.seq = frame_seq_++;
@@ -350,8 +333,8 @@ void ThreadNetwork::dispatch(ProcessId from, ProcessId to,
   dispatch_cv_.notify_one();
 }
 
-void ThreadNetwork::schedule_timer(ProcessId pid, Tick delay,
-                                   std::function<void()> fn) {
+void ThreadNetwork::schedule_timer(ProcessId pid, std::uint32_t incarnation,
+                                   Tick delay, std::function<void()> fn) {
   TBR_ENSURE(pid < cfg_.n, "pid out of range");
   TBR_ENSURE(delay > 0, "timer delay must be positive");
   {
@@ -361,6 +344,7 @@ void ThreadNetwork::schedule_timer(ProcessId pid, Tick delay,
     frame.seq = frame_seq_++;
     frame.from = pid;
     frame.to = pid;
+    frame.epoch = incarnation;
     frame.timer = std::move(fn);
     frame_heap_.push_back(std::move(frame));
     std::push_heap(frame_heap_.begin(), frame_heap_.end(), std::greater<>{});
@@ -392,9 +376,10 @@ void ThreadNetwork::dispatcher_loop(std::stop_token st) {
     frame_heap_.pop_back();
     lock.unlock();
     if (frame.timer) {
-      // Timer expiry: runs on the owning process's thread like any handler;
-      // the crashed check in ProcessHost::handle suppresses it post-crash.
-      hosts_[frame.to]->mailbox().push(TimerEnvelope{std::move(frame.timer)});
+      // Timer expiry: runs on the owning process's thread like any handler,
+      // unless the incarnation that armed it has crashed since.
+      hosts_[frame.to]->mailbox().push(
+          TimerEnvelope{std::move(frame.timer), frame.epoch});
     } else {
       const bool delivered = hosts_[frame.to]->mailbox().push(
           DeliverEnvelope{frame.from, std::move(frame.encoded),
@@ -406,27 +391,6 @@ void ThreadNetwork::dispatcher_loop(std::stop_token st) {
       }
     }
     lock.lock();
-  }
-}
-
-void ThreadNetwork::write_async(Value v, WriteCallback done) {
-  TBR_ENSURE(started_, "start() the network first");
-  TBR_ENSURE(done != nullptr, "write_async needs a completion callback");
-  WriteEnvelope env{std::move(v), std::move(done)};
-  if (!hosts_[cfg_.writer]->mailbox().push(std::move(env))) {
-    // push() moves from its argument only on success, so this branch
-    // still owns the callback.
-    env.done(0, kShutdownStatus);
-  }
-}
-
-void ThreadNetwork::read_async(ProcessId reader, ReadCallback done) {
-  TBR_ENSURE(started_, "start() the network first");
-  TBR_ENSURE(reader < cfg_.n, "reader id out of range");
-  TBR_ENSURE(done != nullptr, "read_async needs a completion callback");
-  ReadEnvelope env{std::move(done)};
-  if (!hosts_[reader]->mailbox().push(std::move(env))) {
-    env.done(ReadResultT{}, kShutdownStatus);
   }
 }
 
@@ -443,21 +407,8 @@ void ThreadNetwork::record_fenced_drop() {
 void ThreadNetwork::recover(ProcessId pid) {
   TBR_ENSURE(pid < cfg_.n, "pid out of range");
   TBR_ENSURE(crashed(pid), "recover of a process that is not crashed");
-  std::function<std::unique_ptr<RegisterProcessBase>()> make;
-  if (opt_.recover_factory) {
-    make = [factory = opt_.recover_factory, cfg = cfg_, pid] {
-      return factory(cfg, pid);
-    };
-  } else {
-    TBR_ENSURE(opt_.algo == Algorithm::kTwoBit && !opt_.process_factory,
-               "recover needs Options::recover_factory");
-    make = [cfg = cfg_, pid]() -> std::unique_ptr<RegisterProcessBase> {
-      TwoBitOptions topt;
-      topt.recover_via_catchup = true;
-      return std::make_unique<TwoBitProcess>(cfg, pid, topt);
-    };
-  }
-  hosts_[pid]->mailbox().push(RecoverEnvelope{std::move(make)});
+  TBR_ENSURE(rejoin_ != nullptr, "recover needs Options::recover_factory");
+  hosts_[pid]->mailbox().push(RecoverEnvelope{});
 }
 
 bool ThreadNetwork::crashed(ProcessId pid) const {

@@ -8,25 +8,25 @@
 //
 // Hot-path design: encode buffers come from a recycled pool (take on send,
 // encode_into a warmed string, move the buffer through PendingFrame and
-// DeliverEnvelope to the receiver, recycle after decode), mailboxes are
-// ring-backed, and the callback client API keeps per-operation completion
-// inside std::function's inline storage — so a steady-state operation
-// allocates nothing in the runtime.
+// the delivery envelope to the receiver, recycle after decode), mailboxes
+// are ring-backed, and a client op travels to its process as its pooled
+// OpState pointer — so a steady-state operation allocates nothing in the
+// runtime.
 //
 // Client API: client() exposes the unified RegisterClient (pooled
-// Ticket/callback completions, uniform Status — see src/client/client.hpp);
-// it reaches steady-state zero allocations per operation in both shapes.
-// write_async/read_async are the raw callback path underneath it (callback
-// runs on the owning process's thread; do not block in it). The
-// promise-backed future wrappers this runtime once carried are gone —
-// client() is the one way in.
+// Ticket/callback completions, uniform Status — see src/client/client.hpp),
+// the one way in. The owning process's thread resolves every op it
+// accepts: with the protocol's result, kCrashed after a crash marker, or
+// kShutdown once the network stops.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,38 +34,20 @@
 #include "common/rng.hpp"
 #include "metrics/message_stats.hpp"
 #include "net/register_process.hpp"
-#include "runtime/mailbox.hpp"
 #include "workload/algorithms.hpp"
 
 namespace tbr {
 
 class ThreadNetwork {
  public:
-  struct Options {
-    GroupConfig cfg;
-    Algorithm algo = Algorithm::kTwoBit;
+  /// cfg, algo, process_factory and recover_factory (RegisterGroupOptions)
+  /// plus the delivery delay.
+  struct Options : RegisterGroupOptions {
     std::uint64_t seed = 1;
-    /// Uniform per-frame artificial delay before delivery, in microseconds.
-    /// max > min enables reordering; {0,0} is "as fast as possible".
-    std::uint32_t min_delay_us = 0;
+    /// Per-frame artificial delay before delivery, uniform in
+    /// [0, max_delay_us] microseconds. 0 is "as fast as possible"; anything
+    /// above enables reordering.
     std::uint32_t max_delay_us = 200;
-    /// Optional override: build each process yourself (e.g. wrap in a
-    /// ReliableLinkProcess). When set, `algo` is informational.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        process_factory;
-
-    /// >= 0: pin process p's thread to core pin_cpu_base + p and the
-    /// dispatcher to pin_cpu_base + n (mod hardware cores; best-effort).
-    /// Keeps per-process cache state warm and throughput runs reproducible.
-    int pin_cpu_base = -1;
-
-    /// Optional override for the incarnation built by recover(). Unset +
-    /// algo == kTwoBit: a TwoBitProcess with recover_via_catchup. Unset +
-    /// any other algorithm: recovery is unavailable.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        recover_factory;
   };
 
   explicit ThreadNetwork(Options options);
@@ -75,7 +57,8 @@ class ThreadNetwork {
 
   /// Launch all process threads and the dispatcher. Idempotent.
   void start();
-  /// Stop threads and reject further work. Idempotent; called by ~.
+  /// Stop threads and reject further work: every op in flight or queued
+  /// fails with kShutdown. Idempotent; called by ~.
   void stop();
 
   // ---- the unified client API ----------------------------------------------
@@ -84,23 +67,15 @@ class ThreadNetwork {
   /// owning process's thread. Steady state: zero allocations per op.
   RegisterClient& client() noexcept;
 
-  // ---- client fast path (allocation-free completion) -----------------------
-  /// Start a write at the writer process; `done(latency_ns, status)` runs
-  /// on the writer's thread when the operation completes (non-ok status:
-  /// the writer crashed or the network is shut down).
-  void write_async(Value v, WriteCallback done);
-  /// Start a read at `reader`; `done(result, status)` runs on the reader's
-  /// thread.
-  void read_async(ProcessId reader, ReadCallback done);
-
   /// Crash a process: it handles nothing after the marker is processed.
   void crash(ProcessId pid);
   bool crashed(ProcessId pid) const;
-  /// Rejoin a crashed process as a fresh incarnation (Options::
+  /// Rejoin a crashed process as a fresh incarnation (RegisterGroupOptions::
   /// recover_factory). Every channel touching it is re-established:
   /// in-flight frames stamped with the old channel epoch are dropped at
   /// delivery, exactly as a closed-and-reopened TCP connection would lose
-  /// them. The new incarnation starts (and catches up) on the loop thread.
+  /// them, and the old incarnation's timers never fire. The new
+  /// incarnation starts (and catches up) on the loop thread.
   void recover(ProcessId pid);
 
   MessageStats stats_snapshot() const;
@@ -116,7 +91,9 @@ class ThreadNetwork {
     ProcessId from = kNoProcess;
     ProcessId to = kNoProcess;
     std::string encoded;
-    std::uint32_t epoch = 0;  ///< channel epoch at send time (fencing)
+    /// Fencing stamp: the channel epoch at send time for a frame, the
+    /// arming incarnation of `to` for a timer.
+    std::uint32_t epoch = 0;
     /// Set => this entry is a timer expiry for `to`, not a frame.
     std::function<void()> timer;
     bool operator>(const PendingFrame& other) const {
@@ -126,7 +103,8 @@ class ThreadNetwork {
   };
 
   void dispatch(ProcessId from, ProcessId to, const Message& msg);
-  void schedule_timer(ProcessId pid, Tick delay, std::function<void()> fn);
+  void schedule_timer(ProcessId pid, std::uint32_t incarnation, Tick delay,
+                      std::function<void()> fn);
   void dispatcher_loop(std::stop_token st);
 
   /// Channel epochs, flattened [from * n + to]; see SimNetwork's matrix for
@@ -146,6 +124,7 @@ class ThreadNetwork {
 
   GroupConfig cfg_;
   Options opt_;
+  ProcessFactory rejoin_;  ///< builds recover()'s incarnations; may be empty
   std::vector<std::unique_ptr<ProcessHost>> hosts_;
   std::unique_ptr<ClientImpl> client_impl_;  // engine + RegisterClient
   std::unique_ptr<std::atomic<std::uint32_t>[]> chan_epoch_;  // n*n cells

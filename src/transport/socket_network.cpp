@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "core/twobit_process.hpp"
 #include "transport/event_loop.hpp"
 #include "transport/frame_buffer.hpp"
 #include "transport/tcp_socket.hpp"
@@ -50,7 +49,6 @@ class SocketNetwork::Loop {
     ProcessId peer = kNoProcess;  // kReattach: whose channel this is
     OwnedFd fd;                   // kReattach: the new connection
     bool pause = false;           // kReadPause
-    std::function<std::unique_ptr<RegisterProcessBase>()> make;  // kRecover
   };
 
   explicit Loop(SocketNetwork& net) : net_(net) {
@@ -356,10 +354,9 @@ class SocketNetwork::Node final : public NetworkContext {
     recompute_park();
   }
 
-  void handle_recover(
-      const std::function<std::unique_ptr<RegisterProcessBase>()>& make) {
+  void handle_recover() {
     TBR_ENSURE(crashed_, "recover of a process that is not crashed");
-    proc_ = make();
+    proc_ = net_.rejoin_(net_.cfg_, pid_);
     TBR_ENSURE(proc_ != nullptr, "recover factory returned null");
     crashed_ = false;
     crashed_flag_.store(false, std::memory_order_release);
@@ -581,7 +578,7 @@ void SocketNetwork::Loop::run_commands() {
         cmd.node->handle_reattach(cmd.peer, std::move(cmd.fd));
         break;
       case Command::Kind::kRecover:
-        cmd.node->handle_recover(cmd.make);
+        cmd.node->handle_recover();
         break;
       case Command::Kind::kReadPause:
         cmd.node->handle_read_pause(cmd.pause);
@@ -635,19 +632,17 @@ void SocketNetwork::Loop::run(std::stop_token st) {
 //
 // Issue = submit a Command carrying the OpState pointer to the owning
 // node's loop thread (which resolves it with a uniform Status); park =
-// block on the client pool's condition variable. Completion is guaranteed:
-// the loop's crash and shutdown paths fail every accepted command.
+// the pool's condition variable (ClientEngine's default). Completion is
+// guaranteed: the loop's crash and shutdown paths fail every accepted
+// command.
 
 class SocketNetwork::ClientImpl final : public RegisterClientEngine {
  public:
-  explicit ClientImpl(SocketNetwork& net) : net_(net), client_(*this) {}
+  explicit ClientImpl(SocketNetwork& net)
+      : net_(net), client_(*this, net.cfg_) {}
 
-  std::uint32_t client_nodes() const override { return net_.cfg_.n; }
-  ProcessId client_writer() const override { return net_.cfg_.writer; }
-
-  ProcessId client_pick_reader() override {
-    return rotor_.pick(net_.cfg_.n,
-                       [this](ProcessId r) { return net_.crashed(r); });
+  bool client_crashed(ProcessId pid) const override {
+    return net_.crashed(pid);
   }
 
   void client_issue(OpState& st) override {
@@ -661,31 +656,27 @@ class SocketNetwork::ClientImpl final : public RegisterClientEngine {
     }
   }
 
-  void client_park(OpState& st, OpPool& pool) override {
-    pool.block_until_ready(st);
-  }
-
   RegisterClient& client() noexcept { return client_; }
 
  private:
   SocketNetwork& net_;
-  ReaderRotor rotor_;
   RegisterClient client_;
 };
 
 // ---- SocketNetwork ------------------------------------------------------------------
 
 SocketNetwork::SocketNetwork(Options options)
-    : cfg_(options.cfg), opt_(std::move(options)), epoch_(Clock::now()) {
+    : cfg_(options.cfg),
+      opt_(std::move(options)),
+      rejoin_(rejoin_factory(opt_)),
+      epoch_(Clock::now()) {
   cfg_.validate();
   opt_.limits.validate();
   TBR_ENSURE(cfg_.n >= 2, "a socket mesh needs at least two processes");
   nodes_.reserve(cfg_.n);
   for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
-    auto proc = opt_.process_factory
-                    ? opt_.process_factory(cfg_, pid)
-                    : make_register_process(opt_.algo, cfg_, pid);
-    nodes_.push_back(std::make_unique<Node>(*this, pid, std::move(proc)));
+    nodes_.push_back(
+        std::make_unique<Node>(*this, pid, make_group_process(opt_, pid)));
   }
   const auto hw = std::max(1u, std::thread::hardware_concurrency());
   std::uint32_t count =
@@ -787,20 +778,7 @@ void SocketNetwork::recover(ProcessId pid) {
   TBR_ENSURE(pid < cfg_.n, "pid out of range");
   TBR_ENSURE(started_ && !stopped_, "recover needs a running network");
   TBR_ENSURE(crashed(pid), "recover of a process that is not crashed");
-  std::function<std::unique_ptr<RegisterProcessBase>()> make;
-  if (opt_.recover_factory) {
-    make = [factory = opt_.recover_factory, cfg = cfg_, pid] {
-      return factory(cfg, pid);
-    };
-  } else {
-    TBR_ENSURE(opt_.algo == Algorithm::kTwoBit && !opt_.process_factory,
-               "recover needs Options::recover_factory");
-    make = [cfg = cfg_, pid]() -> std::unique_ptr<RegisterProcessBase> {
-      TwoBitOptions topt;
-      topt.recover_via_catchup = true;
-      return std::make_unique<TwoBitProcess>(cfg, pid, topt);
-    };
-  }
+  TBR_ENSURE(rejoin_ != nullptr, "recover needs Options::recover_factory");
   // Re-mesh: a brand-new TCP connection per live peer. The rejoiner adopts
   // its ends first (FIFO per loop command queue), so they are in place
   // before the recover command runs on_start (which broadcasts CATCHUP on
@@ -824,7 +802,6 @@ void SocketNetwork::recover(ProcessId pid) {
   Loop::Command reborn;
   reborn.kind = Loop::Command::Kind::kRecover;
   reborn.node = nodes_[pid].get();
-  reborn.make = std::move(make);
   nodes_[pid]->loop().submit(std::move(reborn));
 }
 

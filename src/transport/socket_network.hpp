@@ -60,22 +60,9 @@ namespace tbr {
 
 class SocketNetwork {
  public:
-  struct Options {
-    GroupConfig cfg;
-    Algorithm algo = Algorithm::kTwoBit;
-    /// Optional override: build each process yourself (e.g. wrap in a
-    /// ReliableLinkProcess). When set, `algo` is informational.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        process_factory;
-
-    /// Optional override for the incarnation built by recover(). Unset +
-    /// algo == kTwoBit: a TwoBitProcess with recover_via_catchup. Unset +
-    /// any other algorithm: recovery is unavailable.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        recover_factory;
-
+  /// cfg, algo, process_factory and recover_factory (RegisterGroupOptions)
+  /// plus the loop and buffer knobs.
+  struct Options : RegisterGroupOptions {
     /// Event-loop threads. 0 = auto: min(n, hardware concurrency).
     /// Processes shard onto loops by pid % loops.
     std::uint32_t loops = 0;
@@ -112,7 +99,7 @@ class SocketNetwork {
   /// Crash a process: its loop closes every socket and ignores the rest.
   void crash(ProcessId pid);
   bool crashed(ProcessId pid) const;
-  /// Rejoin a crashed process as a fresh incarnation (Options::
+  /// Rejoin a crashed process as a fresh incarnation (RegisterGroupOptions::
   /// recover_factory): a brand-new TCP connection per live peer (whatever
   /// the old connections still held dies with them), then the new process
   /// starts on the loop thread and catches up from peer checkpoints.
@@ -142,6 +129,7 @@ class SocketNetwork {
 
   GroupConfig cfg_;
   Options opt_;
+  ProcessFactory rejoin_;  ///< builds recover()'s incarnations; may be empty
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Loop>> loops_;
   std::unique_ptr<ClientImpl> client_impl_;  // engine + RegisterClient

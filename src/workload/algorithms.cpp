@@ -66,15 +66,20 @@ std::unique_ptr<RegisterProcessBase> make_register_process(Algorithm algo,
   return {};
 }
 
-std::vector<std::unique_ptr<ProcessBase>> make_register_group(
-    Algorithm algo, const GroupConfig& cfg) {
-  cfg.validate();
-  std::vector<std::unique_ptr<ProcessBase>> group;
-  group.reserve(cfg.n);
-  for (ProcessId pid = 0; pid < cfg.n; ++pid) {
-    group.push_back(make_register_process(algo, cfg, pid));
-  }
-  return group;
+std::unique_ptr<RegisterProcessBase> make_group_process(
+    const RegisterGroupOptions& opt, ProcessId pid) {
+  return opt.process_factory ? opt.process_factory(opt.cfg, pid)
+                             : make_register_process(opt.algo, opt.cfg, pid);
+}
+
+ProcessFactory rejoin_factory(const RegisterGroupOptions& opt) {
+  if (opt.recover_factory) return opt.recover_factory;
+  if (opt.algo != Algorithm::kTwoBit || opt.process_factory) return {};
+  return [](const GroupConfig& cfg, ProcessId pid) {
+    TwoBitOptions topt;
+    topt.recover_via_catchup = true;
+    return std::make_unique<TwoBitProcess>(cfg, pid, topt);
+  };
 }
 
 }  // namespace tbr

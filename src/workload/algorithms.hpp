@@ -1,4 +1,6 @@
-// Registry of the four register implementations Table 1 compares.
+// Registry of the register implementations (the four Table 1 compares and
+// the two fast-path read engines), and the process-building policy the
+// sim, threaded and socket register engines share.
 #pragma once
 
 #include <memory>
@@ -34,8 +36,29 @@ std::unique_ptr<RegisterProcessBase> make_register_process(Algorithm algo,
                                                            GroupConfig cfg,
                                                            ProcessId self);
 
-/// Build the full group (index i = process i).
-std::vector<std::unique_ptr<ProcessBase>> make_register_group(
-    Algorithm algo, const GroupConfig& cfg);
+/// What the sim, threaded and socket register engines' Options share: the
+/// group, its protocol, and how to build its processes.
+struct RegisterGroupOptions {
+  GroupConfig cfg;
+  Algorithm algo = Algorithm::kTwoBit;
+  /// Optional override: build each process yourself (e.g. wrap in a
+  /// ReliableLinkProcess). When set, `algo` is informational.
+  ProcessFactory process_factory;
+  /// Optional override for the incarnation built by recover(). Unset, a
+  /// plain two-bit group (algo == kTwoBit, no process_factory) rejoins as
+  /// a TwoBitProcess that catches up from peer checkpoints; any other
+  /// group cannot recover.
+  ProcessFactory recover_factory;
+};
+
+/// Process `pid` of the group: from `opt.process_factory` when set, else
+/// an instance of `opt.algo`.
+std::unique_ptr<RegisterProcessBase> make_group_process(
+    const RegisterGroupOptions& opt, ProcessId pid);
+
+/// The factory recover() uses for a rejoining process (see
+/// RegisterGroupOptions::recover_factory); empty when the group cannot
+/// recover.
+ProcessFactory rejoin_factory(const RegisterGroupOptions& opt);
 
 }  // namespace tbr

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/twobit_process.hpp"
-
 namespace tbr {
 
 // ---- ClientImpl: the unified client API over the simulator -------------------
@@ -17,15 +15,11 @@ namespace tbr {
 
 class SimRegisterGroup::ClientImpl final : public RegisterClientEngine {
  public:
-  ClientImpl(SimNetwork& net, GroupConfig cfg)
-      : net_(&net), cfg_(std::move(cfg)), client_(*this) {}
+  ClientImpl(SimNetwork& net, const GroupConfig& cfg)
+      : net_(&net), client_(*this, cfg) {}
 
-  std::uint32_t client_nodes() const override { return cfg_.n; }
-  ProcessId client_writer() const override { return cfg_.writer; }
-
-  ProcessId client_pick_reader() override {
-    return rotor_.pick(cfg_.n,
-                       [this](ProcessId r) { return net_->crashed(r); });
+  bool client_crashed(ProcessId pid) const override {
+    return net_->crashed(pid);
   }
 
   void client_issue(OpState& st) override {
@@ -70,8 +64,6 @@ class SimRegisterGroup::ClientImpl final : public RegisterClientEngine {
 
  private:
   SimNetwork* net_;
-  GroupConfig cfg_;
-  ReaderRotor rotor_;
   RegisterClient client_;
 };
 
@@ -88,7 +80,7 @@ RegisterClient& SimRegisterGroup::client() {
 }
 
 SimRegisterGroup::SimRegisterGroup(Options options)
-    : cfg_(std::move(options.cfg)), algo_(options.algo) {
+    : cfg_(options.cfg), algo_(options.algo) {
   cfg_.validate();
   SimNetwork::Options net_opt;
   net_opt.seed = options.seed;
@@ -98,27 +90,14 @@ SimRegisterGroup::SimRegisterGroup(Options options)
   net_opt.service_time = options.service_time;
   net_opt.service_loops = options.service_loops;
   net_opt.track_in_flight = options.track_in_flight;
-  if (options.recover_factory) {
-    net_opt.recover_factory = [cfg = cfg_,
-                               make = std::move(options.recover_factory)](
-                                  ProcessId pid) {
-      return make(cfg, pid);
-    };
-  } else if (algo_ == Algorithm::kTwoBit && !options.process_factory) {
-    net_opt.recover_factory = [cfg = cfg_](ProcessId pid) {
-      TwoBitOptions opt;
-      opt.recover_via_catchup = true;
-      return std::make_unique<TwoBitProcess>(cfg, pid, opt);
-    };
+  if (ProcessFactory rejoin = rejoin_factory(options)) {
+    net_opt.recover_factory = [cfg = cfg_, rejoin = std::move(rejoin)](
+                                  ProcessId pid) { return rejoin(cfg, pid); };
   }
   std::vector<std::unique_ptr<ProcessBase>> group;
-  if (options.process_factory) {
-    group.reserve(cfg_.n);
-    for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
-      group.push_back(options.process_factory(cfg_, pid));
-    }
-  } else {
-    group = make_register_group(algo_, cfg_);
+  group.reserve(cfg_.n);
+  for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
+    group.push_back(make_group_process(options, pid));
   }
   net_ = std::make_unique<SimNetwork>(std::move(group), std::move(net_opt));
 }

@@ -19,17 +19,12 @@ namespace tbr {
 
 class SimRegisterGroup {
  public:
-  struct Options {
-    GroupConfig cfg;
-    Algorithm algo = Algorithm::kTwoBit;
+  /// cfg, algo, process_factory and recover_factory (RegisterGroupOptions)
+  /// plus the simulator's knobs.
+  struct Options : RegisterGroupOptions {
     std::uint64_t seed = 1;
     /// nullptr => ConstantDelay(kDefaultDelta).
     std::unique_ptr<DelayModel> delay;
-    /// Optional override: build each process yourself (e.g. TwoBitProcess
-    /// with non-default TwoBitOptions). When set, `algo` is informational.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        process_factory;
 
     /// OUT-OF-MODEL loss injection (see SimNetwork::Options::loss_rate);
     /// keep 0 except for the D8 model-boundary experiment.
@@ -45,14 +40,6 @@ class SimRegisterGroup {
     /// Maintain the in-flight frame registry (SimNetwork::Options::
     /// track_in_flight); required by the P1 channel-invariant observer.
     bool track_in_flight = false;
-
-    /// Optional override for the incarnation built by recover()/recover_at.
-    /// Unset + algo == kTwoBit: a TwoBitProcess with recover_via_catchup
-    /// (it bootstraps from a peer checkpoint). Unset + any other algorithm:
-    /// recovery is unavailable.
-    std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                       ProcessId)>
-        recover_factory;
   };
   static constexpr Tick kDefaultDelta = 1000;
 
@@ -81,9 +68,10 @@ class SimRegisterGroup {
   // ---- environment ---------------------------------------------------------------
   void crash(ProcessId pid);            ///< immediately
   void crash_at(ProcessId pid, Tick t);
-  /// Rejoin a crashed pid as a fresh incarnation (see Options::
-  /// recover_factory). The rejoiner catches up from peer checkpoints; client
-  /// reads routed to it while it bootstraps are deferred, not refused.
+  /// Rejoin a crashed pid as a fresh incarnation (see
+  /// RegisterGroupOptions::recover_factory). The rejoiner catches up from
+  /// peer checkpoints; client reads routed to it while it bootstraps are
+  /// deferred, not refused.
   void recover(ProcessId pid);
   void recover_at(ProcessId pid, Tick t);
   SimNetwork& net() noexcept { return *net_; }

@@ -14,7 +14,7 @@
 // Protocol state that grows by design (the two-bit register's history)
 // is kept inside its current capacity chunk by the warmup/window sizing —
 // growth of protocol state is not runtime overhead and is measured
-// separately by bench_engine_hotpath.
+// separately by bench_local_memory.
 
 #include <gtest/gtest.h>
 

@@ -22,7 +22,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kvstore/kv_store.hpp"
@@ -321,24 +324,66 @@ TEST(ClientConformance, CallbackModeAutoRecyclesAndReportsStatus) {
   });
 }
 
-TEST(ClientConformance, ThreadedShutdownReportsShutdownStatus) {
-  auto net = make_thread_net();
-  (void)net->client().write_sync(Value::from_int64(1));
-  net->stop();
-  const OpResult w = net->client().write_sync(Value::from_int64(2));
-  EXPECT_EQ(w.status.code(), StatusCode::kShutdown);
-  const OpResult r = net->client().read_sync(1);
-  EXPECT_EQ(r.status.code(), StatusCode::kShutdown);
+/// stop() with a deep pipelined chain in flight. Every op must resolve:
+/// kOk if it finished first, kShutdown otherwise. Failing the chain
+/// cascades through synchronous complete_failed() calls, so it must unwind
+/// as a loop: with a stack frame per queued op, 20k ops would overflow.
+/// Later ops are refused with kShutdown.
+void run_shutdown_script(RegisterClient& client,
+                         const std::function<void()>& stop) {
+  ASSERT_TRUE(client.write_sync(Value::from_int64(1)).status.ok());
+  constexpr std::size_t kOps = 20'000;
+  std::vector<RegisterOp> ops(kOps);
+  for (auto& op : ops) {
+    op.kind = OpKind::kWrite;
+    op.value = Value::from_int64(2);
+  }
+  std::vector<Ticket> tickets(kOps);
+  ASSERT_EQ(client.submit(ops, tickets.data()), kOps);
+  stop();
+  // Poll rather than wait(): an op the engine strands would block wait()
+  // forever, and the deadline turns that into a failed assertion.
+  std::vector<bool> resolved(kOps, false);
+  std::size_t pending = kOps;
+  std::size_t ok = 0;
+  std::size_t shutdown = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pending > 0 && std::chrono::steady_clock::now() < deadline) {
+    for (std::size_t k = 0; k < kOps; ++k) {
+      OpResult r;
+      if (resolved[k] || !client.try_result(tickets[k], r)) continue;
+      resolved[k] = true;
+      --pending;
+      if (r.status.ok()) {
+        ++ok;
+      } else if (r.status.code() == StatusCode::kShutdown) {
+        ++shutdown;
+      }
+    }
+    if (pending > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // A stranded op also wedges its process's chain, so a later op on it
+  // would block: stop here.
+  ASSERT_EQ(pending, 0u) << "stop() stranded in-flight or chained ops";
+  EXPECT_EQ(ok + shutdown, kOps) << "every op is kOk or kShutdown";
+  EXPECT_GT(shutdown, 0u) << "stop() should fail most of the chain";
+  EXPECT_EQ(client.write_sync(Value::from_int64(3)).status.code(),
+            StatusCode::kShutdown);
+  EXPECT_EQ(client.read_sync(1).status.code(), StatusCode::kShutdown);
 }
 
-TEST(ClientConformance, SocketShutdownReportsShutdownStatus) {
-  auto net = make_socket_net();
-  (void)net->client().write_sync(Value::from_int64(1));
-  net->stop();
-  const OpResult w = net->client().write_sync(Value::from_int64(2));
-  EXPECT_EQ(w.status.code(), StatusCode::kShutdown);
-  const OpResult r = net->client().read_sync(1);
-  EXPECT_EQ(r.status.code(), StatusCode::kShutdown);
+TEST(ClientConformance, ShutdownResolvesEveryPipelinedOpOnWallClockEngines) {
+  {
+    SCOPED_TRACE("threaded");
+    auto net = make_thread_net();
+    run_shutdown_script(net->client(), [&net] { net->stop(); });
+  }
+  {
+    SCOPED_TRACE("socket");
+    auto sock = make_socket_net();
+    run_shutdown_script(sock->client(), [&sock] { sock->stop(); });
+  }
 }
 
 TEST(ClientConformance, ShardedShutdownReportsShutdownStatus) {

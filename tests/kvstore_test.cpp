@@ -166,7 +166,7 @@ struct PutProbe {
   std::uint64_t gauge_peak = 0;
 };
 
-PutProbe run_put_probe(MuxProcess::SlotFactory factory = {}) {
+PutProbe run_put_probe(ProcessFactory factory = {}) {
   constexpr int kPuts = 32 * 1024;
   KvStore::Options opt;
   opt.n = 3;

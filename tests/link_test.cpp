@@ -258,9 +258,7 @@ TEST(ReliableLink, DuplicateDataIsSuppressedAndReAcked) {
 
 // ---- the register over the link ---------------------------------------------------
 
-std::function<std::unique_ptr<RegisterProcessBase>(const GroupConfig&,
-                                                   ProcessId)>
-linked_twobit_factory(LinkOptions lopt = LinkOptions()) {
+ProcessFactory linked_twobit_factory(LinkOptions lopt = LinkOptions()) {
   return [lopt](const GroupConfig& cfg, ProcessId pid) {
     return std::make_unique<ReliableLinkProcess>(
         cfg, pid, std::make_unique<TwoBitProcess>(cfg, pid), lopt);

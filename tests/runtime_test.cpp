@@ -29,7 +29,6 @@ ThreadNetwork::Options net_options(Algorithm algo, std::uint32_t n,
   ThreadNetwork::Options opt;
   opt.cfg = make_cfg(n, t);
   opt.algo = algo;
-  opt.min_delay_us = 0;
   opt.max_delay_us = 100;
   return opt;
 }

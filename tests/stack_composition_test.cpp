@@ -23,7 +23,7 @@
 namespace tbr {
 namespace {
 
-MuxProcess::SlotFactory linked_factory(Algorithm algo) {
+ProcessFactory linked_factory(Algorithm algo) {
   return [algo](const GroupConfig& cfg, ProcessId pid) {
     return std::make_unique<ReliableLinkProcess>(
         cfg, pid, make_register_process(algo, cfg, pid));

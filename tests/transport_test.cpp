@@ -192,44 +192,6 @@ TEST(SocketNetworkTest, StopIsIdempotentAndDestructorSafe) {
   net.stop();
 }
 
-TEST(SocketNetworkTest, ShutdownDrainsDeepPipelinedChainIteratively) {
-  // Regression: a pipelined chain unwinding at shutdown cascades through
-  // synchronous complete_failed() calls — with mutual recursion that is a
-  // stack frame per queued op, and 20k ops would overflow; the client's
-  // deferred-issue drain must unwind it as a loop.
-  SocketNetwork net(net_options(Algorithm::kTwoBit, 3, 1));
-  net.start();
-  constexpr std::size_t kOps = 20'000;
-  std::vector<RegisterOp> ops(kOps);
-  for (auto& op : ops) {
-    op.kind = OpKind::kWrite;
-    op.value = Value::from_int64(1);
-  }
-  std::vector<Ticket> tickets(kOps);
-  ASSERT_EQ(net.client().submit(ops, tickets.data()), kOps);
-  net.stop();
-  std::size_t completed = 0;
-  for (const Ticket& t : tickets) {
-    const OpResult r = net.client().wait(t);
-    if (r.status.ok()) {
-      ++completed;
-    } else {
-      EXPECT_EQ(r.status.code(), StatusCode::kShutdown);
-    }
-  }
-  EXPECT_LT(completed, kOps) << "stop() should strand most of the chain";
-}
-
-TEST(SocketNetworkTest, ShutdownReportsShutdownStatus) {
-  SocketNetwork net(net_options(Algorithm::kTwoBit, 3, 1));
-  net.start();
-  ASSERT_TRUE(net.client().write_sync(Value::from_int64(1)).status.ok());
-  net.stop();
-  EXPECT_EQ(net.client().write_sync(Value::from_int64(2)).status.code(),
-            StatusCode::kShutdown);
-  EXPECT_EQ(net.client().read_sync(1).status.code(), StatusCode::kShutdown);
-}
-
 TEST(SocketNetworkTest, LinkDecoratorComposesOverTcp) {
   // TCP is already reliable, so the link's sequencing must be exactly-once
   // pass-through (no retransmissions); this exercises the timer path of

@@ -16,11 +16,8 @@
 namespace tbr {
 namespace {
 
-using Factory = std::function<std::unique_ptr<RegisterProcessBase>(
-    const GroupConfig&, ProcessId)>;
-
-CheckStats run_and_analyze(const Factory& factory, std::uint64_t seed,
-                           std::uint32_t n = 5) {
+CheckStats run_and_analyze(const ProcessFactory& factory,
+                           std::uint64_t seed, std::uint32_t n = 5) {
   SimRegisterGroup::Options engine;
   engine.cfg.n = n;
   engine.cfg.t = (n - 1) / 2;
@@ -46,13 +43,14 @@ CheckStats run_and_analyze(const Factory& factory, std::uint64_t seed,
   return SwmrChecker::analyze(result.ops, result.initial);
 }
 
-Factory twobit_factory(TwoBitOptions options) {
+ProcessFactory twobit_factory(TwoBitOptions options) {
   return [options](const GroupConfig& cfg, ProcessId pid) {
     return std::make_unique<TwoBitProcess>(cfg, pid, options);
   };
 }
 
-CheckStats sweep(const Factory& factory, int seeds, std::uint32_t n = 5) {
+CheckStats sweep(const ProcessFactory& factory, int seeds,
+                 std::uint32_t n = 5) {
   CheckStats total;
   for (int s = 0; s < seeds; ++s) {
     const auto stats =
@@ -152,7 +150,7 @@ TEST(WaitAblation, FaithfulAbdWriteBackPreventsInversion) {
 }
 
 TEST(WaitAblation, RegularAbdIsRegularOnRandomSweep) {
-  const Factory factory = [](const GroupConfig& cfg, ProcessId pid) {
+  const ProcessFactory factory = [](const GroupConfig& cfg, ProcessId pid) {
     return make_abd_regular_process(cfg, pid);
   };
   const auto stats = sweep(factory, 20);
@@ -164,7 +162,7 @@ TEST(WaitAblation, RegularAbdIsRegularOnRandomSweep) {
 }
 
 TEST(WaitAblation, FullAbdSweepStaysAtomic) {
-  const Factory factory = [](const GroupConfig& cfg, ProcessId pid) {
+  const ProcessFactory factory = [](const GroupConfig& cfg, ProcessId pid) {
     return make_abd_unbounded_process(cfg, pid);
   };
   const auto stats = sweep(factory, 12);
@@ -172,7 +170,7 @@ TEST(WaitAblation, FullAbdSweepStaysAtomic) {
 }
 
 TEST(WaitAblation, RegularAbdStillSatisfiesRegularPredicate) {
-  const Factory factory = [](const GroupConfig& cfg, ProcessId pid) {
+  const ProcessFactory factory = [](const GroupConfig& cfg, ProcessId pid) {
     return make_abd_regular_process(cfg, pid);
   };
   for (std::uint64_t s = 0; s < 8; ++s) {

@@ -245,7 +245,6 @@ TEST(ThreadRecovery, CrashedProcessRejoinsAndServesReads) {
   ThreadNetwork::Options opt;
   opt.cfg = make_cfg(3);
   opt.algo = Algorithm::kTwoBit;
-  opt.min_delay_us = 0;
   opt.max_delay_us = 100;
   ThreadNetwork net(opt);
   net.start();

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gates, stdlib-only. Run from anywhere: paths resolve from the repo root.
 
-Two checks, both fast enough for a pre-commit reflex:
+Three checks, all fast enough for a pre-commit reflex:
 
 1. Link check: every relative markdown link in README.md and docs/*.md
    must resolve to a file or directory inside the repo. External
@@ -13,6 +13,10 @@ Two checks, both fast enough for a pre-commit reflex:
    a table row in docs/operations.md must appear as an identifier
    somewhere under src/. Docs cannot name a knob the code no longer
    (or never) had.
+
+3. Bench name gate: every code-quoted `bench_<name>` or
+   `BENCH_<name>.json` in README.md and docs/*.md must name an existing
+   bench/bench_<name>.cpp. Docs cannot cite a deleted bench or its JSON.
 
 Exit code 0 = clean; 1 = any failure, each printed on its own line.
 """
@@ -28,6 +32,10 @@ SRC = REPO / "src"
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # | `knob_name` | ... — first cell of a table row, code-quoted.
 KNOB_RE = re.compile(r"^\|\s*`([A-Za-z_][A-Za-z0-9_]*)`\s*\|")
+# A code span, and a bench named inside one (wildcards such as `bench_*`
+# or `BENCH_<name>.json` name no bench and do not match).
+CODE_RE = re.compile(r"`([^`\n]+)`")
+BENCH_RE = re.compile(r"\bbench_([a-z0-9_]+)|\bBENCH_([a-z0-9_]+)\.json")
 
 
 def md_files():
@@ -77,15 +85,28 @@ def check_knobs():
     return failures
 
 
+def check_bench_names():
+    failures = []
+    for md in md_files():
+        for span in CODE_RE.findall(md.read_text(encoding="utf-8")):
+            for binary, json_name in BENCH_RE.findall(span):
+                name = binary or json_name
+                if not (REPO / "bench" / f"bench_{name}.cpp").exists():
+                    failures.append(
+                        f"{md.relative_to(REPO)}: `{span}` names no "
+                        f"bench/bench_{name}.cpp")
+    return failures
+
+
 def main():
-    failures = check_links() + check_knobs()
+    failures = check_links() + check_knobs() + check_bench_names()
     for f in failures:
         print(f"FAIL {f}")
     if failures:
         return 1
     n_files = sum(1 for _ in md_files())
     print(f"docs OK: {n_files} markdown files, links resolve, "
-          f"operations.md knobs all exist under src/")
+          f"operations.md knobs all exist under src/, cited benches exist")
     return 0
 
 
