@@ -1,33 +1,20 @@
-// Experiment T1.L4 — local memory per process.
-//
-// Paper: unbounded (grows with #writes) | O(n^6) | O(n^5) | unbounded.
-// Sweep (a): bytes vs n after a fixed write count — the bounded baselines'
-// modeled label stores grow polynomially, twobit/abd stay flat in n (up to
-// the O(n) w_sync vectors). Sweep (b): bytes vs #writes at fixed n — the
-// twobit history grows linearly (its cost for constant-size messages),
-// abd-unbounded stays O(1), the bounded stores are flat. Then the bounded
-// two-bit mode (known-prefix GC on w_sync alone, no extra frames): a
-// register group, and the KV store that runs it by default, each against
-// the faithful protocol.
+// Bounded two-bit memory. Table 1 line 4 (bench_table1) shows the faithful
+// two-bit history growing linearly in the number of writes, the cost of
+// constant-size messages. Known-prefix GC on w_sync alone caps it with no
+// extra frames: this bench gates that on a register group, and on the KV
+// store that runs it by default against the faithful protocol. --soak
+// runs both over a long virtual-time horizon.
 #include "bench_common.hpp"
 
 #include <cstring>
 #include <string>
 
-#include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "core/twobit_process.hpp"
 #include "kvstore/kv_store.hpp"
 
 namespace tbr::bench {
 namespace {
-
-std::uint64_t memory_after(Algorithm algo, std::uint32_t n, int writes) {
-  auto group = make_group(algo, n);
-  for (int k = 1; k <= writes; ++k) group.client().write_sync(Value::from_int64(k));
-  group.settle();
-  return group.process(1).local_memory_bytes();
-}
 
 SimRegisterGroup make_bounded_group(std::uint32_t n) {
   SimRegisterGroup::Options opt;
@@ -256,57 +243,11 @@ int run_soak() {
 }
 
 int run() {
-  print_header("Table 1 line 4: local memory per process (bytes)",
-               "unbounded (in #writes) | O(n^6) | O(n^5) | unbounded");
-
-  std::cout << "-- sweep over n (16 writes each) --\n";
-  {
-    std::vector<std::string> header = {"n"};
-    for (const auto algo : all_algorithms()) {
-      header.push_back(algorithm_name(algo));
-    }
-    header.push_back("n^5/8");
-    header.push_back("n^6/8");
-    TextTable table(header);
-    for (const std::uint32_t n : {3u, 5u, 7u, 9u, 13u}) {
-      std::vector<std::string> row = {std::to_string(n)};
-      for (const auto algo : all_algorithms()) {
-        row.push_back(format_count(memory_after(algo, n, 16)));
-      }
-      row.push_back(format_count(pow_saturating(n, 5) / 8));
-      row.push_back(format_count(pow_saturating(n, 6) / 8));
-      table.add_row(std::move(row));
-    }
-    std::cout << table.render() << "\n";
-  }
-
-  std::cout << "-- sweep over #writes (n = 5) --\n";
-  {
-    std::vector<std::string> header = {"#writes"};
-    for (const auto algo : all_algorithms()) {
-      header.push_back(algorithm_name(algo));
-    }
-    TextTable table(header);
-    for (const int writes : {1, 64, 512, 4096}) {
-      std::vector<std::string> row = {
-          format_count(static_cast<std::uint64_t>(writes))};
-      for (const auto algo : all_algorithms()) {
-        row.push_back(format_count(memory_after(algo, 5, writes)));
-      }
-      table.add_row(std::move(row));
-    }
-    std::cout << table.render() << "\n";
-  }
+  print_header("Bounded two-bit memory per process (bytes)",
+               "Table 1 line 4 leaves two-bit memory unbounded; GC on "
+               "w_sync caps it with the same frames");
   const bool bounded = run_bounded_projection();
   const bool kv = run_kv_projection();
-
-  std::cout
-      << "twobit trades local memory (the full history, linear in #writes)\n"
-      << "for 2-bit messages — unless known-prefix GC is on (the KV store\n"
-      << "default), which caps the history at O(lag) with the same frames;\n"
-      << "abd-unbounded keeps one value; the bounded baselines pay\n"
-      << "polynomial-in-n label stores (modeled sizes, see DESIGN.md\n"
-      << "section 4).\n";
   return bounded && kv ? 0 : 1;
 }
 

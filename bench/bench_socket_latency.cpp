@@ -4,7 +4,7 @@
 // the systems sanity check for the socket runtime: real kernel round
 // trips, real framing. The Δ-denominated claims (2Δ writes / ≤4Δ reads vs
 // 12-18Δ for the bounded baselines) are measured exactly in
-// bench_time_complexity on the simulator; here the same relative ordering
+// bench_table1 (lines 5-6) on the simulator; here the same relative ordering
 // should appear as wall-clock microseconds, modulo scheduler noise.
 #include <benchmark/benchmark.h>
 

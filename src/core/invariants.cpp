@@ -1,10 +1,16 @@
 #include "core/invariants.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 namespace tbr {
-
 namespace {
+
+std::string pij(const char* what, ProcessId i, ProcessId j) {
+  return std::string(what) + " (i=" + std::to_string(i) +
+         ", j=" + std::to_string(j) + ")";
+}
+
 // The cross-process lemmas quantify over executions of the *published*
 // protocol. A crash-rejoin (recover_via_catchup) replaces a process with a
 // fresh incarnation and resets the channels touching it: counters restart
@@ -16,7 +22,154 @@ bool pair_relaxed(const std::vector<const TwoBitProcess*>& ps, ProcessId i,
                   ProcessId j) {
   return ps[i]->has_recovered() || ps[j]->has_recovered();
 }
+
 }  // namespace
+
+std::string check_twobit_state_invariants(
+    const std::vector<const TwoBitProcess*>& ps,
+    const std::vector<InFlightFrame>& in_flight) {
+  const auto n = static_cast<ProcessId>(ps.size());
+
+  // Lemmas 2 and 3. Lemma 3 survives rejoin unconditionally: a server's
+  // optimistic entry for a rejoiner equals its own head, and a rejoiner
+  // adopts before it records larger peer checkpoints.
+  for (ProcessId i = 0; i < n; ++i) {
+    SeqNo row_max = 0;
+    for (ProcessId j = 0; j < n; ++j) {
+      row_max = std::max(row_max, ps[i]->wsync(j));
+      if (!pair_relaxed(ps, i, j) &&
+          ps[i]->wsync(i) < ps[j]->wsync(i)) {
+        return pij("Lemma 2 violated: w_sync_i[i] < w_sync_j[i]", i, j);
+      }
+    }
+    if (ps[i]->wsync(i) != row_max) {
+      return "Lemma 3 violated: w_sync_i[i] is not the row max (i=" +
+             std::to_string(i) + ")";
+    }
+  }
+
+  // Lemma 4, base-aware: every process retains [history_base, w_sync_i[i]],
+  // its head never passes the writer's, and it agrees with the writer's
+  // history wherever the retained ranges overlap. With GC and checkpoints
+  // off the bases are 0 and this is the literal prefix property. The
+  // writer never rejoins, so its history is the reference in every run.
+  const TwoBitProcess& writer = *ps[ps.front()->config().writer];
+  const auto writer_hist = writer.history();
+  const SeqNo writer_base = writer.history_base();
+  const SeqNo writer_head =
+      writer_base + static_cast<SeqNo>(writer_hist.size()) - 1;
+  for (ProcessId i = 0; i < n; ++i) {
+    const auto hist = ps[i]->history();
+    const SeqNo base = ps[i]->history_base();
+    const SeqNo head = base + static_cast<SeqNo>(hist.size()) - 1;
+    if (head != ps[i]->wsync(i)) {
+      return "history head out of sync with w_sync_i[i] (i=" +
+             std::to_string(i) + ")";
+    }
+    if (head > writer_head) {
+      return "Lemma 4 violated: history head passes the writer's (i=" +
+             std::to_string(i) + ")";
+    }
+    const SeqNo lo = std::max(base, writer_base);
+    for (SeqNo x = lo; x <= head; ++x) {
+      if (!(hist[static_cast<std::size_t>(x - base)] ==
+            writer_hist[static_cast<std::size_t>(x - writer_base)])) {
+        return "Lemma 4 violated: divergent histories at index " +
+               std::to_string(x) + " (i=" + std::to_string(i) + ")";
+      }
+    }
+  }
+
+  // GC soundness: a process may discard only prefixes every process has
+  // already applied (that is the known-prefix checkpoint contract —
+  // base_i <= watermark_i <= known_i(j) <= w_sync_j[j] for all j). The
+  // window ablation violates this the moment it evicts an entry a lagging
+  // peer still needs; lawful bounded GC never does. Rejoined processes are
+  // exempt on both sides: a rejoiner's base is an adopted checkpoint (it
+  // never held the earlier entries), and its own head restarts below live
+  // bases until catch-up completes.
+  {
+    SeqNo min_head = -1;
+    for (ProcessId j = 0; j < n; ++j) {
+      if (ps[j]->has_recovered()) continue;
+      const SeqNo head = ps[j]->wsync(j);
+      if (min_head < 0 || head < min_head) min_head = head;
+    }
+    for (ProcessId i = 0; i < n && min_head >= 0; ++i) {
+      if (ps[i]->has_recovered()) continue;
+      if (ps[i]->history_base() > min_head) {
+        return "GC soundness violated: p" + std::to_string(i) +
+               " evicted history entries a lagging peer still needs "
+               "(base=" + std::to_string(ps[i]->history_base()) +
+               " > min head=" + std::to_string(min_head) + ")";
+      }
+    }
+  }
+
+  // Without a rejoin, GC never reclaims a value a catch-up needs, so no
+  // process skips one, and Lemma 5 below holds exactly in bounded mode.
+  const bool any_recovered =
+      std::any_of(ps.begin(), ps.end(),
+                  [](const TwoBitProcess* p) { return p->has_recovered(); });
+  for (ProcessId i = 0; i < n && !any_recovered; ++i) {
+    if (ps[i]->superseded_sends() != 0) {
+      return "GC skipped a catch-up without a rejoin (i=" +
+             std::to_string(i) + ")";
+    }
+  }
+
+  // Lemma 5. R1: w_sync_i[i] = w_sync_i[j] = x => i sent exactly x frames
+  // to j. R2: w_sync_i[i] > w_sync_i[j] = x => i sent exactly x+1 frames to
+  // j. The lemma quantifies over correct i and unrelaxed channels.
+  for (ProcessId i = 0; i < n; ++i) {
+    if (ps[i]->crashed()) continue;
+    for (ProcessId j = 0; j < n; ++j) {
+      if (j == i || pair_relaxed(ps, i, j)) continue;
+      const SeqNo x = ps[i]->wsync(j);
+      const SeqNo sent = ps[i]->write_frames_sent_to(j);
+      if (ps[i]->wsync(i) == x && sent != x) {
+        return pij("Lemma 5 R1 violated: sent != w_sync_i[j]", i, j);
+      }
+      if (ps[i]->wsync(i) != x && sent != x + 1) {
+        return pij("Lemma 5 R2 violated: sent != w_sync_i[j] + 1", i, j);
+      }
+    }
+  }
+
+  // Property P1 on the undelivered frames.
+  for (ProcessId i = 0; i < n; ++i) {
+    for (ProcessId j = 0; j < n; ++j) {
+      if (i == j || pair_relaxed(ps, i, j)) continue;
+      std::vector<SeqNo> write_indices;
+      for (const InFlightFrame& f : in_flight) {
+        if (f.from == i && f.to == j && f.type <= 1) {
+          write_indices.push_back(f.debug_index);
+        }
+      }
+      if (write_indices.size() > 2) {
+        return pij("P1 violated: >2 WRITE frames in flight", i, j);
+      }
+      if (write_indices.size() == 2) {
+        const auto [lo, hi] =
+            std::minmax(write_indices[0], write_indices[1]);
+        if (hi != lo + 1) {
+          return pij("P1 violated: non-consecutive in-flight WRITEs", i, j);
+        }
+      }
+    }
+  }
+
+  // Property P2.
+  for (ProcessId i = 0; i < n; ++i) {
+    for (ProcessId j = i + 1; j < n; ++j) {
+      if (pair_relaxed(ps, i, j)) continue;
+      if (std::llabs(ps[i]->wsync(j) - ps[j]->wsync(i)) > 1) {
+        return pij("P2 violated: pairwise drift exceeds 1", i, j);
+      }
+    }
+  }
+  return {};
+}
 
 TwoBitInvariantObserver::TwoBitInvariantObserver(GroupConfig cfg)
     : cfg_(std::move(cfg)) {
@@ -31,11 +184,9 @@ void TwoBitInvariantObserver::operator()(SimNetwork& net) {
     ps.push_back(&net.process_as<TwoBitProcess>(pid));
   }
   check_lemma1_steps(ps);
-  check_lemmas_2_3(ps);
-  check_lemma4_prefix(ps);
-  check_lemma5_counters(ps);
-  check_p1_channels(net, ps);
-  check_p2_pairwise(ps);
+  const std::string violation =
+      check_twobit_state_invariants(ps, net.in_flight());
+  TBR_INVARIANT(violation.empty(), violation);
   ++checks_run_;
 }
 
@@ -51,113 +202,13 @@ void TwoBitInvariantObserver::check_lemma1_steps(
     for (ProcessId j = 0; j < cfg_.n; ++j) {
       const SeqNo cur = ps[i]->wsync(j);
       if (has_prev_ && !pair_relaxed(ps, i, j)) {
-        const SeqNo old = prev_wsync_[i][j];
-        TBR_INVARIANT(cur >= old, "Lemma 1: w_sync never decreases");
+        TBR_INVARIANT(cur >= prev_wsync_[i][j],
+                      "Lemma 1: w_sync never decreases");
       }
       prev_wsync_[i][j] = cur;
     }
   }
   has_prev_ = true;
-}
-
-void TwoBitInvariantObserver::check_lemmas_2_3(
-    const std::vector<const TwoBitProcess*>& ps) {
-  for (ProcessId i = 0; i < cfg_.n; ++i) {
-    SeqNo row_max = 0;
-    for (ProcessId j = 0; j < cfg_.n; ++j) {
-      row_max = std::max(row_max, ps[i]->wsync(j));
-      if (!pair_relaxed(ps, i, j)) {
-        TBR_INVARIANT(ps[i]->wsync(i) >= ps[j]->wsync(i),
-                      "Lemma 2: w_sync_i[i] >= w_sync_j[i]");
-      }
-    }
-    // Lemma 3 survives rejoin: a server's optimistic entry for a rejoiner
-    // equals its own head, and a rejoiner adopts before it records larger
-    // peer checkpoints, so the diagonal still dominates the row.
-    TBR_INVARIANT(ps[i]->wsync(i) == row_max,
-                  "Lemma 3: w_sync_i[i] is the row maximum");
-  }
-}
-
-void TwoBitInvariantObserver::check_lemma4_prefix(
-    const std::vector<const TwoBitProcess*>& ps) {
-  // Base-aware form: every process retains the index range
-  // [history_base, w_sync_i[i]] and agrees with the writer wherever the two
-  // retained ranges overlap. With GC/checkpoints off, bases are 0 and this
-  // is the paper's literal prefix property.
-  const auto writer_hist = ps[cfg_.writer]->history();
-  const SeqNo writer_base = ps[cfg_.writer]->history_base();
-  const SeqNo writer_head =
-      writer_base + static_cast<SeqNo>(writer_hist.size()) - 1;
-  for (ProcessId i = 0; i < cfg_.n; ++i) {
-    const auto hist = ps[i]->history();
-    const SeqNo base = ps[i]->history_base();
-    const SeqNo head = base + static_cast<SeqNo>(hist.size()) - 1;
-    TBR_INVARIANT(head == ps[i]->wsync(i),
-                  "history head tracks w_sync_i[i]");
-    TBR_INVARIANT(head <= writer_head,
-                  "Lemma 4: no history outruns the writer's");
-    const SeqNo lo = std::max(base, writer_base);
-    for (SeqNo idx = lo; idx <= std::min(head, writer_head); ++idx) {
-      TBR_INVARIANT(
-          hist[static_cast<std::size_t>(idx - base)] ==
-              writer_hist[static_cast<std::size_t>(idx - writer_base)],
-          "Lemma 4: local histories agree with the writer's");
-    }
-  }
-}
-
-void TwoBitInvariantObserver::check_lemma5_counters(
-    const std::vector<const TwoBitProcess*>& ps) {
-  // R1: w_sync_i[i] = w_sync_i[j] = x  => i sent exactly x frames to j.
-  // R2: w_sync_i[i] > w_sync_i[j] = x  => i sent exactly x+1 frames to j.
-  for (ProcessId i = 0; i < cfg_.n; ++i) {
-    if (ps[i]->crashed()) continue;  // the lemma quantifies over correct i
-    for (ProcessId j = 0; j < cfg_.n; ++j) {
-      if (j == i || pair_relaxed(ps, i, j)) continue;
-      const SeqNo x = ps[i]->wsync(j);
-      const SeqNo sent = ps[i]->write_frames_sent_to(j);
-      if (ps[i]->wsync(i) == x) {
-        TBR_INVARIANT(sent == x, "Lemma 5 R1: sent = w_sync_i[j]");
-      } else {
-        TBR_INVARIANT(sent == x + 1, "Lemma 5 R2: sent = w_sync_i[j] + 1");
-      }
-    }
-  }
-}
-
-void TwoBitInvariantObserver::check_p1_channels(
-    SimNetwork& net, const std::vector<const TwoBitProcess*>& ps) {
-  for (ProcessId i = 0; i < cfg_.n; ++i) {
-    for (ProcessId j = 0; j < cfg_.n; ++j) {
-      if (i == j || pair_relaxed(ps, i, j)) continue;
-      std::vector<SeqNo> write_indices;
-      for (const auto& f : net.in_flight_between(i, j)) {
-        if (f.type <= 1) write_indices.push_back(f.debug_index);
-      }
-      TBR_INVARIANT(write_indices.size() <= 2,
-                    "P1: at most two WRITE frames in flight per channel");
-      if (write_indices.size() == 2) {
-        const auto [lo, hi] =
-            std::minmax(write_indices[0], write_indices[1]);
-        TBR_INVARIANT(hi == lo + 1,
-                      "P1: in-flight WRITE frames have consecutive indices");
-      }
-    }
-  }
-}
-
-void TwoBitInvariantObserver::check_p2_pairwise(
-    const std::vector<const TwoBitProcess*>& ps) {
-  for (ProcessId i = 0; i < cfg_.n; ++i) {
-    for (ProcessId j = i + 1; j < cfg_.n; ++j) {
-      if (pair_relaxed(ps, i, j)) continue;
-      const SeqNo a = ps[i]->wsync(j);
-      const SeqNo b = ps[j]->wsync(i);
-      TBR_INVARIANT(std::llabs(a - b) <= 1,
-                    "P2: pairwise views differ by at most 1");
-    }
-  }
 }
 
 }  // namespace tbr

@@ -558,16 +558,14 @@ void TwoBitProcess::send_write_frame(NetworkContext& net, ProcessId to,
                                      SeqNo index) {
   TBR_ENSURE(index >= 1 && history_has(index),
              "WRITE frame index must reference a retained value");
-  if (options_.check_internal_invariants) {
-    // Lemma 5 / alternating-bit send discipline: frames to each destination
-    // go out in index order and only when our view of the destination is
-    // index-1. (After a channel restart the counters resume from the
-    // checkpoint index instead of 0; the discipline itself is unchanged.)
-    TBR_INVARIANT(index == write_frames_sent_[to] + 1,
-                  "WRITE frames to a peer must be consecutive");
-    TBR_INVARIANT(w_sync_[to] == index - 1,
-                  "ping-pong: send index only when w_sync[to] = index-1");
-  }
+  // Lemma 5 / alternating-bit send discipline: frames to each destination
+  // go out in index order and only when our view of the destination is
+  // index-1. (After a channel restart the counters resume from the
+  // checkpoint index instead of 0; the discipline itself is unchanged.)
+  TBR_INVARIANT(index == write_frames_sent_[to] + 1,
+                "WRITE frames to a peer must be consecutive");
+  TBR_INVARIANT(w_sync_[to] == index - 1,
+                "ping-pong: send index only when w_sync[to] = index-1");
   write_frames_sent_[to] = index;
 
   Message msg;

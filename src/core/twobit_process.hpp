@@ -45,10 +45,6 @@
 namespace tbr {
 
 struct TwoBitOptions {
-  /// Executable Lemma-5 / ping-pong checks on every send (cheap; the
-  /// property suite runs with them on).
-  bool check_internal_invariants = true;
-
   /// 0 = faithful algorithm (unbounded history, as the paper requires).
   /// m >= 1 retains only the last m history entries — the ablation for the
   /// paper's concluding open problem ("can local memory be bounded?").

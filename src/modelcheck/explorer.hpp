@@ -11,7 +11,9 @@
 //                  Lemma 10's Claims 1-3),
 //   - liveness    (every started op of a non-crashed process completed —
 //                  Lemmas 8/9 at the exhausted frontier),
-//   - invariants  (Lemmas 2-5, P1/P2 after every step, for two-bit runs).
+//   - invariants  (Lemmas 2-5, P1/P2 and GC soundness after every step,
+//                  for two-bit runs: core/invariants, the predicate the
+//                  simulator's observer runs too).
 //
 // With `complete == true` the result is a machine-checked proof of those
 // properties for that instance: no adversarial delivery order, operation

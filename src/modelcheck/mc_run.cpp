@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "core/invariants.hpp"
 #include "core/twobit_process.hpp"
-#include "modelcheck/mc_invariants.hpp"
 
 namespace tbr {
 
@@ -80,7 +80,6 @@ McRun::McRun(const Scenario& scenario)
     contexts_.push_back(std::make_unique<McContext>(*this, pid));
   }
   invariants_applicable_ =
-      scenario_.check_invariants &&
       dynamic_cast<TwoBitProcess*>(processes_[0].get()) != nullptr;
   for (ProcessId pid = 0; pid < scenario_.cfg.n; ++pid) {
     processes_[pid]->on_start(*contexts_[pid]);
@@ -258,12 +257,12 @@ RegisterProcessBase& McRun::process(ProcessId pid) {
   return *processes_[pid];
 }
 
-std::vector<McInFlightFrame> McRun::in_flight_frames() const {
-  std::vector<McInFlightFrame> out;
+std::vector<InFlightFrame> McRun::in_flight_frames() const {
+  std::vector<InFlightFrame> out;
   out.reserve(in_flight_.size());
   for (const Frame& f : in_flight_) {
     out.push_back(
-        McInFlightFrame{f.from, f.to, f.msg.type, f.msg.debug_index});
+        InFlightFrame{f.from, f.to, f.msg.type, f.msg.debug_index});
   }
   return out;
 }

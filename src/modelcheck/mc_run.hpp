@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "checker/history.hpp"
-#include "modelcheck/mc_invariants.hpp"
 #include "modelcheck/scenario.hpp"
+#include "net/message.hpp"
 
 namespace tbr {
 
@@ -40,10 +40,10 @@ class McRun {
   /// first, then op starts, then crashes). Empty <=> the run is terminal.
   std::vector<Choice> enabled() const;
 
-  /// Execute choice `index` into the current enabled() list. Invariants
-  /// (if enabled and applicable) are evaluated afterwards; a violation is
-  /// remembered in invariant_error() rather than thrown, so the explorer
-  /// can report the offending schedule.
+  /// Execute choice `index` into the current enabled() list. In an
+  /// all-TwoBit group the lemma invariants are evaluated afterwards; a
+  /// violation is remembered in invariant_error() rather than thrown, so
+  /// the explorer can report the offending schedule.
   void apply_enabled(std::size_t index);
 
   bool terminal() const { return enabled().empty(); }
@@ -71,7 +71,7 @@ class McRun {
   /// adversary*: a test can select "the READ from p4 to p2" by content
   /// and drive the protocol into a precise alignment (see
   /// tests/modelcheck_test.cpp's Claim-3 script).
-  std::vector<McInFlightFrame> in_flight_frames() const;
+  std::vector<InFlightFrame> in_flight_frames() const;
 
  private:
   class McContext;

@@ -59,10 +59,6 @@ struct Scenario {
   std::uint32_t max_recoveries = 0;
   ProcessFactory recover_factory;
 
-  /// Run the two-bit lemma invariants after every step (requires processes
-  /// to be TwoBitProcess instances; automatically skipped otherwise).
-  bool check_invariants = true;
-
   /// Sanity-check the scenario; throws ContractViolation on nonsense.
   void validate() const;
 };

@@ -37,4 +37,14 @@ struct Message {
   SeqNo debug_index = -1;
 };
 
+/// A frame sent but not yet handled, as the lemma predicate
+/// (core/invariants) reads it: the simulator and the model checker both
+/// list their undelivered frames this way.
+struct InFlightFrame {
+  ProcessId from = kNoProcess;
+  ProcessId to = kNoProcess;
+  std::uint8_t type = 0;
+  SeqNo debug_index = -1;
+};
+
 }  // namespace tbr

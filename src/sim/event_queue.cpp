@@ -6,26 +6,25 @@
 
 namespace tbr {
 
-EventQueue::EventId EventQueue::push(Tick at, Kind kind, ProcessId from,
-                                     ProcessId to, FrameId frame, Fn fn) {
+EventQueue::EventId EventQueue::push(Tick at, Kind kind, std::uint32_t loop,
+                                     FrameId frame, Fn fn) {
   TBR_ENSURE(at >= 0, "event time must be non-negative");
   const EventId id = next_id_++;
-  heap_.push(Fired{at, id, kind, from, to, frame, std::move(fn)});
+  heap_.push(Fired{at, id, kind, loop, frame, std::move(fn)});
   return id;
 }
 
 EventQueue::EventId EventQueue::schedule(Tick at, Fn fn) {
   TBR_ENSURE(fn != nullptr, "cannot schedule a null event");
-  return push(at, Kind::kClosure, kNoProcess, kNoProcess, 0, std::move(fn));
+  return push(at, Kind::kClosure, 0, 0, std::move(fn));
 }
 
-EventQueue::EventId EventQueue::schedule_deliver(Tick at, ProcessId from,
-                                                 ProcessId to, FrameId frame) {
-  return push(at, Kind::kDeliver, from, to, frame, nullptr);
+EventQueue::EventId EventQueue::schedule_deliver(Tick at, FrameId frame) {
+  return push(at, Kind::kDeliver, 0, frame, nullptr);
 }
 
 EventQueue::EventId EventQueue::schedule_drain(Tick at, std::uint32_t loop) {
-  return push(at, Kind::kDrain, kNoProcess, loop, 0, nullptr);
+  return push(at, Kind::kDrain, loop, 0, nullptr);
 }
 
 EventQueue::Fired EventQueue::pop_next() {

@@ -4,12 +4,12 @@
 // in the order they were scheduled and a fixed seed yields a fixed run.
 //
 // The hot path of the simulator is "deliver one frame": those events are a
-// tagged struct (from, to, frame-pool slot), not a closure, so scheduling
-// one costs zero heap allocations once the backing storage is warm. Drain
-// events (the capacity model's per-loop CPU) are a second tag. The general
-// case — client scripts, crash markers, timer wrappers — remains a
-// callable, stored in an InlineFn whose 48-byte inline buffer covers every
-// closure the engine itself creates.
+// tagged frame-pool slot (the slot holds the frame and its route), not a
+// closure, so scheduling one costs zero heap allocations once the backing
+// storage is warm. Drain events (the capacity model's per-loop CPU) are a
+// second tag. The general case — client scripts, crash markers, timer
+// wrappers — remains a callable, stored in an InlineFn whose 48-byte inline
+// buffer covers every closure the engine itself creates.
 //
 // The entries live in a std::priority_queue binary heap: O(log n) per op,
 // robust to any time distribution. The golden-digest determinism constants
@@ -49,9 +49,8 @@ class EventQueue {
     Tick at = 0;
     EventId id = 0;  ///< insertion sequence; ties on `at` break by id
     Kind kind = Kind::kClosure;
-    ProcessId from = kNoProcess;
-    ProcessId to = kNoProcess;
-    FrameId frame = 0;
+    std::uint32_t loop = 0;  ///< kDrain: the capacity-model CPU
+    FrameId frame = 0;       ///< kDeliver: the frame-pool slot
     Fn fn;  ///< non-empty iff kind == kClosure
   };
 
@@ -64,13 +63,11 @@ class EventQueue {
   /// Schedule `fn` at absolute time `at`. Returns the event's id.
   EventId schedule(Tick at, Fn fn);
 
-  /// Schedule delivery of pooled frame `frame` from `from` to `to`.
-  /// Allocation-free in steady state: no closure is materialized.
-  EventId schedule_deliver(Tick at, ProcessId from, ProcessId to,
-                           FrameId frame);
+  /// Schedule delivery of pooled frame `frame`. Allocation-free in steady
+  /// state: no closure is materialized.
+  EventId schedule_deliver(Tick at, FrameId frame);
 
-  /// Schedule a service-queue drain of capacity-model CPU `loop`; it fires
-  /// with Fired::to == loop.
+  /// Schedule a service-queue drain of capacity-model CPU `loop`.
   EventId schedule_drain(Tick at, std::uint32_t loop);
 
   bool empty() const noexcept { return heap_.empty(); }
@@ -100,8 +97,8 @@ class EventQueue {
       return a.id > b.id;
     }
   };
-  EventId push(Tick at, Kind kind, ProcessId from, ProcessId to,
-               FrameId frame, Fn fn);
+  EventId push(Tick at, Kind kind, std::uint32_t loop, FrameId frame,
+               Fn fn);
 
   std::uint64_t work_ = 0;  ///< must precede heap_ (comparator aims here)
   std::priority_queue<Fired, std::vector<Fired>, Later> heap_;

@@ -44,10 +44,11 @@ class SimNetwork::Context final : public NetworkContext {
 
 // ---- service-queue ring -----------------------------------------------------
 
-void SimNetwork::FrameFifo::push(ParkedFrame f) {
+void SimNetwork::FrameFifo::push(EventQueue::FrameId f) {
   if (count_ == ring_.size()) {
     // Grow to the next power of two, unwrapping into the new layout.
-    std::vector<ParkedFrame> bigger(ring_.empty() ? 8 : ring_.size() * 2);
+    std::vector<EventQueue::FrameId> bigger(ring_.empty() ? 8
+                                                          : ring_.size() * 2);
     for (std::size_t k = 0; k < count_; ++k) {
       bigger[k] = ring_[(head_ + k) & (ring_.size() - 1)];
     }
@@ -58,9 +59,9 @@ void SimNetwork::FrameFifo::push(ParkedFrame f) {
   ++count_;
 }
 
-SimNetwork::ParkedFrame SimNetwork::FrameFifo::pop() {
+EventQueue::FrameId SimNetwork::FrameFifo::pop() {
   TBR_ENSURE(count_ > 0, "pop from empty service queue");
-  const ParkedFrame f = ring_[head_];
+  const EventQueue::FrameId f = ring_[head_];
   head_ = (head_ + 1) & (ring_.size() - 1);
   --count_;
   return f;
@@ -86,8 +87,7 @@ SimNetwork::SimNetwork(std::vector<std::unique_ptr<ProcessBase>> processes,
               : std::min<std::size_t>(options.service_loops,
                                       processes_.size()))),
       busy_until_(loops_, 0),
-      service_queue_(loops_),
-      track_in_flight_(options.track_in_flight) {
+      service_queue_(loops_) {
   TBR_ENSURE(loss_rate_ >= 0.0 && loss_rate_ < 1.0,
              "loss rate must be in [0, 1)");
   TBR_ENSURE(service_time_ >= 0, "service time cannot be negative");
@@ -167,13 +167,12 @@ void SimNetwork::recover_now(ProcessId pid) {
   const std::uint32_t loop = loop_of(pid);
   FrameFifo& fifo = service_queue_[loop];
   for (std::size_t k = fifo.size(); k > 0; --k) {
-    const ParkedFrame parked = fifo.pop();
-    if (parked.to != pid) {
-      fifo.push(parked);
+    const EventQueue::FrameId frame = fifo.pop();
+    if (frame_pool_[frame].to != pid) {
+      fifo.push(frame);
       continue;
     }
-    record_drop(parked.from, pid, frame_pool_[parked.frame]);
-    release_frame(parked.frame);
+    drop_frame(frame);
   }
   // A dedicated CPU restarts idle. A shared loop's clock also times its
   // other processes' frames, so it stands.
@@ -197,23 +196,36 @@ void SimNetwork::fence_from(ProcessId from, ProcessId to) {
 
 // ---- frame pool --------------------------------------------------------------
 
-EventQueue::FrameId SimNetwork::acquire_frame(const Message& msg) {
+EventQueue::FrameId SimNetwork::acquire_frame(ProcessId from, ProcessId to,
+                                              const Message& msg) {
+  EventQueue::FrameId frame = 0;
   if (free_frames_.empty()) {
-    frame_pool_.push_back(msg);
-    frame_epoch_.push_back(0);
-    return static_cast<EventQueue::FrameId>(frame_pool_.size() - 1);
+    frame = static_cast<EventQueue::FrameId>(frame_pool_.size());
+    frame_pool_.emplace_back();
+  } else {
+    frame = free_frames_.back();
+    free_frames_.pop_back();
   }
-  const EventQueue::FrameId frame = free_frames_.back();
-  free_frames_.pop_back();
-  // Copy-assign into the recycled slot: the slot's value-string keeps its
+  // Copy-assign into the slot: a recycled slot's value-string keeps its
   // capacity across reuses, so a warmed pool absorbs any payload size the
   // workload has already seen without allocating.
-  frame_pool_[frame] = msg;
+  PooledFrame& slot = frame_pool_[frame];
+  slot.msg = msg;
+  slot.from = from;
+  slot.to = to;
+  slot.epoch = chan_epoch(from, to);
   return frame;
 }
 
 void SimNetwork::release_frame(EventQueue::FrameId frame) {
+  frame_pool_[frame].to = kNoProcess;
   free_frames_.push_back(frame);
+}
+
+void SimNetwork::drop_frame(EventQueue::FrameId frame) {
+  const PooledFrame& f = frame_pool_[frame];
+  record_drop(f.from, f.to, f.msg);
+  release_frame(frame);
 }
 
 // ---- send / deliver ----------------------------------------------------------
@@ -249,87 +261,71 @@ void SimNetwork::send_from(ProcessId from, ProcessId to, const Message& msg) {
   }
   const Tick dt = delay_->delay(rng_, from, to, msg);
   TBR_ENSURE(dt > 0, "delay model produced a non-positive delay");
-  const Tick deliver_at = now_ + dt;
-  const auto frame = acquire_frame(msg);
-  frame_epoch_[frame] = chan_epoch(from, to);
-  const auto id = queue_.schedule_deliver(deliver_at, from, to, frame);
-  if (track_in_flight_) {
-    in_flight_.emplace_back(
-        id, InFlight{from, to, msg.type, msg.debug_index, deliver_at});
-  }
+  queue_.schedule_deliver(now_ + dt, acquire_frame(from, to, msg));
 }
 
-void SimNetwork::deliver_frame(ProcessId from, ProcessId to,
-                               EventQueue::FrameId frame) {
-  if (frame_epoch_[frame] != chan_epoch(from, to) || crashed_[to]) {
+void SimNetwork::deliver_frame(EventQueue::FrameId frame) {
+  const PooledFrame& f = frame_pool_[frame];
+  if (f.epoch != chan_epoch(f.from, f.to) || crashed_[f.to]) {
     // The channel was re-established (an endpoint restarted, or the sender
     // fenced it) after this frame left, or its endpoint is gone.
-    record_drop(from, to, frame_pool_[frame]);
-    release_frame(frame);
+    drop_frame(frame);
     return;
   }
   if (service_time_ > 0) {
-    const std::uint32_t loop = loop_of(to);
+    const std::uint32_t loop = loop_of(f.to);
     if (busy_until_[loop] > now_ || !service_queue_[loop].empty()) {
       // Capacity model: the loop's CPU is mid-frame. Park the pooled frame
       // in the loop's FIFO; the single drain event pending at
       // busy_until_[loop] hands the queue over one service interval at a
       // time.
       const bool first = service_queue_[loop].empty();
-      service_queue_[loop].push(ParkedFrame{from, to, frame});
+      service_queue_[loop].push(frame);
       if (first) queue_.schedule_drain(busy_until_[loop], loop);
       return;  // slot stays acquired until the drain serves it
     }
     busy_until_[loop] = now_ + service_time_;
   }
-  hand_over(from, to, frame);
+  hand_over(frame);
 }
 
-void SimNetwork::hand_over(ProcessId from, ProcessId to,
-                           EventQueue::FrameId frame) {
-  const Message& msg = frame_pool_[frame];
+void SimNetwork::hand_over(EventQueue::FrameId frame) {
+  const PooledFrame& f = frame_pool_[frame];
   if (trace_ != nullptr) {
-    trace_->record(TraceEvent{TraceEvent::Kind::kDeliver, now_, from, to,
-                              msg.type, msg.debug_index, msg.has_value});
+    trace_->record(TraceEvent{TraceEvent::Kind::kDeliver, now_, f.from, f.to,
+                              f.msg.type, f.msg.debug_index,
+                              f.msg.has_value});
   }
   // The slot is released only after the handler returns: handlers hold a
   // reference to the pooled message while their sends recycle OTHER slots
   // (deque-backed pool keeps this one's address stable).
-  processes_[to]->on_message(*contexts_[to], from, msg);
+  processes_[f.to]->on_message(*contexts_[f.to], f.from, f.msg);
   release_frame(frame);
 }
 
 void SimNetwork::drain_service_queue(std::uint32_t loop) {
-  if (now_ < busy_until_[loop]) return;  // stale: see ParkedFrame
+  if (now_ < busy_until_[loop]) return;  // stale: see FrameFifo
   FrameFifo& fifo = service_queue_[loop];
   while (!fifo.empty()) {
-    const ParkedFrame parked = fifo.pop();
-    if (crashed_[parked.to]) {
+    const EventQueue::FrameId frame = fifo.pop();
+    const PooledFrame& f = frame_pool_[frame];
+    if (crashed_[f.to]) {
       // Its process died while the frame waited: lost with it, and no CPU
       // is spent on it.
-      record_drop(parked.from, parked.to, frame_pool_[parked.frame]);
-      release_frame(parked.frame);
+      drop_frame(frame);
       continue;
     }
     busy_until_[loop] = now_ + service_time_;
     if (!fifo.empty()) queue_.schedule_drain(busy_until_[loop], loop);
-    if (frame_epoch_[parked.frame] != chan_epoch(parked.from, parked.to)) {
+    if (f.epoch != chan_epoch(f.from, f.to)) {
       // Channel re-established while the frame waited for CPU: dead on
       // arrival, same as the pre-service epoch check in deliver_frame.
-      record_drop(parked.from, parked.to, frame_pool_[parked.frame]);
-      release_frame(parked.frame);
+      drop_frame(frame);
       return;
     }
-    hand_over(parked.from, parked.to, parked.frame);
+    hand_over(frame);
     return;
   }
-}
-
-void SimNetwork::forget_in_flight(EventQueue::EventId id) {
-  const auto it = std::find_if(
-      in_flight_.begin(), in_flight_.end(),
-      [id](const auto& entry) { return entry.first == id; });
-  if (it != in_flight_.end()) in_flight_.erase(it);
 }
 
 void SimNetwork::step() {
@@ -343,13 +339,12 @@ void SimNetwork::step() {
       fired.fn();
       break;
     case EventQueue::Kind::kDeliver:
-      deliver_frame(fired.from, fired.to, fired.frame);
+      deliver_frame(fired.frame);
       break;
     case EventQueue::Kind::kDrain:
-      drain_service_queue(fired.to);
+      drain_service_queue(fired.loop);
       break;
   }
-  if (track_in_flight_) forget_in_flight(fired.id);
   ++events_executed_;
   if (post_event_hook_) post_event_hook_(*this);
 }
@@ -392,22 +387,13 @@ NetworkContext& SimNetwork::context(ProcessId pid) {
   return *contexts_[pid];
 }
 
-std::vector<SimNetwork::InFlight> SimNetwork::in_flight() const {
-  TBR_ENSURE(track_in_flight_,
-             "in_flight() needs Options::track_in_flight = true");
-  std::vector<InFlight> out;
-  out.reserve(in_flight_.size());
-  for (const auto& [id, info] : in_flight_) out.push_back(info);
-  return out;
-}
-
-std::vector<SimNetwork::InFlight> SimNetwork::in_flight_between(
-    ProcessId from, ProcessId to) const {
-  TBR_ENSURE(track_in_flight_,
-             "in_flight_between() needs Options::track_in_flight = true");
-  std::vector<InFlight> out;
-  for (const auto& [id, info] : in_flight_) {
-    if (info.from == from && info.to == to) out.push_back(info);
+std::vector<InFlightFrame> SimNetwork::in_flight() const {
+  std::vector<InFlightFrame> out;
+  out.reserve(frame_pool_.size() - free_frames_.size());
+  for (const PooledFrame& f : frame_pool_) {
+    if (f.to != kNoProcess) {
+      out.push_back(InFlightFrame{f.from, f.to, f.msg.type, f.msg.debug_index});
+    }
   }
   return out;
 }

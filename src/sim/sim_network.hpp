@@ -7,12 +7,14 @@
 // property tests sweep seeds to explore distinct interleavings.
 //
 // Hot-path design (zero allocations per delivered frame in steady state):
-// a send copy-assigns the message into a slot of a recycled frame pool
-// (std::deque: slot references stay valid while handlers send) and
-// schedules a typed Deliver event carrying the slot index — no closure, no
-// per-frame Message copy beyond the one the reliable channel semantically
-// requires. Slots return to a freelist after delivery, so their string
-// capacities are reused and steady-state traffic never touches the heap.
+// a send copy-assigns the message and its route into a slot of a recycled
+// frame pool (std::deque: slot references stay valid while handlers send)
+// and schedules a typed Deliver event carrying the slot index — no closure,
+// no per-frame Message copy beyond the one the reliable channel
+// semantically requires. Slots return to a freelist once their frame is
+// handled or dropped, so their string capacities are reused and
+// steady-state traffic never touches the heap. The live slots are exactly
+// the frames in flight, which is what in_flight() lists.
 #pragma once
 
 #include <deque>
@@ -25,6 +27,7 @@
 #include "common/rng.hpp"
 #include "metrics/message_stats.hpp"
 #include "net/context.hpp"
+#include "net/message.hpp"
 #include "net/process.hpp"
 #include "sim/delay_model.hpp"
 #include "sim/event_queue.hpp"
@@ -53,8 +56,7 @@ class SimNetwork {
     /// never reordered against causality), so safety results are
     /// unaffected; what changes is THROUGHPUT, which is the point: capacity
     /// projections for the sharded engine and the socket loops use this to
-    /// measure what finite CPU does to an op mix. In-flight introspection
-    /// does not track frames re-queued behind a busy node.
+    /// measure what finite CPU does to an op mix.
     Tick service_time = 0;
 
     /// Serial CPUs ("loops") the capacity model shares between processes,
@@ -63,12 +65,6 @@ class SimNetwork {
     /// any value >= n) gives each process its own CPU. Ignored while
     /// service_time is 0.
     std::uint32_t service_loops = 0;
-
-    /// Maintain the per-frame in-flight registry read by in_flight() /
-    /// in_flight_between() (P1-style channel invariant observers). Off by
-    /// default: the registry costs an insert + linear-scan erase per frame,
-    /// which is pure overhead for every run that never introspects it.
-    bool track_in_flight = false;
 
     /// Crash-rejoin support: builds the fresh incarnation installed by
     /// recover_now(pid), typically a TwoBitProcess that catches up from
@@ -151,18 +147,10 @@ class SimNetwork {
     return queue_.work_units();
   }
 
-  // ---- introspection (invariant observers, P1-style channel checks) -------
-  // Requires Options::track_in_flight; reading an untracked registry is a
-  // contract error (it would silently return "no frames in flight").
-  struct InFlight {
-    ProcessId from = kNoProcess;
-    ProcessId to = kNoProcess;
-    std::uint8_t type = 0;
-    SeqNo debug_index = -1;
-    Tick deliver_at = 0;
-  };
-  std::vector<InFlight> in_flight() const;
-  std::vector<InFlight> in_flight_between(ProcessId from, ProcessId to) const;
+  // ---- introspection (the lemma invariant observer) ------------------------
+  /// Every frame sent and not yet handled or dropped: on the wire, or
+  /// waiting for a busy CPU. In frame-pool slot order.
+  std::vector<InFlightFrame> in_flight() const;
 
   /// Frames destroyed by out-of-model loss injection (Options::loss_rate).
   std::uint64_t frames_lost() const noexcept { return frames_lost_; }
@@ -189,9 +177,10 @@ class SimNetwork {
   /// Execute a Deliver event for pooled frame `frame`: hand it to its
   /// destination, or park it in its loop's service FIFO when the capacity
   /// model says that CPU is mid-frame.
-  void deliver_frame(ProcessId from, ProcessId to, EventQueue::FrameId frame);
-  /// Run `to`'s handler on pooled frame `frame`, then recycle the slot.
-  void hand_over(ProcessId from, ProcessId to, EventQueue::FrameId frame);
+  void deliver_frame(EventQueue::FrameId frame);
+  /// Run the destination's handler on pooled frame `frame`, then recycle
+  /// the slot.
+  void hand_over(EventQueue::FrameId frame);
   /// Serve the next parked frame on `loop` (fires at busy_until_[loop]).
   void drain_service_queue(std::uint32_t loop);
   /// Account a frame from -> to that will never be handled.
@@ -199,10 +188,14 @@ class SimNetwork {
   void step();  // run one event + hook
 
   // ---- frame pool ---------------------------------------------------------
-  /// Copy `msg` into a recycled pool slot (the slot's string capacity is
-  /// reused, so steady-state sends never allocate) and return its index.
-  EventQueue::FrameId acquire_frame(const Message& msg);
+  /// Copy `msg` and its route into a recycled pool slot (the slot's string
+  /// capacity is reused, so steady-state sends never allocate), stamp it
+  /// with the channel's epoch, and return its index.
+  EventQueue::FrameId acquire_frame(ProcessId from, ProcessId to,
+                                    const Message& msg);
   void release_frame(EventQueue::FrameId frame);
+  /// Account pooled frame `frame` as dropped and recycle its slot.
+  void drop_frame(EventQueue::FrameId frame);
 
   std::vector<std::unique_ptr<ProcessBase>> processes_;
   std::vector<std::unique_ptr<Context>> contexts_;
@@ -225,8 +218,6 @@ class SimNetwork {
   std::uint32_t chan_epoch(ProcessId from, ProcessId to) const {
     return chan_epoch_[from * processes_.size() + to];
   }
-  /// Send-time epoch stamp per pooled frame, parallel to frame_pool_.
-  std::deque<std::uint32_t> frame_epoch_;
 
   EventQueue queue_;
   Tick now_ = 0;
@@ -239,7 +230,13 @@ class SimNetwork {
 
   /// In-flight frames live here, indexed by EventQueue::FrameId. A deque so
   /// slot references stay valid while a handler's sends grow the pool.
-  std::deque<Message> frame_pool_;
+  struct PooledFrame {
+    Message msg;
+    ProcessId from = kNoProcess;
+    ProcessId to = kNoProcess;  ///< kNoProcess: the slot is free
+    std::uint32_t epoch = 0;    ///< the channel's epoch at send time
+  };
+  std::deque<PooledFrame> frame_pool_;
   std::vector<EventQueue::FrameId> free_frames_;
 
   /// Capacity-model CPUs: Options::service_loops, or one per process.
@@ -247,25 +244,20 @@ class SimNetwork {
   std::uint32_t loop_of(ProcessId pid) const { return pid % loops_; }
   std::vector<Tick> busy_until_;  ///< per-loop CPU free time
 
-  /// Frames awaiting a busy loop's CPU, FIFO by arrival, as a recycled
-  /// vector ring (a deque would churn chunk allocations at every boundary).
-  /// Invariant: a non-empty queue has a drain event pending at its loop's
-  /// busy_until_. A drain that fires earlier is stale (recover_now reset a
-  /// dedicated CPU under it) and does nothing.
-  struct ParkedFrame {
-    ProcessId from = kNoProcess;
-    ProcessId to = kNoProcess;
-    EventQueue::FrameId frame = 0;
-  };
+  /// Pooled frames awaiting a busy loop's CPU, FIFO by arrival, as a
+  /// recycled vector ring (a deque would churn chunk allocations at every
+  /// boundary). Invariant: a non-empty queue has a drain event pending at
+  /// its loop's busy_until_. A drain that fires earlier is stale
+  /// (recover_now reset a dedicated CPU under it) and does nothing.
   class FrameFifo {
    public:
     bool empty() const noexcept { return count_ == 0; }
     std::size_t size() const noexcept { return count_; }
-    void push(ParkedFrame f);
-    ParkedFrame pop();
+    void push(EventQueue::FrameId f);
+    EventQueue::FrameId pop();
 
    private:
-    std::vector<ParkedFrame> ring_;  // capacity always a power of two
+    std::vector<EventQueue::FrameId> ring_;  // capacity: a power of two
     std::size_t head_ = 0;
     std::size_t count_ = 0;
   };
@@ -276,11 +268,6 @@ class SimNetwork {
   Hook post_event_hook_;
   TraceLog* trace_ = nullptr;
 
-  // In-flight registry keyed by event id (erased on delivery/drop); only
-  // maintained when Options::track_in_flight is set.
-  bool track_in_flight_ = false;
-  std::vector<std::pair<EventQueue::EventId, InFlight>> in_flight_;
-  void forget_in_flight(EventQueue::EventId id);
   bool started_ = false;
   void ensure_started();
 };

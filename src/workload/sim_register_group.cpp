@@ -89,7 +89,6 @@ SimRegisterGroup::SimRegisterGroup(Options options)
   net_opt.loss_rate = options.loss_rate;
   net_opt.service_time = options.service_time;
   net_opt.service_loops = options.service_loops;
-  net_opt.track_in_flight = options.track_in_flight;
   if (ProcessFactory rejoin = rejoin_factory(options)) {
     net_opt.recover_factory = [cfg = cfg_, rejoin = std::move(rejoin)](
                                   ProcessId pid) { return rejoin(cfg, pid); };

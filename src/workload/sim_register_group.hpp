@@ -36,10 +36,6 @@ class SimRegisterGroup {
     /// Serial CPUs shared pid % service_loops (SimNetwork::Options::
     /// service_loops); 0 = one per process.
     std::uint32_t service_loops = 0;
-
-    /// Maintain the in-flight frame registry (SimNetwork::Options::
-    /// track_in_flight); required by the P1 channel-invariant observer.
-    bool track_in_flight = false;
   };
   static constexpr Tick kDefaultDelta = 1000;
 

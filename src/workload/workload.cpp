@@ -237,8 +237,6 @@ WorkloadResult run_workload(SimRegisterGroup::Options engine,
   const std::uint64_t seed = engine.seed;
   const FaultPlan plan = make_fault_plan(engine.cfg, options, seed);
   if (!engine.delay) engine.delay = make_uniform_delay(1, 1000);
-  // The observer's P1 check walks the per-channel in-flight frames.
-  if (options.invariant_checks) engine.track_in_flight = true;
   SimRegisterGroup group(std::move(engine));
 
   std::unique_ptr<TwoBitInvariantObserver> observer;

@@ -75,7 +75,7 @@ TEST(Integration, TimingOrderingMatchesTable1) {
   EXPECT_EQ(latencies[Algorithm::kTwoBit].first, 2 * kDelta);
   // Writes tie unbounded ABD exactly; steady-state reads tie or beat it
   // (2Δ here — the paper's 4Δ is the worst-case alignment, measured in
-  // tests/twobit_timing_test.cpp and bench_time_complexity).
+  // tests/twobit_timing_test.cpp and bench_table1).
   EXPECT_EQ(latencies[Algorithm::kTwoBit].first,
             latencies[Algorithm::kAbdUnbounded].first);
   EXPECT_LE(latencies[Algorithm::kTwoBit].second,

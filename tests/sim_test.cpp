@@ -101,8 +101,7 @@ TEST(EventQueueTest, RandomInterleavingPopsInTimeThenIdOrder) {
     Tick at = 0;
     EventQueue::EventId id = 0;
     EventQueue::Kind kind = EventQueue::Kind::kClosure;
-    ProcessId from = kNoProcess;
-    ProcessId to = kNoProcess;
+    std::uint32_t loop = 0;
     EventQueue::FrameId frame = 0;
   };
   for (const std::uint64_t seed : {1u, 42u, 1337u}) {
@@ -122,22 +121,20 @@ TEST(EventQueueTest, RandomInterleavingPopsInTimeThenIdOrder) {
       } else {
         at = frontier + 1'000'000'000;  // far-future outlier
       }
-      const auto from = static_cast<ProcessId>(rng.uniform(0, 7));
-      const auto to = static_cast<ProcessId>(rng.uniform(0, 7));
+      const auto loop = static_cast<std::uint32_t>(rng.uniform(0, 7));
       const auto frame = static_cast<EventQueue::FrameId>(rng.uniform(0, 999));
       switch (rng.uniform(0, 2)) {
         case 0:
           pending.push_back({at, q.schedule(at, [] {}),
-                             EventQueue::Kind::kClosure, kNoProcess,
-                             kNoProcess, 0});
+                             EventQueue::Kind::kClosure, 0, 0});
           break;
         case 1:
-          pending.push_back({at, q.schedule_deliver(at, from, to, frame),
-                             EventQueue::Kind::kDeliver, from, to, frame});
+          pending.push_back({at, q.schedule_deliver(at, frame),
+                             EventQueue::Kind::kDeliver, 0, frame});
           break;
         default:
-          pending.push_back({at, q.schedule_drain(at, to),
-                             EventQueue::Kind::kDrain, kNoProcess, to, 0});
+          pending.push_back({at, q.schedule_drain(at, loop),
+                             EventQueue::Kind::kDrain, loop, 0});
           break;
       }
     };
@@ -153,8 +150,7 @@ TEST(EventQueueTest, RandomInterleavingPopsInTimeThenIdOrder) {
       ASSERT_EQ(got.at, want->at);
       ASSERT_EQ(got.id, want->id);
       ASSERT_EQ(static_cast<int>(got.kind), static_cast<int>(want->kind));
-      ASSERT_EQ(got.from, want->from);
-      ASSERT_EQ(got.to, want->to);
+      ASSERT_EQ(got.loop, want->loop);
       ASSERT_EQ(got.frame, want->frame);
       ASSERT_EQ(static_cast<bool>(got.fn),
                 got.kind == EventQueue::Kind::kClosure);
@@ -309,7 +305,6 @@ TEST(SimNetworkTest, CrashedSendersPacketsStillFly) {
 TEST(SimNetworkTest, InFlightIntrospection) {
   SimNetwork::Options opt;
   opt.delay = make_constant_delay(100);
-  opt.track_in_flight = true;
   SimNetwork net(make_pings(3), std::move(opt));
   net.schedule_at(0, [&] {
     net.context(0).send(1, mk(0));
@@ -318,11 +313,34 @@ TEST(SimNetworkTest, InFlightIntrospection) {
   // Run just the send event.
   EXPECT_FALSE(net.run(/*max_events=*/1));
   const auto flights = net.in_flight();
-  EXPECT_EQ(flights.size(), 2u);
-  EXPECT_EQ(net.in_flight_between(0, 1).size(), 1u);
-  EXPECT_EQ(net.in_flight_between(1, 0).size(), 0u);
+  ASSERT_EQ(flights.size(), 2u);
+  EXPECT_EQ(std::count_if(flights.begin(), flights.end(),
+                          [](const InFlightFrame& f) {
+                            return f.from == 0 && f.to == 1 && f.type == 0;
+                          }),
+            1);
   EXPECT_TRUE(net.run());
   EXPECT_TRUE(net.in_flight().empty());
+
+  // A frame waiting behind a busy CPU is still in flight: two frames reach
+  // one peer at t=100, the first holds its CPU until t=1100, the second
+  // waits for it.
+  SimNetwork::Options busy;
+  busy.delay = make_constant_delay(100);
+  busy.service_time = 1000;
+  SimNetwork parked(make_pings(2), std::move(busy));
+  parked.schedule_at(0, [&] {
+    parked.context(0).send(1, mk(0));
+    parked.context(0).send(1, mk(1));
+  });
+  EXPECT_FALSE(parked.run(/*max_events=*/3));  // the sends, two Delivers
+  EXPECT_EQ(parked.now(), 100);
+  EXPECT_EQ(parked.process_as<PingProcess>(1).received, 1);
+  const auto waiting = parked.in_flight();
+  ASSERT_EQ(waiting.size(), 1u);
+  EXPECT_EQ(waiting[0].type, 1);
+  EXPECT_TRUE(parked.run());
+  EXPECT_TRUE(parked.in_flight().empty());
 }
 
 TEST(SimNetworkTest, PostEventHookSeesEveryEvent) {

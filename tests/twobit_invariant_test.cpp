@@ -1,10 +1,14 @@
 // Property suite: the paper's Lemmas 1-5 and Properties P1/P2, checked as
 // executable invariants after *every* simulator event, across a sweep of
 // group sizes, delay models (including the adversarial flip-flop reorderer)
-// and crash patterns.
+// and crash patterns — on faithful groups and on bounded-history groups,
+// where the same predicate also checks GC soundness.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/invariants.hpp"
+#include "sim/fault_plan.hpp"
 #include "workload/workload.hpp"
 
 namespace tbr {
@@ -125,6 +129,82 @@ TEST_P(TwoBitWriterCrashSweep, WriterCrashKeepsInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TwoBitWriterCrashSweep,
                          testing::Range<std::uint64_t>(0, 10));
+
+// Bounded-history groups (known-prefix GC) under the observer: GC soundness
+// joins the lemmas after every event, and every run must reclaim history,
+// so the predicate is exercised while the watermark moves. Crashes land
+// after the first 5,000 ticks; a crashed process then pins the watermark.
+class BoundedInvariantSweep : public testing::TestWithParam<InvariantCase> {};
+
+TEST_P(BoundedInvariantSweep, LemmasAndGcSoundnessHoldOnEveryEvent) {
+  const auto& c = GetParam();
+  SimRegisterGroup::Options engine;
+  engine.cfg.n = c.n;
+  engine.cfg.t = c.t;
+  engine.cfg.writer = 0;
+  engine.cfg.initial = Value::from_int64(0);
+  engine.seed = c.seed;
+  engine.delay = make_delay(c.delay, engine.cfg);
+  engine.process_factory = [](const GroupConfig& cfg, ProcessId pid) {
+    TwoBitOptions o;
+    o.bounded_history = true;
+    return std::make_unique<TwoBitProcess>(cfg, pid, o);
+  };
+  SimRegisterGroup group(std::move(engine));
+  SimNetwork& net = group.net();
+  TwoBitInvariantObserver observer(group.config());
+  net.set_post_event_hook(std::ref(observer));
+  Rng rng(c.seed);
+  FaultPlan plan = FaultPlan::random(rng, group.config(), c.crashes, 20'000,
+                                     /*allow_writer=*/false);
+  for (CrashEvent& crash : plan.crashes) crash.at += 5'000;
+  plan.install(net);
+
+  // Closed loop: every process runs 24 operations after random think
+  // times, the writer writing and the others reading; a crash ends a loop.
+  std::vector<int> left(c.n, 24);
+  std::int64_t written = 0;
+  std::function<void(ProcessId)> next = [&](ProcessId pid) {
+    if (left[pid]-- == 0) return;
+    net.schedule_after(rng.uniform(0, 500), [&, pid] {
+      if (net.crashed(pid)) return;
+      if (pid == 0) {
+        group.begin_write(Value::from_int64(++written), [&next] { next(0); });
+      } else {
+        group.begin_read(pid,
+                         [&next, pid](const Value&, SeqNo) { next(pid); });
+      }
+    });
+  };
+  for (ProcessId pid = 0; pid < c.n; ++pid) next(pid);
+  ASSERT_TRUE(net.run());
+  EXPECT_GT(observer.checks_run(), 0u);
+  const auto& writer = net.process_as<TwoBitProcess>(0);
+  EXPECT_EQ(written, 24);
+  EXPECT_GT(writer.gc_reclaimed_count(), 0u);
+  EXPECT_GT(writer.history_base(), 0);
+}
+
+std::vector<InvariantCase> bounded_cases() {
+  std::vector<InvariantCase> cases;
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> sizes = {
+      {3, 1}, {5, 2}, {7, 3}};
+  const std::vector<const char*> delays = {"uniform", "expo", "flipflop",
+                                           "straggler"};
+  for (const auto& [n, t] : sizes) {
+    for (const auto* delay : delays) {
+      for (const std::uint32_t crashes : {0u, t}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          cases.push_back({n, t, crashes, delay, seed});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Bounded, BoundedInvariantSweep,
+                         testing::ValuesIn(bounded_cases()), case_name);
 
 }  // namespace
 }  // namespace tbr

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gates, stdlib-only. Run from anywhere: paths resolve from the repo root.
 
-Three checks, all fast enough for a pre-commit reflex:
+Four checks, all fast enough for a pre-commit reflex:
 
 1. Link check: every relative markdown link in README.md and docs/*.md
    must resolve to a file or directory inside the repo. External
@@ -17,6 +17,11 @@ Three checks, all fast enough for a pre-commit reflex:
 3. Bench name gate: every code-quoted `bench_<name>` or
    `BENCH_<name>.json` in README.md and docs/*.md must name an existing
    bench/bench_<name>.cpp. Docs cannot cite a deleted bench or its JSON.
+
+4. Count gate: every "<N> GoogleTest suites", "<N> bench drivers" and
+   "<N> runnable examples" in README.md and docs/*.md must equal the
+   tbr_add_test( calls in tests/CMakeLists.txt, the TBR_BENCHES entries
+   in bench/CMakeLists.txt and the .cpp files in examples/, respectively.
 
 Exit code 0 = clean; 1 = any failure, each printed on its own line.
 """
@@ -36,6 +41,9 @@ KNOB_RE = re.compile(r"^\|\s*`([A-Za-z_][A-Za-z0-9_]*)`\s*\|")
 # or `BENCH_<name>.json` name no bench and do not match).
 CODE_RE = re.compile(r"`([^`\n]+)`")
 BENCH_RE = re.compile(r"\bbench_([a-z0-9_]+)|\bBENCH_([a-z0-9_]+)\.json")
+# "<N> GoogleTest suites" and friends; N is compared against the tree.
+COUNT_RE = re.compile(
+    r"\b(\d+) (GoogleTest suites|bench drivers|runnable examples)\b")
 
 
 def md_files():
@@ -98,15 +106,41 @@ def check_bench_names():
     return failures
 
 
+def tree_counts():
+    tests = (REPO / "tests" / "CMakeLists.txt").read_text(encoding="utf-8")
+    benches = (REPO / "bench" / "CMakeLists.txt").read_text(encoding="utf-8")
+    bench_list = re.search(r"set\(TBR_BENCHES\s+([^)]*)\)", benches)
+    return {
+        "GoogleTest suites": len(
+            re.findall(r"^\s*tbr_add_test\(", tests, re.MULTILINE)),
+        "bench drivers": len(bench_list.group(1).split()) if bench_list else 0,
+        "runnable examples": len(list((REPO / "examples").glob("*.cpp"))),
+    }
+
+
+def check_counts():
+    actual = tree_counts()
+    failures = []
+    for md in md_files():
+        for number, what in COUNT_RE.findall(md.read_text(encoding="utf-8")):
+            if int(number) != actual[what]:
+                failures.append(
+                    f"{md.relative_to(REPO)}: says {number} {what}, "
+                    f"the tree has {actual[what]}")
+    return failures
+
+
 def main():
-    failures = check_links() + check_knobs() + check_bench_names()
+    failures = (check_links() + check_knobs() + check_bench_names() +
+                check_counts())
     for f in failures:
         print(f"FAIL {f}")
     if failures:
         return 1
     n_files = sum(1 for _ in md_files())
     print(f"docs OK: {n_files} markdown files, links resolve, "
-          f"operations.md knobs all exist under src/, cited benches exist")
+          f"operations.md knobs all exist under src/, cited benches exist, "
+          f"counts match the tree")
     return 0
 
 
