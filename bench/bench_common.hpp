@@ -1,4 +1,4 @@
-// Shared helpers for the bench binaries (DESIGN.md §5 experiment index).
+// Shared helpers for the bench binaries.
 #pragma once
 
 #include <cstdio>

@@ -76,8 +76,9 @@ void run() {
     for (ProcessId pid = 4; pid > 4 - f; --pid) group.crash(pid);
     bool write_done = false;
     bool read_done = false;
-    group.begin_write(Value::from_int64(2), [&] { write_done = true; });
-    group.begin_read(1, [&](const Value&, SeqNo) { read_done = true; });
+    group.client().write(Value::from_int64(2),
+                         [&](const OpResult&) { write_done = true; });
+    group.client().read(1, [&](const OpResult&) { read_done = true; });
     (void)group.net().run();
     crash_table.add_row({std::to_string(f), f <= 2 ? "yes (f <= t)" : "NO",
                          write_done ? "yes" : "NO — stalls forever",

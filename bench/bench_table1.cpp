@@ -81,12 +81,11 @@ Tick worst_read_latency(Algorithm algo, std::uint32_t n) {
     bool done = false;
     const Tick base = group.net().now();
     group.net().schedule_at(base, [&] {
-      group.begin_write(Value::from_int64(2), [] {});
+      group.client().write(Value::from_int64(2), [](const OpResult&) {});
     });
     group.net().schedule_at(base + offset, [&] {
-      const Tick start = group.net().now();
-      group.begin_read(n - 1, [&, start](const Value&, SeqNo) {
-        latency = group.net().now() - start;
+      group.client().read(n - 1, [&](const OpResult& r) {
+        latency = r.latency;
         done = true;
       });
     });

@@ -5,7 +5,8 @@
 // Control-bit accounting: 3 bits of type (6 types) + minimal encodings of
 // the tag/seq fields + the modeled label bits. Physical label bytes are
 // capped (kMaxPhysicalLabelBytes) so n-sweeps stay affordable; accounting
-// always uses the analytic size. See DESIGN.md §4.
+// always uses the analytic size. See the bounded-label bullet under
+// "Phased codec" in docs/wire-protocol.md.
 #pragma once
 
 #include "abd/specs.hpp"

@@ -200,10 +200,10 @@ void PhasedProcess::on_message(NetworkContext& net, ProcessId from,
 void PhasedProcess::on_crash() { crashed_ = true; }
 
 std::uint64_t PhasedProcess::local_memory_bytes() const {
-  // Real state + the modeled bounded-label store (DESIGN.md §4). For the
-  // unbounded spec the modeled store is zero and what remains is O(1) words
-  // plus the current value — "unbounded" only through the live sequence
-  // number, exactly as Table 1 line 4 reports.
+  // Real state + the modeled bounded-label store (docs/wire-protocol.md,
+  // "Phased codec"). For the unbounded spec the modeled store is zero and
+  // what remains is O(1) words plus the current value — "unbounded" only
+  // through the live sequence number, exactly as Table 1 line 4 reports.
   std::uint64_t bytes = 8 /*cur_seq*/ + cur_val_.size();
   bytes += 8 /*wsn*/ + 8 /*op_counter*/;
   bytes += spec_.modeled_memory_bits(cfg_.n) / 8;

@@ -5,7 +5,8 @@
 // gossip an echo per phase, and in the size of the bounded labels their
 // messages carry. One engine (PhasedProcess) executes any spec.
 //
-// Fidelity note (see DESIGN.md §4): the unbounded ABD spec is the real
+// Fidelity note (see the bounded-label bullet under "Phased codec" in
+// docs/wire-protocol.md): the unbounded ABD spec is the real
 // algorithm. The two bounded specs are *structural emulations*: they execute
 // the bounded constructions' phase counts, traffic patterns and wire sizes —
 // the quantities Table 1 measures — while anchoring correctness in the same

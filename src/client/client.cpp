@@ -112,14 +112,13 @@ OpResult ClientBase::wait(Ticket t) {
     }
   }
   if (!st->ready.load(std::memory_order_acquire)) {
-    // The drive failed (liveness lost). The engine stamped a status; the
-    // slot is quarantined in case its completion fires on a later drive.
-    OpResult out = st->result;
-    if (out.status.ok()) {
-      out.status = Status(StatusCode::kLivenessLost,
-                          "operation did not complete (liveness lost)");
-    }
+    // The drive failed (liveness lost): quarantine the slot in case its
+    // completion fires on a later drive.
     pool_.abandon(*st);
+    OpResult out;
+    out.status = Status(StatusCode::kLivenessLost,
+                        "operation cannot complete (crashed quorum or "
+                        "stuck run)");
     return out;
   }
   OpResult out = st->result;

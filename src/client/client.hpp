@@ -3,8 +3,8 @@
 // The repo grew four incompatible client surfaces — KvStore's blocking
 // put/get (exceptions), ShardedKvStore's promise-backed futures (~4
 // allocations per op), ThreadNetwork's callback/future split, and
-// SimRegisterGroup's raw std::function hooks. This layer replaces all of
-// them with a single completion model:
+// SimRegisterGroup's raw std::function hooks (begin_write/begin_read).
+// This layer replaced all of them with a single completion model:
 //
 //   * submit an operation -> get a Ticket (or attach an OpCallback and the
 //     pooled state auto-recycles after it runs);
@@ -32,7 +32,10 @@
 // rest: pooling, per-process chains, and routing ops to the writer or,
 // for kAnyReplica reads, round-robin over live replicas. The facades
 // (SimRegisterGroup, ThreadNetwork, SocketNetwork, KvStore,
-// ShardedKvStore) each expose a client() backed by their implementation.
+// ShardedKvStore) each expose a client() backed by their implementation,
+// the only way in. An op's lifecycle has two homes: the register hosts
+// run it through an OpSlot (client/op_slot.hpp), the kv engines through
+// MuxProcess::start_batch, and both finish it with complete_op().
 #pragma once
 
 #include <atomic>
@@ -51,12 +54,14 @@ class ClientEngine {
  public:
   virtual ~ClientEngine() = default;
   /// Issue `st` into the runtime; on completion fill st.result and call
-  /// st.owner->complete(st).
+  /// st.owner->complete(st) (register hosts do both through an OpSlot,
+  /// src/client/op_slot.hpp).
   virtual void client_issue(OpState& st) = 0;
   /// Block until st.ready. The default parks on the pool's condition
   /// variable (thread engines, whose crash and shutdown paths complete
-  /// every accepted op); sim engines drive their event loop instead and,
-  /// on a failed drive, fill st.result.status and return.
+  /// every accepted op); sim engines drive their event loop instead and
+  /// return early on a failed drive, which wait() reports as
+  /// kLivenessLost.
   virtual void client_park(OpState& st, OpPool& pool) {
     pool.block_until_ready(st);
   }

@@ -1,7 +1,7 @@
 // Minimal fixed-width ASCII table printer for the benchmark harness.
 //
 // Every bench binary regenerates a table or series from the paper; this
-// keeps their output uniform and diff-friendly (EXPERIMENTS.md embeds it).
+// keeps their output uniform and diff-friendly.
 #pragma once
 
 #include <string>

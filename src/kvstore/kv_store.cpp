@@ -131,40 +131,20 @@ class KvStore::Group final : public KvClientEngine {
         fail(op, op.kind == OpKind::kWrite ? kHomeCrashed : kReaderCrashed);
         continue;
       }
-      op.start = net_->now();
-      // Completions capture {this, &op}: std::function's inline storage.
-      MuxProcess::BatchOp batch_op;
-      batch_op.slot = op.slot;
-      if (op.kind == OpKind::kWrite) {
-        batch_op.is_write = true;
-        batch_op.value = std::move(op.value);
-        batch_op.write_done = [this, &op](SeqNo version, bool absorbed) {
-          op.result.version = version;
-          op.result.absorbed = absorbed;
-          op.result.latency = net_->now() - op.start;
-          op.owner->complete(op);
-        };
-      } else {
-        batch_op.read_done = [this, &op](const Value& v, SeqNo index) {
-          op.result.value = v;  // copy into the pooled capacity
-          op.result.version = index;
-          op.result.latency = net_->now() - op.start;
-          op.owner->complete(op);
-        };
-      }
       issued_.emplace_back(&op, op.gen.load(std::memory_order_relaxed));
-      per_node_[op.node].push_back(std::move(batch_op));
+      per_node_[op.node].push_back(&op);
     }
 
     // Every node's batch runs in one simulation: chains across nodes and
-    // slots interleave exactly as concurrent clients would.
+    // slots interleave exactly as concurrent clients would. The mux
+    // completes each op itself.
     for (ProcessId pid = 0; pid < n_; ++pid) {
       auto& node_ops = per_node_[pid];
       if (node_ops.empty()) continue;
       ++outstanding_;
       net_->process_as<MuxProcess>(pid).start_batch(
-          net_->context(pid), std::span<MuxProcess::BatchOp>(node_ops),
-          coalesce_, [this] { --outstanding_; }, &batch_);
+          net_->context(pid), node_ops, coalesce_,
+          [this] { --outstanding_; }, &batch_);
     }
   }
 
@@ -208,7 +188,7 @@ class KvStore::Group final : public KvClientEngine {
   // Window state.
   std::vector<OpState*> pending_;  ///< client(): submitted, not yet issued
   std::vector<OpState*> window_;   ///< client(): the window being issued
-  std::vector<std::vector<MuxProcess::BatchOp>> per_node_;
+  std::vector<std::vector<OpState*>> per_node_;  ///< the window, by replica
   std::vector<std::pair<OpState*, std::uint32_t>> issued_;  // (op, gen)
   ProcessId next_reader_ = 0;
   std::size_t outstanding_ = 0;  ///< node batches still running

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "client/op_slot.hpp"
 #include "common/contracts.hpp"
 
 namespace tbr {
@@ -124,10 +125,10 @@ void MuxProcess::start_read(NetworkContext& net, std::uint32_t slot_index,
 // independent registers, so they are all started at once and interleave
 // freely in the underlying network.
 //
-// The plan lives in recycled storage (chains, steps and their completion
-// vectors keep high-water capacity), and the per-step protocol completion
-// captures {this, packed chain/step} — 16 bytes, std::function's inline
-// buffer — so planning and running a steady-state window is allocation-free.
+// The plan lives in recycled storage (chains, steps and their op lists
+// keep high-water capacity), and the per-step protocol completion captures
+// {this, packed chain/step} — 16 bytes, std::function's inline buffer — so
+// planning and running a steady-state window is allocation-free.
 
 MuxProcess::BatchPlan::Chain& MuxProcess::BatchPlan::push_chain(
     std::uint32_t slot) {
@@ -143,12 +144,12 @@ MuxProcess::BatchPlan::Step& MuxProcess::BatchPlan::push_step(Chain& chain) {
   Step& step = chain.steps[chain.step_count++];
   step.is_write = false;
   step.version = 0;
-  step.write_dones.clear();
-  step.read_dones.clear();
+  step.ops.clear();
   return step;
 }
 
-void MuxProcess::start_batch(NetworkContext& net, std::span<BatchOp> ops,
+void MuxProcess::start_batch(NetworkContext& net,
+                             std::span<OpState* const> ops,
                              bool coalesce_writes, std::function<void()> done,
                              BatchStats* stats) {
   net_ = &net;
@@ -166,40 +167,34 @@ void MuxProcess::start_batch(NetworkContext& net, std::span<BatchOp> ops,
   // Plan: ops are already in arrival order; route each to its slot's live
   // chain (creating one on first touch), extending or starting a step run.
   plan_.chain_count = 0;
-  for (BatchOp& op : ops) {
-    TBR_ENSURE(op.slot < slots_.size(), "batch op for unknown slot");
-    std::uint32_t chain_index = slot_chain_[op.slot];
+  const Tick now = net.now();
+  for (OpState* op : ops) {
+    TBR_ENSURE(op->slot < slots_.size(), "batch op for unknown slot");
+    op->start = now;
+    std::uint32_t chain_index = slot_chain_[op->slot];
     if (chain_index == kNoChain) {
       chain_index = static_cast<std::uint32_t>(plan_.chain_count);
-      slot_chain_[op.slot] = chain_index;
-      plan_.push_chain(op.slot);
+      slot_chain_[op->slot] = chain_index;
+      plan_.push_chain(op->slot);
     }
     BatchPlan::Chain& chain = plan_.chains[chain_index];
+    const bool is_write = op->kind == OpKind::kWrite;
     const bool extends_run =
         chain.step_count > 0 &&
-        chain.steps[chain.step_count - 1].is_write == op.is_write;
-    if (op.is_write) {
-      if (coalesce_writes && extends_run) {
-        BatchPlan::Step& step = chain.steps[chain.step_count - 1];
-        step.value = std::move(op.value);  // last write wins
-        step.write_dones.push_back(std::move(op.write_done));
-        if (stats != nullptr) stats->absorbed_writes += 1;
-      } else {
-        BatchPlan::Step& step = BatchPlan::push_step(chain);
-        step.is_write = true;
-        step.value = std::move(op.value);
-        step.write_dones.push_back(std::move(op.write_done));
-        if (stats != nullptr) stats->protocol_writes += 1;
+        chain.steps[chain.step_count - 1].is_write == is_write &&
+        (!is_write || coalesce_writes);
+    if (extends_run) {
+      // A shared read round, or a write absorbed by the run's last one.
+      chain.steps[chain.step_count - 1].ops.push_back(op);
+      if (stats != nullptr) {
+        (is_write ? stats->absorbed_writes : stats->coalesced_reads) += 1;
       }
     } else {
-      if (extends_run) {
-        chain.steps[chain.step_count - 1].read_dones.push_back(
-            std::move(op.read_done));
-        if (stats != nullptr) stats->coalesced_reads += 1;
-      } else {
-        BatchPlan::Step& step = BatchPlan::push_step(chain);
-        step.read_dones.push_back(std::move(op.read_done));
-        if (stats != nullptr) stats->protocol_reads += 1;
+      BatchPlan::Step& step = BatchPlan::push_step(chain);
+      step.is_write = is_write;
+      step.ops.push_back(op);
+      if (stats != nullptr) {
+        (is_write ? stats->protocol_writes : stats->protocol_reads) += 1;
       }
     }
   }
@@ -235,17 +230,18 @@ void MuxProcess::run_batch_chain(std::size_t chain, std::size_t step) {
   BatchPlan::Step& st = ch.steps[step];
   if (st.is_write) {
     st.version = ++batch_versions_[ch.slot];
-    start_write(*net_, ch.slot, std::move(st.value), [this, packed] {
+    // Only the run's last write reaches the register.
+    Value& survivor = st.ops.back()->value;
+    start_write(*net_, ch.slot, std::move(survivor), [this, packed] {
       const auto chain_index = static_cast<std::size_t>(packed >> 32);
       const auto step_index =
           static_cast<std::size_t>(packed & 0xFFFFFFFFu);
-      auto& done_step = plan_.chains[chain_index].steps[step_index];
-      for (std::size_t k = 0; k < done_step.write_dones.size(); ++k) {
-        // Only the run's last write reached the register.
-        if (done_step.write_dones[k]) {
-          done_step.write_dones[k](done_step.version,
-                                   k + 1 != done_step.write_dones.size());
-        }
+      const auto& done_step = plan_.chains[chain_index].steps[step_index];
+      for (std::size_t k = 0; k < done_step.ops.size(); ++k) {
+        OpState& op = *done_step.ops[k];
+        op.result.version = done_step.version;
+        op.result.absorbed = k + 1 != done_step.ops.size();
+        complete_op(op, *net_);
       }
       run_batch_chain(chain_index, step_index + 1);
     });
@@ -254,9 +250,10 @@ void MuxProcess::run_batch_chain(std::size_t chain, std::size_t step) {
       const auto chain_index = static_cast<std::size_t>(packed >> 32);
       const auto step_index =
           static_cast<std::size_t>(packed & 0xFFFFFFFFu);
-      auto& done_step = plan_.chains[chain_index].steps[step_index];
-      for (auto& done : done_step.read_dones) {
-        if (done) done(v, index);
+      for (OpState* op : plan_.chains[chain_index].steps[step_index].ops) {
+        op->result.value = v;  // copy into the pooled capacity
+        op->result.version = index;
+        complete_op(*op, *net_);
       }
       run_batch_chain(chain_index, step_index + 1);
     });

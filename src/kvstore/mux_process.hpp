@@ -16,9 +16,8 @@
 // (the inner frame is encoded straight into its recycled Value buffer —
 // no fresh string per send), inbound frames decode into a reused scratch
 // via Codec::decode_into, and the batching window runs on a recycled
-// BatchPlan whose chains/steps/completion vectors keep their high-water
-// capacities — so a steady-state batched operation allocates nothing
-// inside the mux.
+// BatchPlan whose chains/steps/op lists keep their high-water capacities
+// — so a steady-state batched operation allocates nothing inside the mux.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "client/op.hpp"
 #include "net/register_process.hpp"
 
 namespace tbr {
@@ -77,51 +77,31 @@ class MuxProcess final : public ProcessBase {
                   RegisterProcessBase::ReadDone done);
 
   // ---- batched operations (the engines' batching window) -------------------------
-  /// Write completion in a batch: `version` is the slot register's index
-  /// the write landed as (counted here — valid as long as every write to
-  /// the slot goes through this mux, which the SWMR home-node placement
-  /// guarantees); `absorbed` marks a write whose value was replaced by a
-  /// later queued write before reaching the register.
-  using BatchWriteDone = std::function<void(SeqNo version, bool absorbed)>;
-
-  /// One client operation bound for this node: a read issued at this
-  /// replica, or a write whose slot is homed here.
-  struct BatchOp {
-    std::uint32_t slot = 0;
-    bool is_write = false;
-    Value value;  ///< writes only
-    BatchWriteDone write_done;
-    RegisterProcessBase::ReadDone read_done;
-  };
-
-  /// Execute a window's worth of client operations in as few protocol
-  /// rounds as the register spec allows. Ops are grouped per slot into
-  /// arrival-order chains (one register admits one operation at a time per
-  /// process); chains for distinct slots proceed concurrently. Within a
-  /// chain, a run of consecutive reads shares ONE protocol read (every
-  /// waiting client gets the same (value, index) — all of them linearize at
-  /// that round's point, inside each caller's interval), and, when
-  /// `coalesce_writes` is set, a run of consecutive writes collapses
-  /// last-write-wins into ONE protocol write (the absorbed writes linearize
-  /// immediately before the surviving one; no read can observe the skipped
-  /// values because none ever reaches the register). `done` fires once
-  /// every chain has completed; `stats`, when given, tallies the savings.
+  /// Run a window of client ops bound for this node (reads issued at this
+  /// replica, writes to slots homed here) in as few protocol rounds as the
+  /// register spec allows, and complete every op: its start is stamped
+  /// here, and complete_op (src/client/op_slot.hpp) finishes it with its
+  /// latency. Ops are grouped per slot (OpState::slot) into arrival-order
+  /// chains (one register admits one operation at a time per process);
+  /// chains for distinct slots proceed concurrently. Within a chain, a run
+  /// of consecutive reads shares ONE protocol read (every op gets the same
+  /// value and version — all linearize at that round's point, inside each
+  /// caller's interval), and, when `coalesce_writes` is set, a run of
+  /// consecutive writes collapses last-write-wins into ONE protocol write
+  /// (the absorbed writes linearize immediately before the surviving one;
+  /// no read can observe their values because none reaches the register).
+  /// A write's version is the slot register's index it landed as (counted
+  /// here — valid while every write to the slot goes through this mux, as
+  /// the SWMR home-node placement guarantees); all writes of a run but the
+  /// last complete with `absorbed`. `done` fires once every chain has
+  /// completed; `stats`, when given, tallies the savings.
   ///
   /// The plan is recycled storage owned by this mux: at most ONE batch may
   /// be in flight per MuxProcess at a time (every in-tree driver waits for
-  /// the previous window before issuing the next). Op payloads and
-  /// completions are moved out of `ops`; the caller keeps the container
-  /// and its capacity for the next window.
-  void start_batch(NetworkContext& net, std::span<BatchOp> ops,
+  /// the previous window before issuing the next).
+  void start_batch(NetworkContext& net, std::span<OpState* const> ops,
                    bool coalesce_writes, std::function<void()> done,
                    BatchStats* stats = nullptr);
-  /// Convenience overload consuming a vector (capacity is discarded).
-  void start_batch(NetworkContext& net, std::vector<BatchOp> ops,
-                   bool coalesce_writes, std::function<void()> done,
-                   BatchStats* stats = nullptr) {
-    start_batch(net, std::span<BatchOp>(ops), coalesce_writes,
-                std::move(done), stats);
-  }
 
   std::uint32_t slot_count() const {
     return static_cast<std::uint32_t>(slots_.size());
@@ -140,10 +120,8 @@ class MuxProcess final : public ProcessBase {
   struct BatchPlan {
     struct Step {
       bool is_write = false;
-      Value value;  ///< surviving write value (write steps only)
       SeqNo version = 0;  ///< assigned when the write step issues
-      std::vector<BatchWriteDone> write_dones;
-      std::vector<RegisterProcessBase::ReadDone> read_dones;
+      std::vector<OpState*> ops;  ///< what the step completes, in order
     };
     struct Chain {
       std::uint32_t slot = 0;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "runtime/affinity.hpp"
 #include "runtime/mailbox.hpp"
 
 namespace tbr {
@@ -237,8 +236,6 @@ std::uint64_t ShardedKvStore::frames_sent() const {
 // ---- the shard worker ---------------------------------------------------------
 
 void ShardedKvStore::worker_loop(Shard& shard, std::stop_token st) {
-  if (opt_.pin_shard_threads) (void)pin_current_thread(shard.id);
-
   // One window buffer for the worker's lifetime: pop_all refills it in
   // place, so steady-state batching never allocates for the window itself.
   std::vector<ShardOp> window;

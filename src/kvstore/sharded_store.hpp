@@ -69,8 +69,6 @@ class ShardedKvStore {
     /// Patience for min_batch before the worker opens a partial window
     /// anyway (keeps drain()/ragged traffic live).
     std::chrono::microseconds min_batch_wait{1000};
-    /// Pin shard worker s to core s (best-effort; see runtime/affinity.hpp).
-    bool pin_shard_threads = false;
     /// Per-slot register engine (two-bit default, or a fast-path read
     /// engine for 3Δ/2Δ gets).
     Algorithm engine = Algorithm::kTwoBit;

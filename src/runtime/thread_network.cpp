@@ -5,6 +5,7 @@
 #include <utility>
 #include <variant>
 
+#include "client/op_slot.hpp"
 #include "runtime/mailbox.hpp"
 
 namespace tbr {
@@ -12,9 +13,6 @@ namespace tbr {
 using Clock = std::chrono::steady_clock;
 
 namespace {
-constexpr Status kCrashedStatus{StatusCode::kCrashed, "process has crashed"};
-constexpr Status kShutdownStatus{StatusCode::kShutdown,
-                                 "network is shut down"};
 
 // ---- the envelopes a process thread consumes ------------------------------
 
@@ -85,7 +83,7 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
     while (auto env = mailbox_.pop(st)) handle(std::move(*env));
     // The network stopped: the in-flight op can never complete. Ops
     // drained after the stop were failed on arrival.
-    fail_pending(kShutdownStatus);
+    slot_.fail(kEngineShutdown);
   }
 
  private:
@@ -121,25 +119,11 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
 
   void handle_one(OpState* op) {
     if (stop_.stop_requested()) {
-      op->owner->complete_failed(*op, kShutdownStatus);
-      return;
-    }
-    if (crashed()) {
-      op->owner->complete_failed(*op, kCrashedStatus);
-      return;
-    }
-    TBR_ENSURE(pending_op_ == nullptr, "per-process op overlap");
-    op->start = net_.now();
-    pending_op_ = op;
-    // The completions capture only `this`: std::function's inline storage.
-    if (op->kind == OpKind::kWrite) {
-      proc_->start_write(*this, std::move(op->value), [this] { finish_op(); });
+      op->owner->complete_failed(*op, kEngineShutdown);
+    } else if (crashed()) {
+      op->owner->complete_failed(*op, kProcessCrashed);
     } else {
-      proc_->start_read(*this, [this](const Value& v, SeqNo index) {
-        pending_op_->result.value = v;  // copy into the pooled capacity
-        pending_op_->result.version = index;
-        finish_op();
-      });
+      slot_.start(*proc_, *this, *op);
     }
   }
 
@@ -150,7 +134,7 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
     // The model says a faulty process's last operation may never take
     // effect (§2.2); its *client* still must not wait forever. Fail the
     // in-flight op — the algorithm will never complete it.
-    fail_pending(kCrashedStatus);
+    slot_.fail(kProcessCrashed);
   }
 
   void handle_one(RecoverEnvelope) {
@@ -171,18 +155,6 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
     if (e.incarnation == incarnation_ && e.fn) e.fn();
   }
 
-  void finish_op() {
-    OpState& op = *std::exchange(pending_op_, nullptr);
-    op.result.latency = net_.now() - op.start;
-    op.owner->complete(op);
-  }
-
-  void fail_pending(Status status) {
-    if (pending_op_ == nullptr) return;
-    OpState& op = *std::exchange(pending_op_, nullptr);
-    op.owner->complete_failed(op, status);
-  }
-
   ThreadNetwork& net_;
   ProcessId pid_;
   std::unique_ptr<RegisterProcessBase> proc_;
@@ -192,39 +164,9 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
   // Loop thread only: the in-flight client op (resolved by the protocol's
   // completion, or failed by a crash or the stop, whichever comes first),
   // the incarnation that timers are fenced by, and the thread's stop token.
-  OpState* pending_op_ = nullptr;
+  OpSlot slot_;
   std::uint32_t incarnation_ = 0;
   std::stop_token stop_;
-};
-
-// ---- ClientImpl: the unified client API over this runtime -------------------
-//
-// Issue = push the op's OpState pointer to its process's mailbox; park =
-// the pool's condition variable (ClientEngine's default). Completion is
-// guaranteed: the process thread's crash and stop paths fail every op it
-// accepts, and a closed mailbox refuses the rest.
-
-class ThreadNetwork::ClientImpl final : public RegisterClientEngine {
- public:
-  explicit ClientImpl(ThreadNetwork& net)
-      : net_(net), client_(*this, net.cfg_) {}
-
-  bool client_crashed(ProcessId pid) const override {
-    return net_.crashed(pid);
-  }
-
-  void client_issue(OpState& st) override {
-    TBR_ENSURE(net_.started_, "start() the network first");
-    if (!net_.hosts_[st.node]->mailbox().push(&st)) {
-      st.owner->complete_failed(st, kShutdownStatus);
-    }
-  }
-
-  RegisterClient& client() noexcept { return client_; }
-
- private:
-  ThreadNetwork& net_;
-  RegisterClient client_;
 };
 
 // ---- ThreadNetwork -----------------------------------------------------------
@@ -243,11 +185,6 @@ ThreadNetwork::ThreadNetwork(Options options)
     hosts_.push_back(std::make_unique<ProcessHost>(
         *this, pid, make_group_process(opt_, pid)));
   }
-  client_impl_ = std::make_unique<ClientImpl>(*this);
-}
-
-RegisterClient& ThreadNetwork::client() noexcept {
-  return client_impl_->client();
 }
 
 ThreadNetwork::~ThreadNetwork() { stop(); }
@@ -409,6 +346,16 @@ void ThreadNetwork::recover(ProcessId pid) {
   TBR_ENSURE(crashed(pid), "recover of a process that is not crashed");
   TBR_ENSURE(rejoin_ != nullptr, "recover needs Options::recover_factory");
   hosts_[pid]->mailbox().push(RecoverEnvelope{});
+}
+
+// Client issue: the op's OpState pointer goes to its process's mailbox. A
+// closed mailbox refuses it; the process thread resolves every op it takes.
+
+void ThreadNetwork::client_issue(OpState& st) {
+  TBR_ENSURE(started_, "start() the network first");
+  if (!hosts_[st.node]->mailbox().push(&st)) {
+    st.owner->complete_failed(st, kEngineShutdown);
+  }
 }
 
 bool ThreadNetwork::crashed(ProcessId pid) const {

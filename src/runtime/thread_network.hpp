@@ -15,9 +15,10 @@
 //
 // Client API: client() exposes the unified RegisterClient (pooled
 // Ticket/callback completions, uniform Status — see src/client/client.hpp),
-// the one way in. The owning process's thread resolves every op it
-// accepts: with the protocol's result, kCrashed after a crash marker, or
-// kShutdown once the network stops.
+// the one way in; the network is its engine. The owning process's thread
+// runs every op it accepts through its OpSlot (src/client/op_slot.hpp):
+// the protocol's result, kCrashed after a crash marker, or kShutdown once
+// the network stops.
 #pragma once
 
 #include <atomic>
@@ -38,7 +39,7 @@
 
 namespace tbr {
 
-class ThreadNetwork {
+class ThreadNetwork final : private RegisterClientEngine {
  public:
   /// cfg, algo, process_factory and recover_factory (RegisterGroupOptions)
   /// plus the delivery delay.
@@ -65,7 +66,7 @@ class ThreadNetwork {
   /// Pooled Ticket/callback completions with uniform Status outcomes
   /// (src/client/client.hpp). Safe from any thread; completions run on the
   /// owning process's thread. Steady state: zero allocations per op.
-  RegisterClient& client() noexcept;
+  RegisterClient& client() noexcept { return client_; }
 
   /// Crash a process: it handles nothing after the marker is processed.
   void crash(ProcessId pid);
@@ -84,7 +85,6 @@ class ThreadNetwork {
 
  private:
   class ProcessHost;
-  class ClientImpl;
   struct PendingFrame {
     Tick release_at = 0;
     std::uint64_t seq = 0;
@@ -101,6 +101,10 @@ class ThreadNetwork {
       return seq > other.seq;
     }
   };
+
+  // RegisterClientEngine.
+  void client_issue(OpState& st) override;
+  bool client_crashed(ProcessId pid) const override { return crashed(pid); }
 
   void dispatch(ProcessId from, ProcessId to, const Message& msg);
   void schedule_timer(ProcessId pid, std::uint32_t incarnation, Tick delay,
@@ -126,7 +130,7 @@ class ThreadNetwork {
   Options opt_;
   ProcessFactory rejoin_;  ///< builds recover()'s incarnations; may be empty
   std::vector<std::unique_ptr<ProcessHost>> hosts_;
-  std::unique_ptr<ClientImpl> client_impl_;  // engine + RegisterClient
+  RegisterClient client_{*this, cfg_};
   std::unique_ptr<std::atomic<std::uint32_t>[]> chan_epoch_;  // n*n cells
 
   // Dispatcher state.

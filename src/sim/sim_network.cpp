@@ -138,6 +138,7 @@ void SimNetwork::crash_now(ProcessId pid) {
                    false});
   }
   processes_[pid]->on_crash();
+  if (crash_hook_) crash_hook_(pid);
 }
 
 bool SimNetwork::crashed(ProcessId pid) const {

@@ -161,6 +161,11 @@ class SimNetwork {
   using Hook = std::function<void(SimNetwork&)>;
   void set_post_event_hook(Hook hook) { post_event_hook_ = std::move(hook); }
 
+  /// Called with the pid right after a process crashes (crash_now, and so
+  /// crash_at): SimRegisterGroup's client fails the op in flight there.
+  using CrashHook = std::function<void(ProcessId)>;
+  void set_crash_hook(CrashHook hook) { crash_hook_ = std::move(hook); }
+
   /// Attach a protocol trace (send/deliver/drop/crash events). The log must
   /// outlive the network; pass nullptr to detach.
   void set_trace(TraceLog* trace) { trace_ = trace; }
@@ -266,6 +271,7 @@ class SimNetwork {
   std::uint64_t frames_lost_ = 0;
   MessageStats stats_;
   Hook post_event_hook_;
+  CrashHook crash_hook_;
   TraceLog* trace_ = nullptr;
 
   bool started_ = false;

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <utility>
 
+#include "client/op_slot.hpp"
 #include "common/contracts.hpp"
 #include "transport/event_loop.hpp"
 #include "transport/frame_buffer.hpp"
@@ -17,9 +18,6 @@ namespace tbr {
 using Clock = std::chrono::steady_clock;
 
 namespace {
-constexpr Status kCrashedStatus{StatusCode::kCrashed, "process has crashed"};
-constexpr Status kShutdownStatus{StatusCode::kShutdown,
-                                 "network is shut down"};
 /// epoll tag reserved for a loop's own wakeup pipe.
 constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
 }  // namespace
@@ -281,35 +279,40 @@ class SocketNetwork::Node final : public NetworkContext {
 
   // ---- command handlers (owning loop thread) ------------------------------------
 
-  /// A client operation reaching its owning loop thread. Admission is a
-  /// FIFO: the op starts from pump_ops() once the process is idle and no
-  /// outbound channel is parked — this is where backpressure becomes a
-  /// deterministic stall of the RegisterClient submission chain instead
-  /// of an unbounded buffer.
+  /// A client operation reaching its owning loop thread. It waits here
+  /// until pump_op() starts it: the RegisterClient's per-process chain
+  /// issues one op per process at a time, so while this one is admitted
+  /// or running, the chain holds the rest. A parked process leaves it
+  /// waiting — this is where backpressure becomes a deterministic stall
+  /// of the submission chain instead of an unbounded buffer.
   void admit(OpState& st) {
     if (crashed_) {
-      st.owner->complete_failed(st, kCrashedStatus);
+      st.owner->complete_failed(st, kProcessCrashed);
       return;
     }
+    TBR_ENSURE(admitted_ == nullptr && !slot_.busy(),
+               "per-process op overlap");
     if (park_active_) {
       deferred_admissions_.fetch_add(1, std::memory_order_relaxed);
     }
-    queued_ops_.push_back(&st);
+    admitted_ = &st;
   }
 
-  /// Start queued ops while the process is idle and unparked. Called at
-  /// the top level of the loop iteration only — never from inside a
+  /// Start the admitted op once the process is idle and unparked. Called
+  /// at the top level of the loop iteration only — never from inside a
   /// protocol handler, so an op's first sends can't reenter the process
   /// mid-message.
-  void pump_ops() {
-    while (!crashed_ && !park_active_ && pending_op_ == nullptr &&
-           queued_head_ < queued_ops_.size()) {
-      OpState* st = queued_ops_[queued_head_++];
-      if (queued_head_ == queued_ops_.size()) {
-        queued_ops_.clear();  // capacity retained
-        queued_head_ = 0;
-      }
-      start_op(*st);
+  void pump_op() {
+    if (admitted_ == nullptr || crashed_ || park_active_) return;
+    slot_.start(*proc_, *this, *std::exchange(admitted_, nullptr));
+  }
+
+  /// Fail the op the node holds, started or admitted (a crash, or the
+  /// loop's exit).
+  void fail_ops(Status status) {
+    slot_.fail(status);
+    if (OpState* st = std::exchange(admitted_, nullptr)) {
+      st->owner->complete_failed(*st, status);
     }
   }
 
@@ -320,18 +323,8 @@ class SocketNetwork::Node final : public NetworkContext {
     proc_->on_crash();
     // The model lets a faulty process's last operation evaporate (§2.2);
     // its client must still learn the outcome — fail it now, the algorithm
-    // will never complete it. Queued-but-unstarted admissions fail in
-    // arrival order behind it.
-    if (pending_op_ != nullptr) {
-      OpState& op = *pending_op_;
-      pending_op_ = nullptr;
-      op.owner->complete_failed(op, kCrashedStatus);
-    }
-    for (std::size_t k = queued_head_; k < queued_ops_.size(); ++k) {
-      queued_ops_[k]->owner->complete_failed(*queued_ops_[k], kCrashedStatus);
-    }
-    queued_ops_.clear();
-    queued_head_ = 0;
+    // will never complete it.
+    fail_ops(kProcessCrashed);
     // A crash kills the endpoint: sockets close, peers see dead channels.
     for (ProcessId p = 0; p < peers_.size(); ++p) {
       if (p != pid_) teardown_conn(p);
@@ -410,49 +403,9 @@ class SocketNetwork::Node final : public NetworkContext {
     update_interest(p);
   }
 
-  /// Loop exit: every accepted-but-unresolved operation completes with
-  /// kShutdown — the in-protocol one first, then the admitted-but-queued
-  /// ones in arrival order.
-  void fail_all_pending() {
-    if (pending_op_ != nullptr) {
-      OpState& op = *pending_op_;
-      pending_op_ = nullptr;
-      op.owner->complete_failed(op, kShutdownStatus);
-    }
-    for (std::size_t k = queued_head_; k < queued_ops_.size(); ++k) {
-      queued_ops_[k]->owner->complete_failed(*queued_ops_[k],
-                                             kShutdownStatus);
-    }
-    queued_ops_.clear();
-    queued_head_ = 0;
-  }
-
   bool crashed_local() const noexcept { return crashed_; }
 
  private:
-  void start_op(OpState& st) {
-    TBR_ENSURE(pending_op_ == nullptr, "per-process op overlap");
-    st.start = net_.now();
-    pending_op_ = &st;
-    if (st.kind == OpKind::kWrite) {
-      proc_->start_write(*this, std::move(st.value), [this] {
-        OpState& op = *pending_op_;
-        pending_op_ = nullptr;
-        op.result.latency = net_.now() - op.start;
-        op.owner->complete(op);
-      });
-    } else {
-      proc_->start_read(*this, [this](const Value& v, SeqNo index) {
-        OpState& op = *pending_op_;
-        pending_op_ = nullptr;
-        op.result.value = v;  // copy into the pooled capacity
-        op.result.version = index;
-        op.result.latency = net_.now() - op.start;
-        op.owner->complete(op);
-      });
-    }
-  }
-
   void dispatch_frames(ProcessId p) {
     Connection& conn = peers_[p];
     // A handler can tear this very buffer down mid-loop (crash command, or
@@ -513,14 +466,12 @@ class SocketNetwork::Node final : public NetworkContext {
   Message inbound_;             ///< decode_into scratch (loop thread only)
   OwnedFd listener_;
 
-  /// Admission FIFO (loop thread only): ops accepted but not yet started,
-  /// drained by pump_ops() when idle and unparked. Recycled storage.
-  std::vector<OpState*> queued_ops_;
-  std::size_t queued_head_ = 0;
-  /// The in-flight client operation (loop thread only): resolved by the
-  /// protocol's completion callback, or failed by a crash marker or the
-  /// shutdown path, whichever comes first.
-  OpState* pending_op_ = nullptr;
+  /// Client ops (loop thread only): the one admitted but not yet started
+  /// (pump_op() starts it when idle and unparked), and the one in the
+  /// protocol — resolved by its completion, or failed by a crash marker
+  /// or the shutdown path, whichever comes first.
+  OpState* admitted_ = nullptr;
+  OpSlot slot_;
 
   bool crashed_ = false;                   // loop thread's view
   std::atomic<bool> crashed_flag_{false};  // external observers
@@ -596,7 +547,7 @@ void SocketNetwork::Loop::fail_queued_commands() {
   }
   for (const Command& cmd : rest) {
     if (cmd.op != nullptr) {
-      cmd.op->owner->complete_failed(*cmd.op, kShutdownStatus);
+      cmd.op->owner->complete_failed(*cmd.op, kEngineShutdown);
     }
   }
 }
@@ -617,51 +568,16 @@ void SocketNetwork::Loop::run(std::stop_token st) {
       if (!w.registered) continue;  // torn down earlier in this batch
       w.node->on_io(w.peer, ev.events);
     }
-    // Top-of-loop op admission: start queued client ops only here, never
+    // Top-of-loop op admission: start admitted client ops only here, never
     // from inside a protocol handler (sequential-process guarantee), and
     // only after backpressure state has settled for this batch.
-    for (Node* node : nodes_) node->pump_ops();
+    for (Node* node : nodes_) node->pump_op();
   }
   // Loop exit: fail everything accepted, then everything still queued;
   // later submissions bounce at submit().
-  for (Node* node : nodes_) node->fail_all_pending();
+  for (Node* node : nodes_) node->fail_ops(kEngineShutdown);
   fail_queued_commands();
 }
-
-// ---- ClientImpl: the unified client API over this runtime -------------------
-//
-// Issue = submit a Command carrying the OpState pointer to the owning
-// node's loop thread (which resolves it with a uniform Status); park =
-// the pool's condition variable (ClientEngine's default). Completion is
-// guaranteed: the loop's crash and shutdown paths fail every accepted
-// command.
-
-class SocketNetwork::ClientImpl final : public RegisterClientEngine {
- public:
-  explicit ClientImpl(SocketNetwork& net)
-      : net_(net), client_(*this, net.cfg_) {}
-
-  bool client_crashed(ProcessId pid) const override {
-    return net_.crashed(pid);
-  }
-
-  void client_issue(OpState& st) override {
-    TBR_ENSURE(net_.started_, "start() the network first");
-    Node* node = net_.nodes_[st.node].get();
-    Loop::Command cmd;
-    cmd.node = node;
-    cmd.op = &st;
-    if (!node->loop().submit(std::move(cmd))) {
-      st.owner->complete_failed(st, kShutdownStatus);
-    }
-  }
-
-  RegisterClient& client() noexcept { return client_; }
-
- private:
-  SocketNetwork& net_;
-  RegisterClient client_;
-};
 
 // ---- SocketNetwork ------------------------------------------------------------------
 
@@ -692,14 +608,9 @@ SocketNetwork::SocketNetwork(Options options)
   for (ProcessId pid = 0; pid < cfg_.n; ++pid) {
     nodes_[pid]->attach_loop(loops_[pid % count].get(), opt_.limits);
   }
-  client_impl_ = std::make_unique<ClientImpl>(*this);
 }
 
 SocketNetwork::~SocketNetwork() { stop(); }
-
-RegisterClient& SocketNetwork::client() noexcept {
-  return client_impl_->client();
-}
 
 Tick SocketNetwork::now() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -803,6 +714,20 @@ void SocketNetwork::recover(ProcessId pid) {
   reborn.kind = Loop::Command::Kind::kRecover;
   reborn.node = nodes_[pid].get();
   nodes_[pid]->loop().submit(std::move(reborn));
+}
+
+// Client issue: a Command carrying the OpState pointer goes to the owning
+// node's loop thread, whose crash and shutdown paths fail every accepted op.
+
+void SocketNetwork::client_issue(OpState& st) {
+  TBR_ENSURE(started_, "start() the network first");
+  Node* node = nodes_[st.node].get();
+  Loop::Command cmd;
+  cmd.node = node;
+  cmd.op = &st;
+  if (!node->loop().submit(std::move(cmd))) {
+    st.owner->complete_failed(st, kEngineShutdown);
+  }
 }
 
 bool SocketNetwork::crashed(ProcessId pid) const {

@@ -28,19 +28,20 @@
 //
 // Backpressure: every connection carries ConnLimits watermarks (see
 // transport/connection.hpp). When a peer's outbuf crosses high water the
-// connection parks and the owning process stops *admitting* client
-// operations — submissions queue in arrival order on the node and the
-// RegisterClient chain stalls deterministically instead of the outbuf
+// connection parks and the owning process stops *starting* client
+// operations — one admitted op waits on the node, the RegisterClient
+// chain holds the rest and stalls deterministically instead of the outbuf
 // growing without bound. EPOLLOUT-driven flushes resume admission at low
 // water. Nothing queued is dropped or reordered. parked()/
 // backpressure_snapshot() surface the state.
 //
 // Client API: client() exposes the same unified RegisterClient as every
 // other engine (pooled Ticket/callback completions, uniform Status — see
-// src/client/client.hpp): issue enqueues a command to the owning loop
-// thread, park blocks on the client pool's condition variable, and the
-// loop thread resolves the op (kCrashed after a crash marker, kShutdown
-// once the network stops). Inbound bytes ride a consumed-offset ring
+// src/client/client.hpp), with the network as its engine: issue enqueues
+// a command to the owning loop thread, park blocks on the client pool's
+// condition variable, and the loop thread runs the op through the node's
+// OpSlot (src/client/op_slot.hpp): the protocol's result, kCrashed after
+// a crash marker, or kShutdown once the network stops. Inbound bytes ride a consumed-offset ring
 // (FrameBuffer), so draining a frame is O(frame), not O(buffer); a
 // steady-state ticket round-trip stays allocation-free.
 #pragma once
@@ -58,7 +59,7 @@
 
 namespace tbr {
 
-class SocketNetwork {
+class SocketNetwork final : private RegisterClientEngine {
  public:
   /// cfg, algo, process_factory and recover_factory (RegisterGroupOptions)
   /// plus the loop and buffer knobs.
@@ -94,7 +95,7 @@ class SocketNetwork {
   /// callback completions with uniform Status outcomes. Safe from any
   /// thread; completions run on the owning process's loop thread. Steady
   /// state: zero allocations per operation.
-  RegisterClient& client() noexcept;
+  RegisterClient& client() noexcept { return client_; }
 
   /// Crash a process: its loop closes every socket and ignores the rest.
   void crash(ProcessId pid);
@@ -108,9 +109,9 @@ class SocketNetwork {
   /// Event loops actually running (after auto-resolution).
   std::uint32_t loop_count() const noexcept;
   /// True while pid's op admission is stalled by backpressure: some
-  /// outbound channel is above high water, so newly issued operations
-  /// queue at the node instead of starting. The RegisterClient chain
-  /// stalls deterministically behind them.
+  /// outbound channel is above high water, so a newly issued operation
+  /// waits at the node instead of starting. The RegisterClient chain
+  /// stalls deterministically behind it.
   bool parked(ProcessId pid) const;
   BackpressureStats backpressure_snapshot() const;
   /// Fault-injection hook (tests): while paused, pid's loop stops draining
@@ -125,14 +126,17 @@ class SocketNetwork {
  private:
   class Node;
   class Loop;
-  class ClientImpl;
+
+  // RegisterClientEngine.
+  void client_issue(OpState& st) override;
+  bool client_crashed(ProcessId pid) const override { return crashed(pid); }
 
   GroupConfig cfg_;
   Options opt_;
   ProcessFactory rejoin_;  ///< builds recover()'s incarnations; may be empty
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::unique_ptr<ClientImpl> client_impl_;  // engine + RegisterClient
+  RegisterClient client_{*this, cfg_};
 
   mutable std::mutex stats_mu_;
   MessageStats stats_;

@@ -21,64 +21,79 @@ GroupConfig scenario_cfg() {
   return cfg;
 }
 
+/// The scenarios' logged client ops on one group, recorded for the checker.
+class Script {
+ public:
+  explicit Script(SimRegisterGroup& group) : group_(group) {}
+
+  /// Value 1 reaches everyone (possibly over slow links — virtual time is
+  /// free) so every pairwise freshness relation is established.
+  void warm_up() {
+    const auto id =
+        log_.begin_write(0, group_.net().now(), 1, Value::from_int64(1));
+    TBR_ENSURE(group_.client().write_sync(Value::from_int64(1)).status.ok(),
+               "warm-up write must complete");
+    log_.end_write(id, group_.net().now());
+    group_.settle();
+  }
+
+  /// Write value 2 at time `at`; `done` rises when it completes.
+  void write_two_at(Tick at, bool& done) {
+    const auto id = log_.begin_write(0, at, 2, Value::from_int64(2));
+    group_.net().schedule_at(at, [this, id, &done] {
+      group_.client().write(Value::from_int64(2),
+                            [this, id, &done](const OpResult&) {
+                              log_.end_write(id, group_.net().now());
+                              done = true;
+                            });
+    });
+  }
+
+  /// Read at `reader` at time `at`; `index` and `done` record the outcome.
+  void read_at(ProcessId reader, Tick at, SeqNo& index, bool& done) {
+    group_.net().schedule_at(at, [this, reader, &index, &done] {
+      const auto id = log_.begin_read(reader, group_.net().now());
+      group_.client().read(reader, [this, id, &index,
+                                    &done](const OpResult& r) {
+        log_.end_read(id, group_.net().now(), r.value, r.version);
+        index = r.version;
+        done = true;
+      });
+    });
+  }
+
+  CheckStats check() const {
+    return SwmrChecker::analyze(log_.ops(), Value::from_int64(0));
+  }
+
+ private:
+  SimRegisterGroup& group_;
+  HistoryLog log_;
+};
+
 /// Shared driver: warm everyone up with value 1, start write 2, run reader
 /// p1 (fresh side) at +30 and reader p2 (stale side) at +200, drain, check.
 ScenarioOutcome drive(SimRegisterGroup& group) {
   ScenarioOutcome outcome;
-  HistoryLog log;
-
-  // Warm-up: value 1 reaches everyone (possibly over slow links — virtual
-  // time is free) so every pairwise freshness relation is established.
-  {
-    const auto id = log.begin_write(0, group.net().now(), 1,
-                                    Value::from_int64(1));
-    bool done = false;
-    group.begin_write(Value::from_int64(1), [&] {
-      log.end_write(id, group.net().now());
-      done = true;
-    });
-    TBR_ENSURE(group.net().run_until([&] { return done; }),
-               "warm-up write must complete");
-    group.settle();
-  }
+  Script script(group);
+  script.warm_up();
 
   const Tick base = group.net().now();
   // The contested write: value 2, held back from the stale side by the
   // scenario's delay model. Completion time depends on the variant.
-  const auto write_id =
-      log.begin_write(0, base, 2, Value::from_int64(2));
-  group.net().schedule_at(base, [&, write_id] {
-    group.begin_write(Value::from_int64(2), [&, write_id] {
-      log.end_write(write_id, group.net().now());
-    });
-  });
-
-  // Fresh-side read at p1.
+  bool write_done = false;
+  script.write_two_at(base, write_done);
+  // Fresh-side read at p1, then the stale-side read at p2: strictly after
+  // the fresh read completes in the ablated variants (+200 >> +50) yet
+  // well inside the slow window.
   bool first_done = false;
-  group.net().schedule_at(base + 30, [&] {
-    const auto id = log.begin_read(1, group.net().now());
-    group.begin_read(1, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
-      outcome.first_read_index = idx;
-      first_done = true;
-    });
-  });
-
-  // Stale-side read at p2, strictly after the fresh read completes in the
-  // ablated variants (+200 >> +50) yet well inside the slow window.
   bool second_done = false;
-  group.net().schedule_at(base + 200, [&] {
-    const auto id = log.begin_read(2, group.net().now());
-    group.begin_read(2, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
-      outcome.second_read_index = idx;
-      second_done = true;
-    });
-  });
+  script.read_at(1, base + 30, outcome.first_read_index, first_done);
+  script.read_at(2, base + 200, outcome.second_read_index, second_done);
 
   TBR_ENSURE(group.net().run(), "scenario must drain");
   outcome.both_completed = first_done && second_done;
-  outcome.stats = SwmrChecker::analyze(log.ops(), Value::from_int64(0));
+  outcome.stats = script.check();
   return outcome;
 }
 
@@ -145,29 +160,12 @@ ScenarioOutcome run_twobit_stale_read_scenario(const TwoBitOptions& options) {
   SimRegisterGroup group(std::move(gopt));
 
   ScenarioOutcome outcome;
-  HistoryLog log;
-  {
-    const auto id = log.begin_write(0, group.net().now(), 1,
-                                    Value::from_int64(1));
-    bool done = false;
-    group.begin_write(Value::from_int64(1), [&] {
-      log.end_write(id, group.net().now());
-      done = true;
-    });
-    TBR_ENSURE(group.net().run_until([&] { return done; }),
-               "warm-up write must complete");
-    group.settle();
-  }
+  Script script(group);
+  script.warm_up();
 
   const Tick base = group.net().now();
   bool write_done = false;
-  const auto write_id = log.begin_write(0, base, 2, Value::from_int64(2));
-  group.net().schedule_at(base, [&, write_id] {
-    group.begin_write(Value::from_int64(2), [&, write_id] {
-      log.end_write(write_id, group.net().now());
-      write_done = true;
-    });
-  });
+  script.write_two_at(base, write_done);
   // The write completes against {p0, p3, p4} within ~2 fast hops.
   TBR_ENSURE(group.net().run_until([&] { return write_done; },
                                    SimNetwork::kDefaultMaxEvents,
@@ -175,18 +173,12 @@ ScenarioOutcome run_twobit_stale_read_scenario(const TwoBitOptions& options) {
              "write must complete against the fast-side quorum");
 
   bool read_done = false;
-  group.net().schedule_after(10, [&] {
-    const auto id = log.begin_read(2, group.net().now());
-    group.begin_read(2, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
-      outcome.second_read_index = idx;
-      read_done = true;
-    });
-  });
+  script.read_at(2, group.net().now() + 10, outcome.second_read_index,
+                 read_done);
   TBR_ENSURE(group.net().run(), "scenario must drain");
   outcome.both_completed = read_done;
   outcome.first_read_index = 2;  // what a correct read must return
-  outcome.stats = SwmrChecker::analyze(log.ops(), Value::from_int64(0));
+  outcome.stats = script.check();
   return outcome;
 }
 

@@ -75,7 +75,7 @@ struct CapacityProjection {
 /// window when its previous one finished: everything arrived by then, up
 /// to `store.max_batch` ops, and — with a `store.min_batch` floor — not
 /// before that many ops have arrived (the tail opens partial). The store's
-/// min_batch_wait and pin_shard_threads are wall-clock knobs and unused.
+/// min_batch_wait is a wall-clock knob and unused.
 CapacityProjection project_sharded_capacity(
     const ShardedKvStore::Options& store, const KvOpMix& mix,
     Tick inter_arrival = 2);

@@ -2,21 +2,27 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
+
+#include "client/op_slot.hpp"
 
 namespace tbr {
 
 // ---- ClientImpl: the unified client API over the simulator -------------------
 //
-// Issue = start the protocol op with a completion capturing two pointers
-// (std::function inline storage); park = drive the event loop until the
-// op's ready flag rises. Submit-side failures (crashed target) complete
-// synchronously with a non-ok Status. Heap-held so client handles stay
-// valid across moves of the owning group.
+// Issue = start the op in its process's OpSlot; park = drive the event
+// loop until the op's ready flag rises. An op at a crashed process fails
+// with kCrashed: at issue, or, if it was in flight, when the network's
+// crash hook fires. Heap-held so client handles (and the crash hook's
+// `this`) stay valid across moves of the owning group.
 
 class SimRegisterGroup::ClientImpl final : public RegisterClientEngine {
  public:
   ClientImpl(SimNetwork& net, const GroupConfig& cfg)
-      : net_(&net), client_(*this, cfg) {}
+      : net_(&net), slots_(cfg.n), client_(*this, cfg) {
+    net.set_crash_hook(
+        [this](ProcessId pid) { slots_[pid].fail(kProcessCrashed); });
+  }
 
   bool client_crashed(ProcessId pid) const override {
     return net_->crashed(pid);
@@ -24,46 +30,25 @@ class SimRegisterGroup::ClientImpl final : public RegisterClientEngine {
 
   void client_issue(OpState& st) override {
     if (net_->crashed(st.node)) {
-      st.owner->complete_failed(
-          st, Status(StatusCode::kCrashed, st.kind == OpKind::kWrite
-                                               ? "writer has crashed"
-                                               : "reader has crashed"));
+      st.owner->complete_failed(st, kProcessCrashed);
       return;
     }
-    st.start = net_->now();
-    auto& proc = net_->process_as<RegisterProcessBase>(st.node);
-    if (st.kind == OpKind::kWrite) {
-      proc.start_write(net_->context(st.node), std::move(st.value),
-                       [this, &st] {
-                         st.result.latency = net_->now() - st.start;
-                         st.owner->complete(st);
-                       });
-    } else {
-      proc.start_read(net_->context(st.node),
-                      [this, &st](const Value& v, SeqNo index) {
-                        st.result.value = v;  // copy into pooled capacity
-                        st.result.version = index;
-                        st.result.latency = net_->now() - st.start;
-                        st.owner->complete(st);
-                      });
-    }
+    slots_[st.node].start(net_->process_as<RegisterProcessBase>(st.node),
+                          net_->context(st.node), st);
   }
 
   void client_park(OpState& st, OpPool& /*pool*/) override {
-    const bool ok = net_->run_until(
+    // A failed drive (crashed quorum, stuck run) leaves st unready:
+    // wait() reports kLivenessLost.
+    (void)net_->run_until(
         [&st] { return st.ready.load(std::memory_order_acquire); });
-    if (!ok) {
-      st.result.status =
-          Status(StatusCode::kLivenessLost,
-                 "register group cannot complete the operation "
-                 "(crashed quorum or stuck run)");
-    }
   }
 
   RegisterClient& client() noexcept { return client_; }
 
  private:
   SimNetwork* net_;
+  std::vector<OpSlot> slots_;  ///< one per process
   RegisterClient client_;
 };
 
@@ -103,21 +88,6 @@ SimRegisterGroup::SimRegisterGroup(Options options)
 
 RegisterProcessBase& SimRegisterGroup::process(ProcessId pid) {
   return net_->process_as<RegisterProcessBase>(pid);
-}
-
-void SimRegisterGroup::begin_write(Value v, std::function<void()> done) {
-  TBR_ENSURE(!net_->crashed(cfg_.writer), "writer has crashed");
-  auto& writer = process(cfg_.writer);
-  writer.start_write(net_->context(cfg_.writer), std::move(v),
-                     std::move(done));
-}
-
-void SimRegisterGroup::begin_read(
-    ProcessId reader, std::function<void(const Value&, SeqNo)> done) {
-  TBR_ENSURE(reader < cfg_.n, "reader id out of range");
-  TBR_ENSURE(!net_->crashed(reader), "reader has crashed");
-  auto& proc = process(reader);
-  proc.start_read(net_->context(reader), std::move(done));
 }
 
 void SimRegisterGroup::settle() {

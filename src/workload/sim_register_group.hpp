@@ -1,14 +1,14 @@
 // SimRegisterGroup: a ready-to-use register over the simulated network.
 //
-// client() is the quickstart-level API: write_sync/read_sync drive the
-// simulator until the operation completes and report a uniform Status;
-// begin_* plus run_until gives full control for overlapping operations,
-// crash scheduling and latency sweeps.
+// client() is the one way in: write_sync/read_sync drive the simulator
+// until the operation completes and report a uniform Status; callback-mode
+// write/read plus net().run_until gives full control for overlapping
+// operations, crash scheduling and latency sweeps (OpResult::latency is in
+// virtual ticks). An op in flight at a process that crashes fails with
+// kCrashed, as on the threaded and socket engines.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <optional>
 
 #include "client/client.hpp"
 #include "sim/fault_plan.hpp"
@@ -55,11 +55,6 @@ class SimRegisterGroup {
   /// Let all in-flight protocol traffic drain (e.g. to reach the steady
   /// state in which every process knows every value before a measurement).
   void settle();
-
-  // ---- async API --------------------------------------------------------------
-  void begin_write(Value v, std::function<void()> done);
-  void begin_read(ProcessId reader,
-                  std::function<void(const Value&, SeqNo)> done);
 
   // ---- environment ---------------------------------------------------------------
   void crash(ProcessId pid);            ///< immediately

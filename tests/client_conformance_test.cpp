@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <string>
@@ -135,6 +136,56 @@ TEST(ClientConformance, RegisterScriptMatchesAcrossAllRegisterEngines) {
       StatusCode::kOk,      StatusCode::kOk,      StatusCode::kOk,
       StatusCode::kCrashed, StatusCode::kOk,      StatusCode::kCrashed};
   EXPECT_EQ(sim.codes, expected);
+}
+
+TEST(ClientConformance, CrashUnderInFlightOpThenRejoinOnEveryRegisterEngine) {
+  // The model lets a crashed process's last operation vanish (§2.2) but
+  // still owes its client an outcome: the callback of a read in flight at
+  // p2 fires exactly once, and the rejoined p2 serves the next read. The
+  // sim fails the op at the crash; on the wall-clock engines the crash
+  // marker races the replies, so the read may also have finished.
+  struct Seen {
+    std::atomic<int> calls{0};
+    std::atomic<StatusCode> code{StatusCode::kShutdown};
+  };
+  const auto read_at_p2 = [](RegisterClient& client, Seen& seen) {
+    client.read(2, [&seen](const OpResult& r) {
+      seen.code = r.status.code();
+      ++seen.calls;
+    });
+  };
+  {
+    auto group = make_sim_group();
+    Seen seen;
+    read_at_p2(group.client(), seen);
+    group.crash(2);
+    group.settle();
+    group.recover(2);
+    group.settle();
+    EXPECT_EQ(seen.calls, 1);
+    EXPECT_EQ(seen.code, StatusCode::kCrashed);
+    EXPECT_EQ(group.client().read_sync(2).status.code(), StatusCode::kOk);
+  }
+  const auto eventually = [](const std::function<bool()>& done) {
+    for (int k = 0; k < 10'000 && !done(); ++k) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+  const auto wall_clock = [&](auto& net) {
+    Seen seen;
+    read_at_p2(net.client(), seen);
+    net.crash(2);
+    ASSERT_TRUE(eventually([&] { return net.crashed(2) && seen.calls > 0; }));
+    net.recover(2);
+    ASSERT_TRUE(eventually([&] { return !net.crashed(2); }));
+    EXPECT_EQ(seen.calls, 1);
+    EXPECT_TRUE(seen.code == StatusCode::kCrashed ||
+                seen.code == StatusCode::kOk);
+    EXPECT_EQ(net.client().read_sync(2).status.code(), StatusCode::kOk);
+  };
+  wall_clock(*make_thread_net());
+  wall_clock(*make_socket_net());
 }
 
 TEST(ClientConformance, FastReadEnginesMatchRegisterScriptVerbatim) {

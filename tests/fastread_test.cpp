@@ -122,26 +122,17 @@ SimRegisterGroup make_group(Algorithm algo, std::uint32_t n, std::uint32_t t) {
 }
 
 Tick timed_write(SimRegisterGroup& group, std::int64_t v) {
-  const Tick start = group.net().now();
-  Tick end = -1;
-  group.begin_write(Value::from_int64(v), [&] { end = group.net().now(); });
-  group.net().run();
-  EXPECT_GE(end, 0);
-  return end - start;
+  const OpResult r = group.client().write_sync(Value::from_int64(v));
+  EXPECT_TRUE(r.status.ok());
+  return r.latency;
 }
 
 Tick timed_read(SimRegisterGroup& group, ProcessId reader,
                 std::int64_t expect_value, SeqNo expect_index) {
-  const Tick start = group.net().now();
-  Tick end = -1;
-  group.begin_read(reader, [&](const Value& v, SeqNo index) {
-    end = group.net().now();
-    EXPECT_EQ(v.to_int64(), expect_value);
-    EXPECT_EQ(index, expect_index);
-  });
-  group.net().run();
-  EXPECT_GE(end, 0);
-  return end - start;
+  const OpResult r = group.client().read_sync(reader);
+  EXPECT_EQ(r.value.to_int64(), expect_value);
+  EXPECT_EQ(r.version, expect_index);
+  return r.latency;
 }
 
 // Constant delay Δ, no concurrency: the headline numbers. The Oh-RAM read
@@ -186,24 +177,24 @@ TEST(FastReadFallback, OhRamTakesWriteBackPathUnderContention) {
   SimRegisterGroup group(std::move(opt));
 
   int writes_done = 0;
-  std::function<void()> next_write = [&] {
+  OpCallback next_write = [&](const OpResult&) {
     ++writes_done;
     if (writes_done < 20) {
-      group.begin_write(Value::from_int64(writes_done + 1), next_write);
+      group.client().write(Value::from_int64(writes_done + 1), next_write);
     }
   };
-  group.begin_write(Value::from_int64(1), next_write);
+  group.client().write(Value::from_int64(1), next_write);
 
   int reads_done = 0;
-  std::vector<std::function<void(const Value&, SeqNo)>> read_cbs(5);
+  std::vector<OpCallback> read_cbs(5);
   for (ProcessId reader = 1; reader <= 3; ++reader) {
-    read_cbs[reader] = [&, reader](const Value& v, SeqNo index) {
+    read_cbs[reader] = [&, reader](const OpResult& r) {
       // The register holds from_int64(index) after write #index.
-      EXPECT_EQ(v.to_int64(), index);
+      EXPECT_EQ(r.value.to_int64(), r.version);
       ++reads_done;
-      if (reads_done < 60) group.begin_read(reader, read_cbs[reader]);
+      if (reads_done < 60) group.client().read(reader, read_cbs[reader]);
     };
-    group.begin_read(reader, read_cbs[reader]);
+    group.client().read(reader, read_cbs[reader]);
   }
   group.net().run();
 

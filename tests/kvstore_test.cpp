@@ -128,7 +128,7 @@ TEST(KvStore, HomedShardDiesWithItsNodeOthersSurvive) {
   store.crash(4);
 
   // Writes to the dead shard are refused (single-writer is a *placement*,
-  // not a magic failover — DESIGN.md discusses the reconfiguration gap)...
+  // not a magic failover)...
   EXPECT_EQ(store.client()
                 .put_sync(doomed_key, Value::from_string("after"))
                 .status.code(),

@@ -106,17 +106,13 @@ TEST(ModelBoundary, MajorityCrashStallsWritesButKeepsSafety) {
   group.crash(4);
 
   bool write_done = false;
-  group.begin_write(Value::from_int64(2), [&] { write_done = true; });
+  group.client().write(Value::from_int64(2),
+                       [&](const OpResult&) { write_done = true; });
   bool read_done = false;
-  SeqNo read_idx = -1;
-  group.begin_read(1, [&](const Value&, SeqNo idx) {
-    read_done = true;
-    read_idx = idx;
-  });
+  group.client().read(1, [&](const OpResult&) { read_done = true; });
   EXPECT_TRUE(group.net().run());  // drains: nothing left to deliver
   EXPECT_FALSE(write_done) << "a write must hang without a live quorum";
   EXPECT_FALSE(read_done) << "a read must hang without a live quorum";
-  (void)read_idx;
 }
 
 TEST(ModelBoundary, ExactlyHalfAliveIsNotEnough) {
@@ -131,7 +127,8 @@ TEST(ModelBoundary, ExactlyHalfAliveIsNotEnough) {
   group.crash(2);
   group.crash(3);
   bool done = false;
-  group.begin_write(Value::from_int64(1), [&] { done = true; });
+  group.client().write(Value::from_int64(1),
+                       [&](const OpResult&) { done = true; });
   EXPECT_TRUE(group.net().run());
   EXPECT_FALSE(done);
 }

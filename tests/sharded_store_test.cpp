@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -373,166 +374,123 @@ TEST(ShardedKvStore, CallbackStormRecyclesSlotsAndDrains) {
             static_cast<std::size_t>(kThreads * (kMaxInflight + 1) + 1));
 }
 
-// ---- deterministic batching semantics (direct MuxProcess batches) -----------
+// ---- deterministic batching semantics (one store window per batch) ---------
 
-/// A flat store's register group, driven below its window engine.
+/// A flat store whose client runs each submitted span as one batching
+/// window: one MuxProcess::start_batch per replica with work.
 struct BatchRig {
   static constexpr std::uint32_t kN = 3;
   static constexpr std::uint32_t kSlots = 4;
-  KvStore store{[] {
-    KvStore::Options opt;
-    opt.n = kN;
-    opt.t = 1;
-    opt.slots = kSlots;
-    opt.initial = Value::from_string("v0");
-    return opt;
-  }()};
-  SimNetwork* net = &store.net();
-  BatchStats stats;
+  explicit BatchRig(bool coalesce = true)
+      : store([coalesce] {
+          KvStore::Options opt;
+          opt.n = kN;
+          opt.t = 1;
+          opt.slots = kSlots;
+          opt.initial = Value::from_string("v0");
+          opt.coalesce_writes = coalesce;
+          return opt;
+        }()) {
+    // One key per slot; a write lands at its slot's home, p(slot % kN).
+    for (int k = 0; keys.size() < kSlots; ++k) {
+      std::string key = "k" + std::to_string(k);
+      keys.try_emplace(store.slot_of(key), std::move(key));
+    }
+  }
+  KvStore store;
+  std::map<std::uint32_t, std::string> keys;
 
-  MuxProcess& mux(ProcessId pid) { return net->process_as<MuxProcess>(pid); }
+  KvOp write(std::uint32_t slot, std::int64_t v) {
+    return KvOp{OpKind::kWrite, keys.at(slot), Value::from_int64(v)};
+  }
+  KvOp read(std::uint32_t slot, ProcessId at) {
+    return KvOp{OpKind::kRead, keys.at(slot), Value(), at};
+  }
+  const BatchStats& stats() const { return store.batch_stats(); }
 
-  /// Run one batch at `node` to completion; returns false on stall.
-  bool run(ProcessId node, std::vector<MuxProcess::BatchOp> ops,
-           bool coalesce) {
-    bool done = false;
-    mux(node).start_batch(net->context(node), std::move(ops), coalesce,
-                          [&done] { done = true; }, &stats);
-    return net->run_until([&done] { return done; });
+  /// Run `ops` as one window to completion; results in submission order.
+  std::vector<OpResult> run(std::vector<KvOp> ops) {
+    std::vector<Ticket> tickets(ops.size());
+    store.client().submit(ops, tickets.data());
+    std::vector<OpResult> results;
+    for (const Ticket t : tickets) results.push_back(store.client().wait(t));
+    return results;
   }
 };
 
 TEST(MuxBatch, ConsecutiveReadsShareOneProtocolRound) {
   BatchRig rig;
-  std::vector<MuxProcess::BatchOp> ops;
-  std::vector<std::pair<std::string, SeqNo>> results;
-  for (int k = 0; k < 5; ++k) {
-    MuxProcess::BatchOp op;
-    op.slot = 1;
-    op.read_done = [&results](const Value& v, SeqNo index) {
-      results.emplace_back(v.to_string(), index);
-    };
-    ops.push_back(std::move(op));
-  }
-  ASSERT_TRUE(rig.run(2, std::move(ops), true));
+  const auto results = rig.run(std::vector<KvOp>(5, rig.read(1, 2)));
   ASSERT_EQ(results.size(), 5u);
-  for (const auto& [value, index] : results) {
-    EXPECT_EQ(value, "v0");
-    EXPECT_EQ(index, 0);
+  for (const OpResult& r : results) {
+    EXPECT_EQ(r.value.to_string(), "v0");
+    EXPECT_EQ(r.version, 0);
   }
-  EXPECT_EQ(rig.stats.protocol_reads, 1u);
-  EXPECT_EQ(rig.stats.coalesced_reads, 4u);
+  EXPECT_EQ(rig.stats().protocol_reads, 1u);
+  EXPECT_EQ(rig.stats().coalesced_reads, 4u);
   // One two-bit read round: 2(n-1) frames, nothing per extra client.
-  EXPECT_EQ(rig.net->stats().total_sent(), 2u * (BatchRig::kN - 1));
+  EXPECT_EQ(rig.store.net().stats().total_sent(), 2u * (BatchRig::kN - 1));
 }
 
 TEST(MuxBatch, WriteRunCollapsesLastWriteWins) {
   BatchRig rig;
   const std::uint32_t slot = 0;  // homed at p0
-  std::vector<MuxProcess::BatchOp> ops;
   std::vector<std::pair<SeqNo, bool>> outcomes;
-  for (int k = 1; k <= 3; ++k) {
-    MuxProcess::BatchOp op;
-    op.slot = slot;
-    op.is_write = true;
-    op.value = Value::from_int64(k * 10);
-    op.write_done = [&outcomes](SeqNo version, bool absorbed) {
-      outcomes.emplace_back(version, absorbed);
-    };
-    ops.push_back(std::move(op));
+  for (const OpResult& r : rig.run({rig.write(slot, 10), rig.write(slot, 20),
+                                    rig.write(slot, 30)})) {
+    outcomes.emplace_back(r.version, r.absorbed);
   }
-  ASSERT_TRUE(rig.run(0, std::move(ops), true));
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_EQ(outcomes[0], (std::pair<SeqNo, bool>{1, true}));
   EXPECT_EQ(outcomes[1], (std::pair<SeqNo, bool>{1, true}));
   EXPECT_EQ(outcomes[2], (std::pair<SeqNo, bool>{1, false}));
-  EXPECT_EQ(rig.stats.protocol_writes, 1u);
-  EXPECT_EQ(rig.stats.absorbed_writes, 2u);
+  EXPECT_EQ(rig.stats().protocol_writes, 1u);
+  EXPECT_EQ(rig.stats().absorbed_writes, 2u);
 
   // Only the surviving value ever reached the register.
-  Value read_value;
-  SeqNo read_index = -1;
-  std::vector<MuxProcess::BatchOp> reads(1);
-  reads[0].slot = slot;
-  reads[0].read_done = [&](const Value& v, SeqNo index) {
-    read_value = v;
-    read_index = index;
-  };
-  ASSERT_TRUE(rig.run(1, std::move(reads), true));
-  EXPECT_EQ(read_value.to_int64(), 30);
-  EXPECT_EQ(read_index, 1);
+  const OpResult read = rig.run({rig.read(slot, 1)})[0];
+  EXPECT_EQ(read.value.to_int64(), 30);
+  EXPECT_EQ(read.version, 1);
 }
 
 TEST(MuxBatch, ReadBetweenWritesSplitsTheRun) {
   BatchRig rig;
   const std::uint32_t slot = 0;
-  std::vector<MuxProcess::BatchOp> ops(3);
-  SeqNo mid_read_index = -1;
-  std::int64_t mid_read_value = 0;
-  ops[0].slot = slot;
-  ops[0].is_write = true;
-  ops[0].value = Value::from_int64(1);
-  ops[1].slot = slot;
-  ops[1].read_done = [&](const Value& v, SeqNo index) {
-    mid_read_value = v.to_int64();
-    mid_read_index = index;
-  };
-  ops[2].slot = slot;
-  ops[2].is_write = true;
-  ops[2].value = Value::from_int64(2);
-  ASSERT_TRUE(rig.run(0, std::move(ops), true));
+  const OpResult mid_read =
+      rig.run({rig.write(slot, 1), rig.read(slot, 0), rig.write(slot, 2)})[1];
   // Arrival order is preserved: the read sits between the writes, so the
   // writes cannot coalesce across it and the read sees exactly write 1.
-  EXPECT_EQ(rig.stats.protocol_writes, 2u);
-  EXPECT_EQ(rig.stats.absorbed_writes, 0u);
-  EXPECT_EQ(mid_read_value, 1);
-  EXPECT_EQ(mid_read_index, 1);
+  EXPECT_EQ(rig.stats().protocol_writes, 2u);
+  EXPECT_EQ(rig.stats().absorbed_writes, 0u);
+  EXPECT_EQ(mid_read.value.to_int64(), 1);
+  EXPECT_EQ(mid_read.version, 1);
 }
 
 TEST(MuxBatch, CoalesceOffPipelinesEveryWrite) {
-  BatchRig rig;
-  std::vector<MuxProcess::BatchOp> ops;
+  BatchRig rig(/*coalesce=*/false);
   std::vector<SeqNo> versions;
-  for (int k = 1; k <= 4; ++k) {
-    MuxProcess::BatchOp op;
-    op.slot = 0;
-    op.is_write = true;
-    op.value = Value::from_int64(k);
-    op.write_done = [&versions](SeqNo version, bool absorbed) {
-      EXPECT_FALSE(absorbed);
-      versions.push_back(version);
-    };
-    ops.push_back(std::move(op));
+  for (const OpResult& r : rig.run({rig.write(0, 1), rig.write(0, 2),
+                                    rig.write(0, 3), rig.write(0, 4)})) {
+    EXPECT_FALSE(r.absorbed);
+    versions.push_back(r.version);
   }
-  ASSERT_TRUE(rig.run(0, std::move(ops), false));
   EXPECT_EQ(versions, (std::vector<SeqNo>{1, 2, 3, 4}));
-  EXPECT_EQ(rig.stats.protocol_writes, 4u);
-  EXPECT_EQ(rig.stats.absorbed_writes, 0u);
+  EXPECT_EQ(rig.stats().protocol_writes, 4u);
+  EXPECT_EQ(rig.stats().absorbed_writes, 0u);
 }
 
 TEST(MuxBatch, ChainsForDistinctSlotsInterleave) {
   BatchRig rig;
   // Writes to slot 0 (home p0) and reads of slot 3 (home p0 as 3 % 3)
   // issued at p0 in one batch: distinct registers, both complete.
-  std::vector<MuxProcess::BatchOp> ops(4);
-  int reads_done = 0;
-  ops[0].slot = 0;
-  ops[0].is_write = true;
-  ops[0].value = Value::from_int64(7);
-  ops[1].slot = 3;
-  ops[1].read_done = [&](const Value&, SeqNo) { ++reads_done; };
-  ops[2].slot = 0;
-  ops[2].is_write = true;
-  ops[2].value = Value::from_int64(8);
-  ops[3].slot = 3;
-  ops[3].read_done = [&](const Value&, SeqNo) { ++reads_done; };
-  ASSERT_TRUE(rig.run(0, std::move(ops), true));
-  EXPECT_EQ(reads_done, 2);
+  const auto results = rig.run(
+      {rig.write(0, 7), rig.read(3, 0), rig.write(0, 8), rig.read(3, 0)});
+  EXPECT_TRUE(results[1].status.ok() && results[3].status.ok());
   // Slot 0's two writes were adjacent in ITS chain (the slot-3 reads live
   // in a different chain), so they coalesced.
-  EXPECT_EQ(rig.stats.protocol_writes, 1u);
-  EXPECT_EQ(rig.stats.absorbed_writes, 1u);
-  EXPECT_EQ(rig.stats.coalesced_reads, 1u);
+  EXPECT_EQ(rig.stats().protocol_writes, 1u);
+  EXPECT_EQ(rig.stats().absorbed_writes, 1u);
+  EXPECT_EQ(rig.stats().coalesced_reads, 1u);
 }
 
 // ---- capacity projection golden rows ---------------------------------------

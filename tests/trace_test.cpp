@@ -132,7 +132,7 @@ TEST(TraceTest, RenderBlamesOnlyCrashDropsOnTheCrash) {
     SimRegisterGroup group(std::move(opt));
     TraceLog trace;
     group.net().set_trace(&trace);
-    group.begin_write(Value::from_int64(1), [] {});
+    group.client().write(Value::from_int64(1), [](const OpResult&) {});
     (void)group.net().run(10000);
     ASSERT_EQ(group.net().crash_count(), 0u);
     ASSERT_GT(group.net().frames_lost(), 0u);

@@ -169,10 +169,12 @@ TEST_P(BoundedInvariantSweep, LemmasAndGcSoundnessHoldOnEveryEvent) {
     net.schedule_after(rng.uniform(0, 500), [&, pid] {
       if (net.crashed(pid)) return;
       if (pid == 0) {
-        group.begin_write(Value::from_int64(++written), [&next] { next(0); });
+        group.client().write(Value::from_int64(++written),
+                             [&next](const OpResult&) { next(0); });
       } else {
-        group.begin_read(pid,
-                         [&next, pid](const Value&, SeqNo) { next(pid); });
+        group.client().read(pid, [&next, pid](const OpResult& r) {
+          if (r.status.ok()) next(pid);  // a crash ends the loop
+        });
       }
     });
   };

@@ -192,7 +192,7 @@ TEST(SimRecovery, FaultPlanCrashRejoinHistoryIsAtomic) {
     ++widx;
     Value v = Value::from_int64(widx);
     const auto id = log.begin_write(0, group.net().now(), widx, v);
-    group.begin_write(std::move(v), [&, id] {
+    group.client().write(std::move(v), [&, id](const OpResult&) {
       log.end_write(id, group.net().now());
       group.net().schedule_after(400, next_write);
     });
@@ -201,8 +201,8 @@ TEST(SimRecovery, FaultPlanCrashRejoinHistoryIsAtomic) {
   std::function<void()> next_read = [&] {
     if (reads_left-- <= 0) return;
     const auto id = log.begin_read(1, group.net().now());
-    group.begin_read(1, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
+    group.client().read(1, [&, id](const OpResult& r) {
+      log.end_read(id, group.net().now(), r.value, r.version);
       group.net().schedule_after(300, next_read);
     });
   };
@@ -214,8 +214,8 @@ TEST(SimRecovery, FaultPlanCrashRejoinHistoryIsAtomic) {
   std::function<void()> next_rejoin_read = [&] {
     if (rejoin_reads_left-- <= 0) return;
     const auto id = log.begin_read(2, group.net().now());
-    group.begin_read(2, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
+    group.client().read(2, [&, id](const OpResult& r) {
+      log.end_read(id, group.net().now(), r.value, r.version);
       group.net().schedule_after(500, next_rejoin_read);
     });
   };

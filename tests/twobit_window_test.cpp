@@ -104,7 +104,7 @@ TEST(TwoBitWindow, StraggledProcessStallsForever) {
   // ...but a read at the straggler cannot terminate: responders wait
   // forever for freshness the straggler can never reach.
   bool read_done = false;
-  group.begin_read(4, [&](const Value&, SeqNo) { read_done = true; });
+  group.client().read(4, [&](const OpResult&) { read_done = true; });
   (void)group.net().run();
   EXPECT_FALSE(read_done) << "Lemma 9 must fail under eviction, by design";
 }
@@ -136,7 +136,7 @@ TEST(TwoBitWindow, SafetyHoldsEvenWhenLivenessDies) {
     ++widx;
     Value v = Value::from_int64(widx);
     const auto id = log.begin_write(0, group.net().now(), widx, v);
-    group.begin_write(std::move(v), [&, id] {
+    group.client().write(std::move(v), [&, id](const OpResult&) {
       log.end_write(id, group.net().now());
       group.net().schedule_after(50, next_write);
     });
@@ -145,8 +145,8 @@ TEST(TwoBitWindow, SafetyHoldsEvenWhenLivenessDies) {
   std::function<void()> next_read = [&] {
     if (reads_left-- <= 0) return;
     const auto id = log.begin_read(1, group.net().now());
-    group.begin_read(1, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
+    group.client().read(1, [&, id](const OpResult& r) {
+      log.end_read(id, group.net().now(), r.value, r.version);
       group.net().schedule_after(80, next_read);
     });
   };
@@ -156,8 +156,8 @@ TEST(TwoBitWindow, SafetyHoldsEvenWhenLivenessDies) {
   // the log, which the atomicity definition tolerates).
   group.net().schedule_at(1000, [&] {
     const auto id = log.begin_read(4, group.net().now());
-    group.begin_read(4, [&, id](const Value& v, SeqNo idx) {
-      log.end_read(id, group.net().now(), v, idx);
+    group.client().read(4, [&, id](const OpResult& r) {
+      log.end_read(id, group.net().now(), r.value, r.version);
     });
   });
   (void)group.net().run();

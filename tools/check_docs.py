@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gates, stdlib-only. Run from anywhere: paths resolve from the repo root.
 
-Four checks, all fast enough for a pre-commit reflex:
+Five checks, all fast enough for a pre-commit reflex:
 
 1. Link check: every relative markdown link in README.md and docs/*.md
    must resolve to a file or directory inside the repo. External
@@ -22,6 +22,10 @@ Four checks, all fast enough for a pre-commit reflex:
    "<N> runnable examples" in README.md and docs/*.md must equal the
    tbr_add_test( calls in tests/CMakeLists.txt, the TBR_BENCHES entries
    in bench/CMakeLists.txt and the .cpp files in examples/, respectively.
+
+5. Citation gate: every `<name>.md` named in a file under src/, bench/,
+   tests/, tools/ or examples/ must resolve from the repo root or from
+   docs/. Code cannot cite a document the tree does not have.
 
 Exit code 0 = clean; 1 = any failure, each printed on its own line.
 """
@@ -44,6 +48,9 @@ BENCH_RE = re.compile(r"\bbench_([a-z0-9_]+)|\bBENCH_([a-z0-9_]+)\.json")
 # "<N> GoogleTest suites" and friends; N is compared against the tree.
 COUNT_RE = re.compile(
     r"\b(\d+) (GoogleTest suites|bench drivers|runnable examples)\b")
+# A markdown file named in code: `README.md`, `docs/operations.md`.
+MD_NAME_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
+CODE_DIRS = ("src", "bench", "tests", "tools", "examples")
 
 
 def md_files():
@@ -130,9 +137,27 @@ def check_counts():
     return failures
 
 
+def check_md_citations():
+    failures = []
+    for top in CODE_DIRS:
+        for path in sorted((REPO / top).rglob("*")):
+            if not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for name in MD_NAME_RE.findall(line):
+                    if not ((REPO / name).is_file() or
+                            (REPO / "docs" / name).is_file()):
+                        failures.append(
+                            f"{path.relative_to(REPO)}:{lineno}: cites "
+                            f"{name}, found neither at the repo root nor "
+                            f"in docs/")
+    return failures
+
+
 def main():
     failures = (check_links() + check_knobs() + check_bench_names() +
-                check_counts())
+                check_counts() + check_md_citations())
     for f in failures:
         print(f"FAIL {f}")
     if failures:
@@ -140,7 +165,7 @@ def main():
     n_files = sum(1 for _ in md_files())
     print(f"docs OK: {n_files} markdown files, links resolve, "
           f"operations.md knobs all exist under src/, cited benches exist, "
-          f"counts match the tree")
+          f"counts match the tree, code cites only existing docs")
     return 0
 
 

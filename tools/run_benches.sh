@@ -10,7 +10,7 @@
 #
 # Usage:
 #   tools/run_benches.sh [--quick] [output-dir]  (default dir: repo root)
-#   TBR_BENCH_FILTER=msgs tools/run_benches.sh   # only benches matching a regex
+#   TBR_BENCH_FILTER=table1 tools/run_benches.sh  # only benches matching a regex
 #
 # --quick is the CI smoke mode: drivers that read TBR_BENCH_QUICK shrink
 # their sweeps/repetitions (see bench_common.hpp quick_mode()), and the

@@ -162,7 +162,6 @@ int cmd_kv(FlagParser& flags) {
   store.coalesce_writes = flags.get_bool("coalesce-writes");
   store.max_batch = 256;
   store.min_batch = count_flag<std::size_t>(flags, "min-batch");
-  store.pin_shard_threads = flags.get_bool("pin");
   store.engine = parse_engine(flags.get_string("engine"));
   store.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   KvOpMix mix;
@@ -395,7 +394,6 @@ int real_main(int argc, char** argv) {
   flags.add_int("min-batch", 0,
                 "batching-window floor per shard worker, group-commit "
                 "style; 0 = drain whatever accumulated (kv)");
-  flags.add_bool("pin", false, "pin shard workers to cores (kv)");
 
   if (!flags.parse(argc, argv)) {
     std::cerr << "error: " << flags.error() << "\n\n" << flags.help_text();
