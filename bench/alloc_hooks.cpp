@@ -1,4 +1,5 @@
-// Replacement global allocation functions with atomic counters.
+// Replacement global allocation functions with atomic counters (calls and
+// requested bytes).
 //
 // The C++ standard explicitly permits a program to replace the global
 // operator new/delete family ([new.delete]); every allocation in the
@@ -17,12 +18,18 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_frees{0};
+std::atomic<std::uint64_t> g_bytes{0};
+
+void count(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* counted_alloc(std::size_t size) {
   // Zero-size requests must return a unique pointer ([basic.stc.dynamic]).
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   return p;
 }
 
@@ -31,7 +38,7 @@ void* counted_alloc_aligned(std::size_t size, std::size_t align) {
   const std::size_t padded = (size + align - 1) / align * align;
   void* p = std::aligned_alloc(align, padded == 0 ? align : padded);
   if (p == nullptr) throw std::bad_alloc();
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   return p;
 }
 
@@ -52,6 +59,8 @@ std::uint64_t allocations() {
 std::uint64_t deallocations() {
   return g_frees.load(std::memory_order_relaxed);
 }
+
+std::uint64_t bytes() { return g_bytes.load(std::memory_order_relaxed); }
 
 }  // namespace tbr::alloc
 

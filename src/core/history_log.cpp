@@ -1,17 +1,18 @@
 #include "core/history_log.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "common/contracts.hpp"
 
 namespace tbr {
 
-BoundedHistoryLog::BoundedHistoryLog(Value initial) {
+BoundedHistoryLog::BoundedHistoryLog(std::string_view initial) {
   ring_.resize(2);
   mask_ = ring_.size() - 1;
   ensure_segment_for(0);
-  slot(0) = std::move(initial);
-  payload_bytes_ = slot(0).size();
+  store(0, initial);
+  payload_bytes_ = initial.size();
 }
 
 BoundedHistoryLog::Segment& BoundedHistoryLog::segment(SeqNo idx) {
@@ -27,13 +28,26 @@ const BoundedHistoryLog::Segment& BoundedHistoryLog::segment(
   return *seg;
 }
 
-Value& BoundedHistoryLog::slot(SeqNo idx) {
-  return segment(idx).slots[static_cast<std::size_t>(idx) % kSegmentSlots];
+std::string_view BoundedHistoryLog::at(SeqNo idx) const {
+  TBR_ENSURE(has(idx), "history index superseded or out of range");
+  const Segment& seg = segment(idx);
+  const std::size_t k = slot_of(idx);
+  const std::uint32_t begin = k == 0 ? 0 : seg.end[k - 1];
+  return {seg.bytes.data() + begin, seg.end[k] - begin};
 }
 
-const Value& BoundedHistoryLog::at(SeqNo idx) const {
-  TBR_ENSURE(has(idx), "history index superseded or out of range");
-  return segment(idx).slots[static_cast<std::size_t>(idx) % kSegmentSlots];
+void BoundedHistoryLog::store(SeqNo idx, std::string_view v) {
+  Segment& seg = segment(idx);
+  // A fresh segment sizes its buffer on its first payload; a recycled one
+  // keeps the capacity of its previous life.
+  if (seg.bytes.capacity() == 0) seg.bytes.reserve(kSegmentSlots * v.size());
+  TBR_ENSURE(v.size() <= std::numeric_limits<std::uint32_t>::max() -
+                             seg.bytes.size(),
+             "history segment exceeds 4 GiB");
+  // `idx` is the newest index in its segment, so the buffer ends where the
+  // previous slot's payload does (at 0 below the segment's first index).
+  seg.bytes.insert(seg.bytes.end(), v.begin(), v.end());
+  seg.end[slot_of(idx)] = static_cast<std::uint32_t>(seg.bytes.size());
 }
 
 void BoundedHistoryLog::grow_ring() {
@@ -68,25 +82,17 @@ void BoundedHistoryLog::ensure_segment_for(SeqNo idx) {
 void BoundedHistoryLog::recycle_segment(SeqNo seg) {
   auto& cell = ring_[static_cast<std::size_t>(seg) & mask_];
   TBR_ENSURE(cell != nullptr, "recycling an absent segment");
+  cell->bytes.clear();  // keeps the byte capacity for the next life
+  cell->end.fill(0);
   freelist_.push_back(std::move(cell));
 }
 
-void BoundedHistoryLog::append(const Value& v) {
+void BoundedHistoryLog::append(std::string_view v) {
   const SeqNo idx = head_ + 1;
   ensure_segment_for(idx);
   head_ = idx;
-  Value& s = slot(idx);
-  s = v;  // copy-assign: reuses the recycled slot's capacity
-  payload_bytes_ += s.size();
-}
-
-void BoundedHistoryLog::append(Value&& v) {
-  const SeqNo idx = head_ + 1;
-  ensure_segment_for(idx);
-  head_ = idx;
-  Value& s = slot(idx);
-  s = std::move(v);
-  payload_bytes_ += s.size();
+  store(idx, v);
+  payload_bytes_ += v.size();
 }
 
 std::uint64_t BoundedHistoryLog::advance_checkpoint(SeqNo to) {
@@ -96,22 +102,19 @@ std::uint64_t BoundedHistoryLog::advance_checkpoint(SeqNo to) {
   for (SeqNo idx = base_; idx < to; ++idx) {
     payload_bytes_ -= at(idx).size();
     // Leaving the last slot of a segment: the whole segment is superseded.
-    if (static_cast<std::size_t>(idx) % kSegmentSlots == kSegmentSlots - 1) {
-      recycle_segment(seg_no(idx));
-    }
+    if (slot_of(idx) == kSegmentSlots - 1) recycle_segment(seg_no(idx));
   }
   base_ = to;
   return reclaimed;
 }
 
-void BoundedHistoryLog::reset_to_checkpoint(SeqNo idx, const Value& v) {
+void BoundedHistoryLog::reset_to_checkpoint(SeqNo idx, std::string_view v) {
   TBR_ENSURE(idx >= 0, "checkpoint index must be a history index");
   for (SeqNo s = seg_no(base_); s <= seg_no(head_); ++s) recycle_segment(s);
   base_ = head_ = idx;
   ensure_segment_for(idx);
-  Value& s = slot(idx);
-  s = v;
-  payload_bytes_ = s.size();
+  store(idx, v);
+  payload_bytes_ = v.size();
 }
 
 }  // namespace tbr

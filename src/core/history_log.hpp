@@ -10,32 +10,43 @@
 // peer provably stores), reclaiming superseded entries; crash-rejoin resets
 // the whole log to a checkpoint received from a peer.
 //
-// Storage is a ring of fixed-size segments. Retired segments go to a
-// freelist and are recycled on append, so steady-state bounded operation
-// performs zero allocations once the ring and each Value's capacity have
-// warmed up (the property the alloc gates assert). The structural bytes
-// (slots ever allocated) are a high-water mark: they grow to the workload's
-// maximum retained window and then stay flat, which is what makes
-// memory_bytes() a *stable* per-process bound.
+// Storage is a ring of fixed-size segments. A segment packs the payloads of
+// its kSegmentSlots indices into one byte buffer, in index order, and keeps
+// one uint32 end offset per slot: slot k spans [end[k-1], end[k]) (slot 0
+// starts at 0). Slots below the first index a segment ever held keep end 0,
+// so a segment can start mid-way (reset_to_checkpoint). An 8-byte value
+// thus costs its 8 bytes plus a share of one buffer and one offset array,
+// not a std::string of its own. Entries are handed out as string_views into
+// the buffer; a view stays valid until the next append, advance_checkpoint
+// or reset_to_checkpoint.
+//
+// Retired segments go to a freelist and are recycled on append with their
+// byte capacity kept, so steady-state bounded operation performs zero
+// allocations once the ring and each segment's byte capacity have warmed up
+// (the property the alloc gates assert). The structural bytes (slots ever
+// allocated) are a high-water mark: they grow to the workload's maximum
+// retained window and then stay flat, which is what makes memory_bytes() a
+// *stable* per-process bound.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/value.hpp"
 
 namespace tbr {
 
 class BoundedHistoryLog {
  public:
-  /// Values per segment. Small enough that a handful of segments cover the
+  /// Entries per segment. Small enough that a handful of segments cover the
   /// usual GC windows, large enough to amortise segment rotation.
   static constexpr std::size_t kSegmentSlots = 16;
 
   /// The log starts as the genesis checkpoint: index 0 = `initial`.
-  explicit BoundedHistoryLog(Value initial);
+  explicit BoundedHistoryLog(std::string_view initial);
 
   // ---- the retained range --------------------------------------------------
   SeqNo base() const noexcept { return base_; }   // checkpoint index
@@ -45,13 +56,13 @@ class BoundedHistoryLog {
     return static_cast<std::size_t>(head_ - base_ + 1);
   }
   bool has(SeqNo idx) const noexcept { return idx >= base_ && idx <= head_; }
-  const Value& at(SeqNo idx) const;
-  const Value& checkpoint_value() const { return at(base_); }
+  /// The payload of retained entry `idx`, valid until the next mutation.
+  std::string_view at(SeqNo idx) const;
+  std::string_view checkpoint_value() const { return at(base_); }
 
   // ---- mutation ------------------------------------------------------------
-  /// history[head+1] <- v.
-  void append(const Value& v);
-  void append(Value&& v);
+  /// history[head+1] <- v. `v` may not point into this log.
+  void append(std::string_view v);
 
   /// Advance the checkpoint to `to` (base <= to <= head): entries below `to`
   /// are superseded by the new checkpoint record and their segments are
@@ -64,14 +75,19 @@ class BoundedHistoryLog {
   void evict_front() { (void)advance_checkpoint(base_ + 1); }
 
   /// Crash-rejoin: discard everything and become the checkpoint (idx, v)
-  /// received from a peer. base == head == idx afterwards.
-  void reset_to_checkpoint(SeqNo idx, const Value& v);
+  /// received from a peer. base == head == idx afterwards. `v` may not
+  /// point into this log.
+  void reset_to_checkpoint(SeqNo idx, std::string_view v);
 
   // ---- accounting ----------------------------------------------------------
   /// Bytes of retained payloads (checkpoint included).
   std::uint64_t payload_bytes() const noexcept { return payload_bytes_; }
-  /// Stable structural + live bound: retained entry overhead, retained
-  /// payloads, and every slot ever allocated (active or recycled).
+  /// The protocol-state model Table 1 line 4 and the memory gates report:
+  /// retained payloads, 8 B per retained entry, and 8 B per slot ever
+  /// allocated (active or recycled). For a log of equal-sized payloads it
+  /// is an upper bound on the heap bytes the log requests (24 B modelled
+  /// against ~15.5 B requested per 8-B faithful entry); it does not count
+  /// the byte capacity recycled segments keep.
   std::uint64_t memory_bytes() const noexcept {
     return payload_bytes_ + 8ull * size() +
            8ull * kSegmentSlots * allocated_segments_;
@@ -83,18 +99,22 @@ class BoundedHistoryLog {
 
  private:
   struct Segment {
-    std::vector<Value> slots;
-    Segment() : slots(kSegmentSlots) {}
+    std::vector<char> bytes;                          // payloads, packed
+    std::array<std::uint32_t, kSegmentSlots> end{};   // per-slot end offset
   };
 
   static SeqNo seg_no(SeqNo idx) noexcept {
     return idx / static_cast<SeqNo>(kSegmentSlots);
   }
+  static std::size_t slot_of(SeqNo idx) noexcept {
+    return static_cast<std::size_t>(idx) % kSegmentSlots;
+  }
   Segment& segment(SeqNo idx);
   const Segment& segment(SeqNo idx) const;
-  Value& slot(SeqNo idx);
   /// Make sure the segment holding `idx` exists (idx == head_+1 only).
   void ensure_segment_for(SeqNo idx);
+  /// Write `v` as the payload of `idx`, the newest index in its segment.
+  void store(SeqNo idx, std::string_view v);
   void grow_ring();
   void recycle_segment(SeqNo seg);
 

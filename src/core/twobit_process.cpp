@@ -9,7 +9,7 @@ TwoBitProcess::TwoBitProcess(GroupConfig cfg, ProcessId self,
                              TwoBitOptions options)
     : RegisterProcessBase(std::move(cfg), self),
       options_(options),
-      log_(cfg_.initial),                     // history_i[0] <- v0
+      log_(cfg_.initial.bytes()),             // history_i[0] <- v0
       w_sync_(cfg_.n, 0),                     // w_sync_i[1..n] <- [0..0]
       r_sync_(cfg_.n, 0),                     // r_sync_i[1..n] <- [0..0]
       acked_(cfg_.n, 0),
@@ -48,8 +48,8 @@ void TwoBitProcess::on_start(NetworkContext& net) {
 
 // ---- history storage -------------------------------------------------------
 
-void TwoBitProcess::append_history(Value v) {
-  log_.append(std::move(v));
+void TwoBitProcess::append_history(std::string_view v) {
+  log_.append(v);
   if (options_.history_window > 0) {
     while (log_.size() > options_.history_window) {
       log_.evict_front();
@@ -60,9 +60,19 @@ void TwoBitProcess::append_history(Value v) {
 
 bool TwoBitProcess::history_has(SeqNo idx) const { return log_.has(idx); }
 
-const Value& TwoBitProcess::history_at(SeqNo idx) const { return log_.at(idx); }
+std::string_view TwoBitProcess::history_entry(SeqNo idx) const {
+  return log_.at(idx);
+}
 
-SeqNo TwoBitProcess::history_head() const { return log_.head(); }
+void TwoBitProcess::return_read(const ReadDone& done, SeqNo sn) {
+  // The callback may re-enter this process and complete another read (the
+  // writer's fast read does so synchronously), so this call's value leaves
+  // read_value_ for the duration and hands its capacity back afterwards.
+  Value out = std::move(read_value_);
+  out.mutable_bytes().assign(history_entry(sn));
+  done(out, sn);
+  read_value_ = std::move(out);
+}
 
 // ---- the known-prefix watermark and GC -------------------------------------
 
@@ -106,7 +116,7 @@ void TwoBitProcess::start_write(NetworkContext& net, Value v, WriteDone done) {
   // line 1: wsn <- w_sync[w]+1; w_sync[w] <- wsn; history[wsn] <- v
   const SeqNo wsn = w_sync_[self_] + 1;
   w_sync_[self_] = wsn;
-  append_history(std::move(v));
+  append_history(v.bytes());
   TBR_ENSURE(history_head() == wsn, "history head tracks w_sync[self]");
 
   // line 2: send WRITE(b, v) to every j with w_sync[j] = wsn-1.
@@ -136,7 +146,7 @@ void TwoBitProcess::start_read(NetworkContext& net, ReadDone done) {
   if (cfg_.writer_fast_read && is_writer()) {
     const SeqNo sn = w_sync_[self_];
     end_operation();
-    done(history_at(sn), sn);
+    return_read(done, sn);
     return;
   }
 
@@ -242,7 +252,7 @@ void TwoBitProcess::process_write(NetworkContext& net, ProcessId from,
     // Note w_sync[from] is still wsn-1 until line 18, so the sender is
     // among the recipients: that echo is what acknowledges the value.
     w_sync_[self_] = wsn;
-    append_history(v);
+    append_history(v.bytes());
     TBR_ENSURE(history_head() == wsn, "history head tracks w_sync[self]");
     for (ProcessId l = 0; l < cfg_.n; ++l) {
       // Channels mid-rejoin-handshake are mute in both roles. As the
@@ -411,7 +421,7 @@ void TwoBitProcess::on_checkpoint(NetworkContext& net, ProcessId from,
 
   if (index > w_sync_[self_]) {
     // Adopt: the largest checkpoint seen so far wins.
-    log_.reset_to_checkpoint(index, v);
+    log_.reset_to_checkpoint(index, v.bytes());
     w_sync_[self_] = index;
     ++checkpoints_adopted_;
     // A pending read whose freshness index predates the adopted checkpoint
@@ -532,7 +542,7 @@ bool TwoBitProcess::check_pending_ops(NetworkContext& net) {
       ReadDone done = std::move(pending_read_->done);
       pending_read_.reset();
       end_operation();
-      done(history_at(sn), sn);
+      return_read(done, sn);
       return true;
     }
     pending_read_->stage = ReadStage::kAwaitWsync;
@@ -546,7 +556,7 @@ bool TwoBitProcess::check_pending_ops(NetworkContext& net) {
     ReadDone done = std::move(pending_read_->done);
     pending_read_.reset();
     end_operation();
-    done(history_at(sn), sn);
+    return_read(done, sn);
     any = true;
   }
   return any;
@@ -568,11 +578,12 @@ void TwoBitProcess::send_write_frame(NetworkContext& net, ProcessId to,
                 "ping-pong: send index only when w_sync[to] = index-1");
   write_frames_sent_[to] = index;
 
-  Message msg;
+  Message& msg = out_;
   msg.type = static_cast<std::uint8_t>(index % 2 == 0 ? TwoBitType::kWrite0
                                                       : TwoBitType::kWrite1);
+  msg.seq = 0;
   msg.has_value = true;
-  msg.value = history_at(index);
+  msg.value.mutable_bytes().assign(history_entry(index));
   msg.wire = twobit_codec().account(msg);
   msg.debug_index = index;  // simulator-side diagnostics only; not on wire
   net.send(to, msg);
@@ -593,12 +604,14 @@ void TwoBitProcess::send_index_frame(NetworkContext& net, ProcessId to,
                                      TwoBitType type, SeqNo index) {
   TBR_ENSURE(type == TwoBitType::kAck || type == TwoBitType::kCheckpoint,
              "index frames are ACK/CHECKPOINT");
-  Message msg;
+  Message& msg = out_;
   msg.type = static_cast<std::uint8_t>(type);
   msg.seq = index;
-  if (type == TwoBitType::kCheckpoint) {
-    msg.has_value = true;
-    msg.value = history_at(index);
+  msg.has_value = type == TwoBitType::kCheckpoint;
+  if (msg.has_value) {
+    msg.value.mutable_bytes().assign(history_entry(index));
+  } else {
+    msg.value.mutable_bytes().clear();
   }
   msg.wire = twobit_codec().account(msg);
   msg.debug_index = index;
@@ -641,7 +654,7 @@ TwoBitProcess::MemoryFootprint TwoBitProcess::memory_footprint() const {
   // mark (slots allocated, active or recycled), which is what makes the
   // number a *stable* per-process bound rather than a fluctuating gauge.
   MemoryFootprint f;
-  const auto& cp = log_.checkpoint_value();
+  const std::string_view cp = log_.checkpoint_value();
   f.checkpoint_bytes = 16 + cp.size();  // (index, value) record
   f.history_bytes = log_.memory_bytes() - (8 + cp.size());
   f.sync_bytes = 8ull * (w_sync_.size() + r_sync_.size() + acked_.size());
@@ -663,7 +676,7 @@ std::vector<Value> TwoBitProcess::history() const {
   std::vector<Value> out;
   out.reserve(log_.size());
   for (SeqNo idx = log_.base(); idx <= log_.head(); ++idx) {
-    out.push_back(log_.at(idx));
+    out.push_back(Value::from_bytes(std::string(log_.at(idx))));
   }
   return out;
 }

@@ -11,9 +11,14 @@
 // The paper's `wait` statements never block the process: the waited-on work
 // is parked and re-examined after every state change (after_state_change).
 //
-// History lives in a BoundedHistoryLog (core/history_log.hpp). Faithful mode
-// never moves its base, reproducing the paper's unbounded history. The
-// bounded-memory extension (opt-in) adds:
+// History lives in a BoundedHistoryLog (core/history_log.hpp), which packs
+// each segment's payloads into one byte buffer and hands entries out as
+// string_views. WRITE and CHECKPOINT frames copy the entry into the Value
+// of out_, a recycled frame, and a completing read copies it into
+// read_value_: one buffer each per process, whose capacity steady-state
+// sends and reads reuse. Faithful mode never moves the log's base,
+// reproducing the paper's unbounded history. The bounded-memory extension
+// (opt-in) adds:
 //   - known(j) = the prefix j provably stores; min over j (clamped by a
 //     pending read's freshness index) is the GC watermark the checkpoint
 //     advances to, reclaiming superseded entries. On a confirmed channel
@@ -36,6 +41,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/history_log.hpp"
@@ -126,9 +132,14 @@ class TwoBitProcess final : public RegisterProcessBase {
   /// (the algorithm as published) the base is always 0 and this is the
   /// full prefix.
   std::vector<Value> history() const;
+  /// history_i[idx] for a retained idx, in place: the view stays valid
+  /// until this process next changes its history.
+  std::string_view history_entry(SeqNo idx) const;
   /// Smallest retained history index == the checkpoint index (0 unless a
   /// window evicted or the GC advanced the checkpoint).
   SeqNo history_base() const noexcept { return log_.base(); }
+  /// Largest retained history index, kept equal to w_sync_i[i].
+  SeqNo history_head() const noexcept { return log_.head(); }
   /// Number of entries dropped by the window ablation (0 when faithful).
   std::uint64_t evicted_count() const noexcept { return evicted_; }
   /// Number of entries reclaimed by known-prefix GC (bounded mode).
@@ -207,11 +218,11 @@ class TwoBitProcess final : public RegisterProcessBase {
   std::uint32_t count_known_ge(SeqNo v) const;
   std::uint32_t count_rsync_eq(SeqNo v) const;
 
-  /// history_i[idx] for retained idx; appends evict under the window option.
-  void append_history(Value v);
-  const Value& history_at(SeqNo idx) const;
+  /// history_i[head+1] <- v; appends evict under the window option.
+  void append_history(std::string_view v);
   bool history_has(SeqNo idx) const;
-  SeqNo history_head() const;  // == w_sync_[self_]
+  /// Hand history[sn] to a completing read's caller through read_value_.
+  void return_read(const ReadDone& done, SeqNo sn);
 
   TwoBitOptions options_;
 
@@ -241,6 +252,12 @@ class TwoBitProcess final : public RegisterProcessBase {
   std::vector<std::deque<SeqNo>> parked_reads_;           // line 20, per reader
   std::optional<PendingWrite> pending_write_;             // line 3
   std::optional<PendingRead> pending_read_;               // lines 7/9
+
+  // Recycled buffers that keep their capacity from one use to the next:
+  // the runtime copies a frame on send, and a read's callback sees
+  // read_value_ only for the duration of the call (return_read).
+  Message out_;       // outbound WRITE/ACK/CHECKPOINT frame
+  Value read_value_;  // the value a completing read returns
 
   // Diagnostics (not part of the algorithm).
   std::vector<SeqNo> write_frames_sent_;  // per destination

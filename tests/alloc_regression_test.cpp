@@ -12,14 +12,17 @@
 // storage and per-process container capacities are warmed by a first round
 // of traffic; the measured window then repeats the same kind of traffic.
 // Protocol state that grows by design (the two-bit register's history)
-// is kept inside its current capacity chunk by the warmup/window sizing —
-// growth of protocol state is not runtime overhead and is measured
-// separately by bench_local_memory.
+// is kept inside its current 16-entry history segment by the warmup/window
+// sizing — growth of protocol state is not runtime overhead and is
+// measured separately by bench_local_memory. The one byte gate,
+// FaithfulHistoryLogRequestsAtMost16BytesPerEntry, bounds what that
+// growth asks of the heap per entry.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -106,10 +109,10 @@ TEST(AllocRegression, EventQueueClosureSchedulingIsAllocFree) {
 TEST(AllocRegression, TwoBitDisseminationSettlesAllocFree) {
   // The real protocol: after each (unmeasured) client write completes, the
   // residual WRITE-frame gossip drained by settle() must be allocation-free.
-  // Warmup/window sizes keep each process's history deque inside its
-  // current 16-entry chunk (17 warmup writes -> 18 entries incl. the
-  // initial value; +8 window writes -> 26 < 32), so the window sees pure
-  // delivery work.
+  // Warmup/window sizes keep each process's history inside its current
+  // 16-entry segment, whose byte buffer was sized for 16 payloads when it
+  // opened (17 warmup writes -> 18 entries incl. the initial value; +8
+  // window writes -> 26 < 32), so the window sees pure delivery work.
   auto make = [] {
     SimRegisterGroup::Options opt;
     opt.cfg.n = 5;
@@ -142,32 +145,68 @@ TEST(AllocRegression, TwoBitDisseminationSettlesAllocFree) {
       << "two-bit gossip must ride the frame pool without allocating";
 }
 
+TEST(AllocRegression, FaithfulHistoryLogRequestsAtMost16BytesPerEntry) {
+  // The byte gate on the paper's unbounded history (Table 1, line 4):
+  // 2^16 faithful appends of 8-B values. A packed segment requests its 16
+  // payloads in one buffer plus an 88-B header (buffer pointers and 16 end
+  // offsets), and the segment ring doubles: ~15.5 B per entry, where one
+  // std::string per entry requested 35.5 B. The accounting model
+  // (memory_bytes(), 24 B per 8-B entry) must stay an upper bound on what
+  // the log asks of the heap.
+  constexpr std::uint64_t kEntries = std::uint64_t{1} << 16;
+  std::string payload = Value::from_int64(0).bytes();
+  std::uint64_t requested = 0;
+  std::uint64_t modelled = 0;
+  {
+    const alloc::Window w;
+    BoundedHistoryLog log(payload);
+    for (std::uint64_t k = 1; k <= kEntries; ++k) {
+      std::memcpy(payload.data(), &k, sizeof k);  // distinct 8-B values
+      log.append(payload);
+    }
+    requested = w.bytes();
+    modelled = log.memory_bytes();
+    ASSERT_EQ(log.head(), static_cast<SeqNo>(kEntries));
+  }
+  EXPECT_LE(requested, 16 * kEntries)
+      << "requested " << static_cast<double>(requested) / kEntries
+      << " B per 8-B history entry";
+  EXPECT_LE(requested, modelled)
+      << "memory_bytes() must bound the heap bytes the log requests";
+}
+
 // ---- the unified client API (PR 4): allocs per OPERATION ---------------------
 //
 // Same discipline, one level up: a steady-state operation through the
 // Ticket convenience API — pooled OpState in, submit, wait, result out —
-// must not touch the heap. Windows keep the register's history deque
-// inside its current chunk (one entry per write, 16 Values per libstdc++
-// chunk): protocol-state growth is the paper's open problem, not client
-// overhead, and is measured by bench_local_memory instead.
+// must not touch the heap. Windows keep the register's history inside its
+// current segment (one entry per write, 16 entries per segment, one
+// allocation pair when a segment opens): protocol-state growth is the
+// paper's open problem, not client overhead, and is measured by
+// bench_local_memory instead.
 
-TEST(AllocRegression, BoundedHistoryWorkloadIsAllocFree) {
-  // The bounded-history subsystem end to end: known-prefix checkpoint
-  // advancement and segment recycling must ride warmed storage. Stronger than the faithful gates above: the log's footprint is
-  // flat by design, so there is no chunk-boundary caveat — every window of
-  // the whole workload (ops AND residual gossip) must be exactly zero.
+SimRegisterGroup make_bounded_group(Value initial) {
   SimRegisterGroup::Options opt;
   opt.cfg.n = 3;
   opt.cfg.t = 1;
   opt.cfg.writer = 0;
-  opt.cfg.initial = Value::from_int64(0);
+  opt.cfg.initial = std::move(initial);
   opt.algo = Algorithm::kTwoBit;
   opt.process_factory = [](const GroupConfig& cfg, ProcessId pid) {
     TwoBitOptions o;
     o.bounded_history = true;
     return std::make_unique<TwoBitProcess>(cfg, pid, o);
   };
-  SimRegisterGroup group(std::move(opt));
+  return SimRegisterGroup(std::move(opt));
+}
+
+TEST(AllocRegression, BoundedHistoryWorkloadIsAllocFree) {
+  // The bounded-history subsystem end to end: known-prefix checkpoint
+  // advancement and segment recycling must ride warmed storage. Stronger
+  // than the faithful gates above: the log's footprint is flat by design,
+  // so there is no segment-boundary caveat — every window of the whole
+  // workload (ops AND residual gossip) must be exactly zero.
+  SimRegisterGroup group = make_bounded_group(Value::from_int64(0));
   RegisterClient& client = group.client();
 
   // Warm: pools, rings, the segment freelist, GC counters.
@@ -192,6 +231,50 @@ TEST(AllocRegression, BoundedHistoryWorkloadIsAllocFree) {
       << "the window must actually exercise GC";
   EXPECT_EQ(allocs, 0u)
       << "bounded-mode steady state must be allocation-free per op";
+
+  // Again with kv-uniform-write50's 256-B values, which no string keeps
+  // inline: recycled segments take them into the byte capacity of their
+  // previous life, and frames and read results reuse warmed buffers.
+  // Callback ops, because a Ticket's wait() copies the result out, and
+  // each value is built before its window, because building a 256-B Value
+  // is an allocation of the caller's.
+  constexpr std::size_t kBig = 256;
+  SimRegisterGroup big = make_bounded_group(Value::filler(kBig));
+  struct Counts {
+    std::uint64_t ok = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t short_reads = 0;
+  } counts;
+  auto run_pair = [&big, &counts](int k, Value v) {
+    // One pointer each: std::function's inline storage.
+    big.client().write(std::move(v), [c = &counts](const OpResult& r) {
+      ++(r.status.ok() ? c->ok : c->failed);
+    });
+    big.settle();
+    big.client().read((k % 2) + 1, [c = &counts](const OpResult& r) {
+      ++(r.status.ok() ? c->ok : c->failed);
+      if (r.status.ok() && r.value.size() != kBig) ++c->short_reads;
+    });
+    big.settle();
+  };
+  for (int k = 0; k < 64; ++k) {  // warm, as above
+    run_pair(k, Value::filler(kBig, static_cast<std::uint8_t>(k)));
+  }
+  std::uint64_t big_allocs = 0;
+  for (int k = 0; k < 32; ++k) {
+    Value v = Value::filler(kBig, static_cast<std::uint8_t>(100 + k));
+    const alloc::Window w;
+    run_pair(k, std::move(v));
+    big_allocs += w.allocations();
+  }
+  EXPECT_EQ(counts.ok, 2u * (64 + 32));
+  EXPECT_EQ(counts.failed, 0u);
+  EXPECT_EQ(counts.short_reads, 0u);
+  EXPECT_GT(big.net().process_as<TwoBitProcess>(0).gc_reclaimed_count(), 0u)
+      << "the window must actually exercise GC";
+  EXPECT_EQ(big_allocs, 0u)
+      << "bounded-mode steady state with 256-B values must be "
+         "allocation-free per op";
 }
 
 TEST(AllocRegression, SimTicketClosedLoopIsAllocFree) {
@@ -204,7 +287,7 @@ TEST(AllocRegression, SimTicketClosedLoopIsAllocFree) {
   SimRegisterGroup group(std::move(opt));
   RegisterClient& client = group.client();
 
-  // Warm: pool, chains, engine storage, and the history chunk (16 writes
+  // Warm: pool, chains, engine storage, and the history segment (16 writes
   // -> entries 0..16; the measured 8 writes land at 17..24 < 32).
   for (int k = 0; k < 16; ++k) {
     ASSERT_TRUE(client.write_sync(Value::from_int64(k)).status.ok());
@@ -226,7 +309,7 @@ TEST(AllocRegression, SimTicketClosedLoopIsAllocFree) {
 
 TEST(AllocRegression, FastReadTicketClosedLoopsAreAllocFree) {
   // The fast-path read engines (src/fastread/) own the same contract, with
-  // no history-chunk caveat: both keep O(1) register state (one timestamp +
+  // no history-segment caveat: both keep O(1) register state (one timestamp +
   // one value; the time-efficient engine adds a fixed know_[n] vector), so
   // once the relay slots / echo scratches and the reused Value capacities
   // are warm, EVERY window is exactly zero — including Oh-RAM windows that
@@ -273,7 +356,7 @@ TEST(AllocRegression, ThreadedTicketClosedLoopIsAllocFree) {
   net.start();
   RegisterClient& client = net.client();
 
-  // Warm 64 writes (entries 0..64; chunk boundary at 64 lands in warmup)
+  // Warm 64 writes (entries 0..64; segment boundary at 64 lands in warmup)
   // plus reads for every pool/ring/heap high-water mark.
   for (int k = 0; k < 64; ++k) {
     ASSERT_TRUE(client.write_sync(Value::from_int64(k)).status.ok());
@@ -285,7 +368,7 @@ TEST(AllocRegression, ThreadedTicketClosedLoopIsAllocFree) {
   // window can still catch a late growth step; the MINIMUM over a few
   // windows is the steady state (a per-op allocation would show up in
   // every window). Each window holds 8 writes: boundary windows (history
-  // entries crossing a multiple of 16) absorb the chunk allocation, the
+  // entries crossing a multiple of 16) absorb the segment allocation, the
   // clean windows must be exactly zero.
   std::uint64_t min_allocs = ~0ull;
   for (int window = 0; window < 4; ++window) {
@@ -311,7 +394,7 @@ TEST(AllocRegression, SocketTicketClosedLoopStaysWithinOneAllocPerOp) {
   // min-of-windows discipline as the threaded gate (n loop threads reach
   // their buffer high-water marks asynchronously; a true per-op allocation
   // would count in EVERY window), same 1-write-in-4 mix so windows stay
-  // inside the warmed history chunk. Gate (ISSUE 5): <= 1 alloc/op.
+  // inside the warmed history segment. Gate: <= 1 alloc/op.
   SocketNetwork::Options opt;
   opt.cfg.n = 3;
   opt.cfg.t = 1;

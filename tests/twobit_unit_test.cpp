@@ -325,6 +325,31 @@ TEST(TwoBitUnit, ReadOfInitialValueNeedsNoWrites) {
   EXPECT_TRUE(done);
 }
 
+TEST(TwoBitUnit, ReadValueOutlivesAReentrantWriteAndRead) {
+  // The value a read hands its callback must hold for the whole callback,
+  // even when the callback writes and reads again at the same process. A
+  // lone writer with fast reads completes both synchronously, inside it.
+  GroupConfig cfg;
+  cfg.n = 1;
+  cfg.t = 0;
+  cfg.writer = 0;
+  cfg.initial = Value::from_int64(7);
+  cfg.writer_fast_read = true;
+  MockContext net(0, 1);
+  TwoBitProcess p(cfg, 0);
+  std::int64_t inner = -1;
+  std::int64_t outer_after = -1;
+  p.start_read(net, [&](const Value& v, SeqNo) {
+    bool wrote = false;
+    p.start_write(net, Value::from_int64(8), [&] { wrote = true; });
+    ASSERT_TRUE(wrote);
+    p.start_read(net, [&](const Value& w, SeqNo) { inner = w.to_int64(); });
+    outer_after = v.to_int64();
+  });
+  EXPECT_EQ(inner, 8);
+  EXPECT_EQ(outer_after, 7);
+}
+
 // ---- misc ------------------------------------------------------------------------------------
 
 TEST(TwoBitUnit, CrashedProcessRejectsDeliveries) {
