@@ -9,7 +9,7 @@
 //   build/examples/multi_writer_blackboard
 #include <iostream>
 
-#include "mwmr/mwmr_checker.hpp"
+#include "checker/mwmr_checker.hpp"
 #include "mwmr/mwmr_process.hpp"
 #include "sim/sim_network.hpp"
 

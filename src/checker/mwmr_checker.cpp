@@ -1,4 +1,4 @@
-#include "mwmr/mwmr_checker.hpp"
+#include "checker/mwmr_checker.hpp"
 
 #include <algorithm>
 #include <map>

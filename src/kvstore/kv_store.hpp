@@ -8,7 +8,7 @@
 // every node. Every slot is an independent register instance multiplexed
 // over one simulated network (MuxProcess), so per-key histories are
 // per-slot register histories — atomicity per key follows from Theorem 1,
-// and the tests check exactly that.
+// and project_sharded_capacity checks exactly that over this client.
 //
 // KvStore is also the KV layer's only window engine: the one place where a
 // window of routed client ops becomes per-replica MuxProcess::start_batch

@@ -70,12 +70,6 @@ class MuxProcess final : public ProcessBase {
                   const Message& msg) override;
   void on_crash() override;
 
-  // ---- per-slot operations (invoked by the store facade) -------------------------
-  void start_write(NetworkContext& net, std::uint32_t slot, Value v,
-                   RegisterProcessBase::WriteDone done);
-  void start_read(NetworkContext& net, std::uint32_t slot,
-                  RegisterProcessBase::ReadDone done);
-
   // ---- batched operations (the engines' batching window) -------------------------
   /// Run a window of client ops bound for this node (reads issued at this
   /// replica, writes to slots homed here) in as few protocol rounds as the
@@ -139,6 +133,11 @@ class MuxProcess final : public ProcessBase {
   };
 
   void run_batch_chain(std::size_t chain, std::size_t step);
+  /// One protocol operation on one slot's register (a batch step).
+  void start_write(NetworkContext& net, std::uint32_t slot, Value v,
+                   RegisterProcessBase::WriteDone done);
+  void start_read(NetworkContext& net, std::uint32_t slot,
+                  RegisterProcessBase::ReadDone done);
 
   ProcessId self_;
   std::vector<std::unique_ptr<RegisterProcessBase>> slots_;

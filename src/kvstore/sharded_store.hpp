@@ -26,8 +26,10 @@
 //
 // Atomicity is untouched: every slot is still one paper register; batching
 // only chooses WHICH protocol operations to issue, never changes what a
-// protocol operation does. tests/sharded_linearizability_test.cpp checks
-// per-key histories across shard boundaries.
+// protocol operation does. run_sharded_workload and
+// project_sharded_capacity (src/workload/sharded_workload.hpp) record every
+// (shard, slot) register's client-side history and check it with
+// MwmrChecker.
 #pragma once
 
 #include <chrono>

@@ -58,10 +58,16 @@ ExploreResult explore(const Scenario& scenario,
     stack.pop_back();
     ++result.nodes_visited;
 
+    // Every proper prefix was checked when it was a node itself, and a
+    // broken one was pruned, so only the newest step needs the lemma
+    // predicate.
     McRun run(scenario);
-    for (const std::uint32_t choice : prefix) run.apply_enabled(choice);
-    // An invariant break mid-prefix makes deeper exploration meaningless;
-    // report it at this node and prune the subtree.
+    for (std::size_t k = 0; k < prefix.size(); ++k) {
+      const bool newest = k + 1 == prefix.size();
+      run.apply_enabled(prefix[k], /*check_invariants=*/newest);
+    }
+    // An invariant break makes deeper exploration meaningless; report it
+    // at this node and prune the subtree.
     if (!run.invariant_error().empty()) {
       check_terminal(scenario, run, prefix, options, result);
       continue;

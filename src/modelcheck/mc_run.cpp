@@ -135,13 +135,13 @@ std::vector<McRun::Choice> McRun::enabled() const {
   return out;
 }
 
-void McRun::apply_enabled(std::size_t index) {
+void McRun::apply_enabled(std::size_t index, bool check_invariants) {
   const auto choices = enabled();
   TBR_ENSURE(index < choices.size(), "choice index out of range");
-  apply(choices[index]);
+  apply(choices[index], check_invariants);
 }
 
-void McRun::apply(const Choice& choice) {
+void McRun::apply(const Choice& choice, bool check_invariants) {
   ++steps_;
   switch (choice.kind) {
     case Choice::Kind::kDeliver: {
@@ -193,7 +193,9 @@ void McRun::apply(const Choice& choice) {
       break;
     }
   }
-  if (invariants_applicable_ && invariant_error_.empty()) run_invariants();
+  if (check_invariants && invariants_applicable_ && invariant_error_.empty()) {
+    run_invariants();
+  }
 }
 
 void McRun::start_op(std::size_t index) {

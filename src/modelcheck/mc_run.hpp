@@ -41,10 +41,11 @@ class McRun {
   std::vector<Choice> enabled() const;
 
   /// Execute choice `index` into the current enabled() list. In an
-  /// all-TwoBit group the lemma invariants are evaluated afterwards; a
+  /// all-TwoBit group the lemma invariants are evaluated afterwards, unless
+  /// `check_invariants` is false (replaying a prefix already checked); a
   /// violation is remembered in invariant_error() rather than thrown, so
   /// the explorer can report the offending schedule.
-  void apply_enabled(std::size_t index);
+  void apply_enabled(std::size_t index, bool check_invariants = true);
 
   bool terminal() const { return enabled().empty(); }
 
@@ -91,7 +92,7 @@ class McRun {
     HistoryLog::OpId history_id = 0;
   };
 
-  void apply(const Choice& choice);
+  void apply(const Choice& choice, bool check_invariants);
   bool op_startable(std::size_t index) const;
   void start_op(std::size_t index);
   void run_invariants();

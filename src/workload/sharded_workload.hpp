@@ -21,10 +21,18 @@
 //    multi-core runners, and it isolates the two effects the engine mixes:
 //    partitioning (more groups = more replica CPU) and batching (fewer
 //    protocol rounds per client op).
+//
+// Both record the client-side history of every register they touch and
+// check it for atomicity, as run_workload does for one register. A KV
+// register is one (shard, slot): its home replica turns the puts of many
+// clients into versions 1..W, so its history is the timestamp-ordered
+// multi-writer history MwmrChecker checks.
 #pragma once
 
 #include <vector>
 
+#include "checker/history.hpp"
+#include "checker/swmr_checker.hpp"
 #include "kvstore/sharded_store.hpp"
 
 namespace tbr {
@@ -40,6 +48,28 @@ struct KvOpMix {
   std::uint64_t total_ops = 4000;
 };
 
+/// One register's client-side history: the puts and gets issued to shard
+/// `shard`'s slot `slot`. Each op is its own checker process (one client
+/// thread pipelines overlapping ops); a put's index is the version it
+/// landed as, stamped when wait() returned. A failed op stays incomplete.
+struct KvRegisterHistory {
+  std::uint32_t shard = 0;
+  std::uint32_t slot = 0;
+  std::vector<OpRecord> ops;
+  /// Indices into `ops` of the puts that last-write-wins coalescing
+  /// absorbed: they report their survivor's version, and their values
+  /// never reach the register.
+  std::vector<std::size_t> absorbed;
+};
+
+/// Per register: every absorbed put must name a surviving put's version
+/// and is then dropped (left in, it would read as an incomplete write,
+/// which a read may match by value); the surviving versions must be
+/// exactly 1..W; and the rest must pass MwmrChecker. The first failure
+/// names its shard and slot.
+CheckResult check_kv_histories(const std::vector<KvRegisterHistory>& registers,
+                               const Value& initial);
+
 struct ShardedWorkloadResult {
   std::uint64_t ops_completed = 0;
   std::uint64_t ops_failed = 0;
@@ -47,6 +77,12 @@ struct ShardedWorkloadResult {
   double ops_per_sec = 0;
   BatchStats batch;
   std::uint64_t frames = 0;
+  std::vector<KvRegisterHistory> registers;  ///< ticks: ns since the start
+  Value initial;  ///< the store's initial value (Options::initial)
+
+  CheckResult check_atomicity() const {
+    return check_kv_histories(registers, initial);
+  }
 };
 
 /// `client_threads` threads each keep waves of `client_pipeline` ops in
@@ -65,6 +101,12 @@ struct CapacityProjection {
   double mean_latency_ticks = 0;
   BatchStats batch;
   std::uint64_t frames = 0;
+  std::vector<KvRegisterHistory> registers;  ///< ticks: virtual
+  Value initial;  ///< the store's initial value (Options::initial)
+
+  CheckResult check_atomicity() const {
+    return check_kv_histories(registers, initial);
+  }
 };
 
 /// Every replica gets 200 ticks of CPU per frame (KvStore::Options::

@@ -1,17 +1,17 @@
 // KV-store layer (src/kvstore): slot multiplexing, key placement, per-key
 // register semantics, cross-key independence, crash behaviour of homed
-// shards, and per-key linearizability under interleaved multi-key traffic.
+// shards, and per-register atomicity of the client's batching windows.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 
-#include "checker/swmr_checker.hpp"
 #include "common/rng.hpp"
 #include "core/twobit_codec.hpp"
 #include "core/twobit_process.hpp"
 #include "kvstore/kv_store.hpp"
 #include "kvstore/shard_router.hpp"
+#include "workload/sharded_workload.hpp"
 
 namespace tbr {
 namespace {
@@ -214,87 +214,37 @@ TEST(KvStore, FaithfulFactoryOverrideKeepsTheWholeHistory) {
   EXPECT_EQ(bounded.frames, faithful.frames);
 }
 
-// Per-key linearizability: interleave overlapping ops on several keys via
-// the async mux API, record one history per slot, check each independently.
-TEST(KvStore, PerKeyHistoriesLinearizeUnderInterleaving) {
-  KvStore store(small_store(4, /*seed=*/99));
-  auto& net = store.net();
-
-  struct KeyPlan {
-    std::string key;
-    std::uint32_t slot;
-    ProcessId home;
-    SeqNo next_version = 0;
-  };
-  // Pick three keys living in three *distinct* slots (keys sharing a slot
-  // share a register and its single writer, which this test's independent
-  // write loops must not do).
-  std::vector<KeyPlan> keys;
-  for (int k = 0; keys.size() < 3 && k < 1000; ++k) {
-    const std::string name = "key-" + std::to_string(k);
-    const std::uint32_t slot = store.slot_of(name);
-    bool taken = false;
-    for (const KeyPlan& existing : keys) taken |= existing.slot == slot;
-    if (taken) continue;
-    KeyPlan plan;
-    plan.key = name;
-    plan.slot = slot;
-    plan.home = store.home_node(name);
-    keys.push_back(plan);
-  }
-  ASSERT_EQ(keys.size(), 3u);
-
-  std::map<std::uint32_t, HistoryLog> logs;  // slot -> history
-  // Writer loops per key and reader loops per (key, replica) — all async,
-  // all overlapping in simulated time.
-  std::function<void(std::size_t, int)> issue_write =
-      [&](std::size_t key_idx, int round) {
-        if (round > 6) return;
-        KeyPlan& plan = keys[key_idx];
-        auto& mux = net.process_as<MuxProcess>(plan.home);
-        const SeqNo version = ++plan.next_version;
-        Value v = Value::from_int64(round * 100 + static_cast<int>(key_idx));
-        const auto id =
-            logs[plan.slot].begin_write(plan.home, net.now(), version, v);
-        mux.start_write(net.context(plan.home), plan.slot, std::move(v),
-                        [&, key_idx, round, id] {
-                          logs[keys[key_idx].slot].end_write(id, net.now());
-                          issue_write(key_idx, round + 1);
-                        });
-      };
-  std::function<void(std::size_t, ProcessId, int)> issue_read =
-      [&](std::size_t key_idx, ProcessId reader, int round) {
-        if (round > 6) return;
-        KeyPlan& plan = keys[key_idx];
-        auto& mux = net.process_as<MuxProcess>(reader);
-        const auto id = logs[plan.slot].begin_read(reader, net.now());
-        mux.start_read(net.context(reader), plan.slot,
-                       [&, key_idx, reader, round, id](const Value& v,
-                                                       SeqNo index) {
-                         logs[keys[key_idx].slot].end_read(id, net.now(), v,
-                                                           index);
-                         issue_read(key_idx, reader, round + 1);
-                       });
-      };
-
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    net.schedule_at(static_cast<Tick>(k) * 37 + 1,
-                    [&, k] { issue_write(k, 1); });
-    for (ProcessId reader = 1; reader < 4; ++reader) {
-      // The home node's register instance is busy with the write loop
-      // (one op per process per register — the model's sequential client).
-      if (reader == keys[k].home) continue;
-      net.schedule_at(static_cast<Tick>(k * 53 + reader * 11 + 2),
-                      [&, k, reader] { issue_read(k, reader, 1); });
+// Per-register atomicity of the client's batching windows: the capacity
+// projection replays a skewed op mix through a flat KvStore client (one
+// shard), so every window holds overlapping gets and puts on shared slots,
+// and checks each slot register's history.
+TEST(KvStore, ClientWindowsKeepEveryRegisterAtomic) {
+  for (const bool coalesce : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      ShardedKvStore::Options opt;
+      opt.shards = 1;
+      opt.n = 5;
+      opt.t = 2;
+      opt.slots_per_shard = 16;
+      opt.seed = seed;
+      opt.coalesce_writes = coalesce;
+      opt.max_batch = 24;
+      KvOpMix mix;
+      mix.keys = 64;
+      mix.read_fraction = 0.75;
+      mix.total_ops = 2000;
+      const CapacityProjection p =
+          project_sharded_capacity(opt, mix, /*inter_arrival=*/100);
+      const CheckResult check = p.check_atomicity();
+      EXPECT_TRUE(check.ok) << "seed " << seed << ": " << check.error;
+      EXPECT_GT(p.registers.size(), 1u);
+      EXPECT_GT(p.batch.max_batch_ops, 1u);
+      if (coalesce) {
+        EXPECT_GT(p.batch.absorbed_writes, 0u) << "seed " << seed;
+      } else {
+        EXPECT_EQ(p.batch.absorbed_writes, 0u);
+      }
     }
-  }
-  ASSERT_TRUE(net.run());
-
-  ASSERT_GE(logs.size(), 2u) << "keys should map to several slots";
-  for (auto& [slot, log] : logs) {
-    const auto check = SwmrChecker::check(log.ops(), Value());
-    EXPECT_TRUE(check.ok) << "slot " << slot << ": " << check.error;
-    EXPECT_GT(log.completed_count(), 0u);
   }
 }
 

@@ -3,8 +3,8 @@
 // small histories.
 #include <gtest/gtest.h>
 
+#include "checker/mwmr_checker.hpp"
 #include "checker/wg_checker.hpp"
-#include "mwmr/mwmr_checker.hpp"
 #include "mwmr/mwmr_process.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/sim_network.hpp"

@@ -1,243 +1,126 @@
-// Per-key linearizability of the sharded engine: concurrent writers and
-// readers hammer keys spread across shard boundaries through the real
-// store (worker threads, batching windows), and every key's history must
-// check out against the register spec.
-//
-// Two regimes:
-//  * coalesce_writes = false — every put is its own protocol write with a
-//    unique per-slot version, so each key's history is exactly an SWMR
-//    register history and the fast SwmrChecker applies in full.
-//  * coalesce_writes = true — queued same-slot writes collapse last-write-
-//    wins. Surviving writes still carry unique versions 1..W; absorbed
-//    puts never reach the register (they linearize immediately before
-//    their survivor). The surviving-write + read history goes through the
-//    exhaustive Wing-Gong checker (client put intervals from one pipeline
-//    overlap, which the fast checker's sequential-writer model rejects by
-//    design), plus direct assertions on what absorbed puts may report.
+// Per-register atomicity of the sharded engine: run_sharded_workload drives
+// pipelining client threads through the real store (shard workers,
+// batching windows) and checks every (shard, slot) register's history with
+// MwmrChecker, with write coalescing off (every put is one protocol write)
+// and on (absorbed puts are dropped once they name a surviving version).
+// The drop rule is also checked on a hand-made history, and one tiny
+// coalesced history goes through the exhaustive Wing-Gong checker, an
+// oracle independent of both the drop rule and MwmrChecker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "checker/history.hpp"
-#include "checker/swmr_checker.hpp"
 #include "checker/wg_checker.hpp"
-#include "kvstore/sharded_store.hpp"
+#include "workload/sharded_workload.hpp"
 
 namespace tbr {
 namespace {
 
-Tick now_ns(std::chrono::steady_clock::time_point epoch) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - epoch)
-      .count();
-}
-
-/// Keys whose (shard, slot) pairs are all distinct — each key owns its
-/// register — spanning at least `min_shards` different shards.
-std::vector<std::string> distinct_register_keys(const ShardRouter& router,
-                                                std::size_t count,
-                                                std::size_t min_shards) {
-  std::vector<std::string> keys;
-  std::set<std::pair<std::uint32_t, std::uint32_t>> taken;
-  std::set<std::uint32_t> shards;
-  for (int k = 0; keys.size() < count && k < 100000; ++k) {
-    const std::string key = "key-" + std::to_string(k);
-    const auto at = router.place(key);
-    if (!taken.insert({at.shard, at.slot}).second) continue;
-    keys.push_back(key);
-    shards.insert(at.shard);
-  }
-  EXPECT_GE(keys.size(), count);
-  EXPECT_GE(shards.size(), min_shards);
-  return keys;
-}
-
-TEST(ShardedLinearizability, PerKeyHistoriesAcrossShardBoundaries) {
+ShardedKvStore::Options store_options(std::uint64_t seed, bool coalesce) {
   ShardedKvStore::Options opt;
   opt.shards = 4;
   opt.n = 3;
   opt.t = 1;
-  opt.slots_per_shard = 4;
-  opt.seed = 99;
-  opt.coalesce_writes = false;  // every put = one protocol write
-  ShardedKvStore store(std::move(opt));
+  opt.slots_per_shard = 16;
+  opt.seed = seed;
+  opt.coalesce_writes = coalesce;
+  return opt;
+}
 
-  const auto keys = distinct_register_keys(store.router(), 6, 3);
-  constexpr int kWritesPerKey = 8;
-  constexpr int kReadsPerReader = 8;
-  const auto epoch = std::chrono::steady_clock::now();
-
-  std::vector<HistoryLog> logs(keys.size());
-  {
-    std::vector<std::jthread> threads;
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-      const auto home = store.router().home_node(keys[k]);
-      // One sequential writer per key (the SWMR model's single writer,
-      // client id 0 in the key's history)...
-      threads.emplace_back([&, k] {
-        for (int round = 1; round <= kWritesPerKey; ++round) {
-          Value v = Value::from_int64(round * 1000 + static_cast<int>(k));
-          const auto id = logs[k].begin_write(0, now_ns(epoch), round, v);
-          const OpResult done =
-              store.client().put_sync(keys[k], std::move(v));
-          logs[k].end_write(id, now_ns(epoch));
-          ASSERT_TRUE(done.status.ok()) << done.status.message();
-          EXPECT_EQ(done.version, round);
-        }
-      });
-      // ...and two concurrent reader clients per key at fixed replicas
-      // (one of them the home node, so read chains merge with write
-      // chains). Client ids 1 and 2: the checker's "process" is a
-      // sequential client, not a replica.
-      for (const ProcessId client : {1u, 2u}) {
-        const auto reader = static_cast<ProcessId>((home + client - 1) % 3);
-        threads.emplace_back([&, k, client, reader] {
-          for (int round = 0; round < kReadsPerReader; ++round) {
-            const auto id = logs[k].begin_read(client, now_ns(epoch));
-            const OpResult got = store.client().get_sync(keys[k], reader);
-            logs[k].end_read(id, now_ns(epoch), got.value, got.version);
-          }
-        });
-      }
+void expect_every_register_atomic(bool coalesce) {
+  KvOpMix mix;
+  mix.keys = 256;
+  mix.read_fraction = 0.9;
+  mix.total_ops = 8000;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const ShardedWorkloadResult r =
+        run_sharded_workload(store_options(seed, coalesce), mix,
+                             /*client_threads=*/4, /*client_pipeline=*/64);
+    const CheckResult check = r.check_atomicity();
+    EXPECT_TRUE(check.ok) << "seed " << seed << ": " << check.error;
+    EXPECT_EQ(r.ops_failed, 0u) << "seed " << seed;
+    EXPECT_EQ(r.ops_completed, mix.total_ops) << "seed " << seed;
+    std::set<std::uint32_t> shards;
+    for (const KvRegisterHistory& reg : r.registers) shards.insert(reg.shard);
+    EXPECT_EQ(shards.size(), 4u) << "histories span every shard";
+    if (coalesce) {
+      EXPECT_GT(r.batch.absorbed_writes, 0u) << "seed " << seed;
+    } else {
+      EXPECT_EQ(r.batch.absorbed_writes, 0u) << "seed " << seed;
     }
-  }  // join
-
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    const auto check = SwmrChecker::check(logs[k].ops(), Value());
-    EXPECT_TRUE(check.ok) << keys[k] << ": " << check.error;
-    EXPECT_EQ(logs[k].completed_count(),
-              static_cast<std::size_t>(kWritesPerKey + 2 * kReadsPerReader));
   }
 }
 
-TEST(ShardedLinearizability, WriteCoalescingKeepsPerKeyAtomicity) {
-  ShardedKvStore::Options opt;
-  opt.shards = 2;
-  opt.n = 3;
-  opt.t = 1;
-  opt.slots_per_shard = 4;
-  opt.seed = 7;
-  opt.coalesce_writes = true;
-  ShardedKvStore store(std::move(opt));
+TEST(ShardedLinearizability, EveryRegisterAtomicWithoutCoalescing) {
+  expect_every_register_atomic(/*coalesce=*/false);
+}
 
-  const std::string key = "coalesced-key";
-  const auto epoch = std::chrono::steady_clock::now();
+TEST(ShardedLinearizability, EveryRegisterAtomicWithCoalescing) {
+  expect_every_register_atomic(/*coalesce=*/true);
+}
 
-  struct ClientOp {
-    bool is_write = false;
-    Tick start = 0;
-    Tick end = 0;
-    SeqNo version = -1;
-    bool absorbed = false;
-    Value value;
+// The drop rule on a hand-made history: put 1 is absorbed by put 2, which
+// lands as version 1, and a read returns it.
+TEST(ShardedLinearizability, CheckHoldsAbsorbedPutsToTheirSurvivor) {
+  HistoryLog log;
+  const auto absorbed = log.begin_write_unindexed(0, 0, Value::from_int64(1));
+  const auto survivor = log.begin_write_unindexed(1, 0, Value::from_int64(2));
+  log.end_write_indexed(absorbed, 10, 1);
+  log.end_write_indexed(survivor, 10, 1);
+  const auto read = log.begin_read(2, 20);
+  log.end_read(read, 30, Value::from_int64(2), 1);
+  KvRegisterHistory reg{0, 3, log.ops(), {absorbed}};
+  EXPECT_TRUE(check_kv_histories({reg}, Value()).ok);
+
+  const auto error = [](const KvRegisterHistory& h) {
+    return check_kv_histories({h}, Value()).error;
   };
-  std::vector<ClientOp> writes;
-  std::vector<ClientOp> reads;
-  std::mutex reads_mu;
+  KvRegisterHistory bad = reg;
+  bad.ops[absorbed].index = 2;
+  EXPECT_EQ(error(bad), "shard 0 slot 3: an absorbed put names version 2, "
+                        "which no surviving put carries");
+  bad = reg;
+  bad.ops[survivor].index = 2;
+  EXPECT_EQ(error(bad), "shard 0 slot 3: surviving put versions are not 1..1");
+  bad = reg;
+  bad.ops[read].value = Value::from_int64(1);  // the absorbed put's value
+  EXPECT_NE(error(bad).find("C0"), std::string::npos) << error(bad);
+}
 
-  {
-    // Reader threads run throughout; the writer pipelines waves of async
-    // puts so the shard's window sees genuine write runs.
-    std::jthread writer([&] {
-      constexpr int kWaves = 3, kPerWave = 3;
-      int payload = 0;
-      for (int wave = 0; wave < kWaves; ++wave) {
-        std::vector<std::pair<std::size_t, Ticket>> wave_ops;
-        for (int j = 0; j < kPerWave; ++j) {
-          ClientOp op;
-          op.is_write = true;
-          op.value = Value::from_int64(++payload);
-          op.start = now_ns(epoch);
-          writes.push_back(op);
-          wave_ops.emplace_back(writes.size() - 1,
-                                store.client().put(key, op.value));
-        }
-        for (auto& [idx, ticket] : wave_ops) {
-          const OpResult done = store.client().wait(ticket);
-          ASSERT_TRUE(done.status.ok()) << done.status.message();
-          writes[idx].end = now_ns(epoch);
-          writes[idx].version = done.version;
-          writes[idx].absorbed = done.absorbed;
-        }
-      }
-    });
-    std::vector<std::jthread> readers;
-    for (ProcessId reader = 0; reader < 2; ++reader) {
-      readers.emplace_back([&, reader] {
-        for (int round = 0; round < 3; ++round) {
-          ClientOp op;
-          op.start = now_ns(epoch);
-          const OpResult got = store.client().get_sync(key, reader);
-          op.end = now_ns(epoch);
-          op.version = got.version;
-          op.value = got.value;
-          const std::scoped_lock lock(reads_mu);
-          reads.push_back(op);
-        }
-      });
-    }
-  }  // join
+TEST(ShardedLinearizability, TinyCoalescedHistoryPassesWingGong) {
+  // One register, one client pipelining 15 ops; the min_batch floor holds
+  // the worker's window open until all 15 are queued, so runs of puts
+  // collapse last-write-wins.
+  ShardedKvStore::Options opt = store_options(/*seed=*/3, /*coalesce=*/true);
+  opt.shards = 1;
+  opt.slots_per_shard = 1;
+  opt.min_batch = 15;
+  opt.min_batch_wait = std::chrono::seconds(10);
+  KvOpMix mix;
+  mix.keys = 1;
+  mix.read_fraction = 0.4;
+  mix.total_ops = 15;
+  const ShardedWorkloadResult r = run_sharded_workload(
+      opt, mix, /*client_threads=*/1, /*client_pipeline=*/15);
+  const CheckResult check = r.check_atomicity();
+  ASSERT_TRUE(check.ok) << check.error;
+  EXPECT_EQ(r.ops_completed, 15u);
+  EXPECT_GT(r.batch.absorbed_writes, 0u);
+  ASSERT_EQ(r.registers.size(), 1u);
 
-  // Surviving writes carry the register's version sequence 1..W.
-  std::vector<SeqNo> survivor_versions;
-  SeqNo max_version = 0;
-  for (const auto& w : writes) {
-    ASSERT_GE(w.version, 1);
-    max_version = std::max(max_version, w.version);
-    if (!w.absorbed) survivor_versions.push_back(w.version);
+  const KvRegisterHistory& reg = r.registers.front();
+  EXPECT_EQ(reg.absorbed.size(), r.batch.absorbed_writes);
+  std::vector<OpRecord> survivors_and_reads;
+  for (std::size_t k = 0; k < reg.ops.size(); ++k) {
+    const bool absorbed = std::find(reg.absorbed.begin(), reg.absorbed.end(),
+                                    k) != reg.absorbed.end();
+    if (!absorbed) survivors_and_reads.push_back(reg.ops[k]);
   }
-  std::sort(survivor_versions.begin(), survivor_versions.end());
-  for (std::size_t k = 0; k < survivor_versions.size(); ++k) {
-    EXPECT_EQ(survivor_versions[k], static_cast<SeqNo>(k + 1))
-        << "survivors must be exactly the register versions 1..W";
-  }
-  // An absorbed put reports its survivor's version, which must exist.
-  for (const auto& w : writes) {
-    if (!w.absorbed) continue;
-    EXPECT_TRUE(std::binary_search(survivor_versions.begin(),
-                                   survivor_versions.end(), w.version));
-  }
-
-  // The survivors + reads form a register history; hand it to the
-  // exhaustive checker (intervals of pipelined puts overlap, which is
-  // exactly what Wing-Gong handles and the fast checker's model rejects).
-  std::vector<OpRecord> ops;
-  std::uint64_t order = 0;
-  for (const auto& w : writes) {
-    if (w.absorbed) continue;
-    OpRecord rec;
-    rec.kind = OpRecord::Kind::kWrite;
-    rec.proc = 0;
-    rec.start = {w.start, ++order};
-    rec.end = {w.end, ++order};
-    rec.completed = true;
-    rec.index = w.version;
-    rec.value = w.value;
-    ops.push_back(rec);
-  }
-  for (const auto& r : reads) {
-    OpRecord rec;
-    rec.kind = OpRecord::Kind::kRead;
-    rec.proc = 1;
-    rec.start = {r.start, ++order};
-    rec.end = {r.end, ++order};
-    rec.completed = true;
-    rec.index = r.version;
-    rec.value = r.value;
-    ops.push_back(rec);
-  }
-  ASSERT_LE(ops.size(), 15u) << "keep the exhaustive checker tractable";
-  EXPECT_TRUE(wg_linearizable(ops, Value()));
-
-  // And the register's final state is the last queued value.
-  const OpResult final_got = store.client().get_sync(key);
-  EXPECT_EQ(final_got.value.to_int64(), 9);
-  EXPECT_EQ(final_got.version, max_version);
+  EXPECT_TRUE(wg_linearizable(survivors_and_reads, r.initial));
 }
 
 }  // namespace

@@ -525,6 +525,8 @@ TEST(ShardedCapacity, SaturatedFourShardRowIsPinned) {
   EXPECT_EQ(p.batch.protocol_reads, 394u);
   EXPECT_EQ(p.batch.protocol_writes, 127u);
   EXPECT_EQ(p.batch.absorbed_writes, 24u);
+  const CheckResult check = p.check_atomicity();
+  EXPECT_TRUE(check.ok) << check.error;
 }
 
 TEST(ShardedCapacity, MinBatchFloorRowIsPinned) {
@@ -534,6 +536,8 @@ TEST(ShardedCapacity, MinBatchFloorRowIsPinned) {
   EXPECT_EQ(p.batch.absorbed_writes, 8u);
   EXPECT_EQ(p.frames, 5166u);
   EXPECT_EQ(std::llround(p.mean_latency_ticks), 9582);
+  const CheckResult check = p.check_atomicity();
+  EXPECT_TRUE(check.ok) << check.error;
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 //   run        run a closed-loop workload on the simulator and report
 //              traffic, latency and the atomicity verdict
 //   kv         drive the sharded KV engine (read-dominated, zipf-skewed)
-//              and report throughput + batching effectiveness
+//              and report throughput, batching effectiveness and the
+//              per-register atomicity verdict
 //   trace      run a small scripted scenario and print the full protocol
 //              trace
 //   ops        print per-operation cost identities for a given n
@@ -32,37 +33,16 @@
 namespace tbr {
 namespace {
 
+// The register protocol: a Table 1 algorithm or a fast-path read engine.
 Algorithm parse_algorithm(const std::string& name) {
-  for (const auto algo : all_algorithms()) {
-    if (algorithm_name(algo) == name) return algo;
+  for (const auto& list : {all_algorithms(), fastread_algorithms()}) {
+    for (const auto algo : list) {
+      if (algorithm_name(algo) == name) return algo;
+    }
   }
   throw ContractViolation("unknown --algo '" + name +
-                          "' (twobit, abd-unbounded, abd-bounded, attiya)");
-}
-
-// The register engine knob: the two-bit default or a fast-path read
-// engine. Orthogonal to --algo, which picks among the Table-1 baselines.
-Algorithm parse_engine(const std::string& name) {
-  if (name == "twobit") return Algorithm::kTwoBit;
-  for (const auto algo : fastread_algorithms()) {
-    if (algorithm_name(algo) == name) return algo;
-  }
-  throw ContractViolation("unknown --engine '" + name +
-                          "' (twobit, ohram, timeeff)");
-}
-
-// run/trace accept both knobs; a non-default --engine takes over the
-// whole group (mixing a fast-read engine with a baseline --algo in one
-// run makes no sense, so that combination is rejected).
-Algorithm resolve_run_algorithm(FlagParser& flags) {
-  const Algorithm engine = parse_engine(flags.get_string("engine"));
-  const Algorithm algo = parse_algorithm(flags.get_string("algo"));
-  if (engine == Algorithm::kTwoBit) return algo;
-  if (algo != Algorithm::kTwoBit) {
-    throw ContractViolation(
-        "--engine and --algo both set: pick one register protocol");
-  }
-  return engine;
+                          "' (twobit, abd-unbounded, abd-bounded, attiya, "
+                          "ohram, timeeff)");
 }
 
 std::unique_ptr<DelayModel> parse_delay(const std::string& kind,
@@ -98,7 +78,7 @@ int cmd_run(FlagParser& flags) {
                      : static_cast<std::uint32_t>(flags.get_int("t"));
   engine.cfg.writer = 0;
   engine.cfg.initial = Value::from_int64(0);
-  engine.algo = resolve_run_algorithm(flags);
+  engine.algo = parse_algorithm(flags.get_string("algo"));
   engine.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   engine.delay = parse_delay(flags.get_string("delay"), engine.cfg,
                              flags.get_int("delta"));
@@ -162,7 +142,7 @@ int cmd_kv(FlagParser& flags) {
   store.coalesce_writes = flags.get_bool("coalesce-writes");
   store.max_batch = 256;
   store.min_batch = count_flag<std::size_t>(flags, "min-batch");
-  store.engine = parse_engine(flags.get_string("engine"));
+  store.engine = parse_algorithm(flags.get_string("algo"));
   store.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   KvOpMix mix;
   mix.keys = count_flag(flags, "keys");
@@ -201,8 +181,11 @@ int cmd_kv(FlagParser& flags) {
   table.add_row({"writes absorbed (last-write-wins)",
                  format_count(engine.batch.absorbed_writes)});
   table.add_row({"frames sent (engine)", format_count(engine.frames)});
+  CheckResult check = engine.check_atomicity();
+  if (check.ok) check = projection.check_atomicity();
+  table.add_row({"atomicity", check.ok ? "OK" : check.error});
   std::cout << table.render();
-  return engine.ops_failed == 0 ? 0 : 1;
+  return engine.ops_failed == 0 && check.ok ? 0 : 1;
 }
 
 int cmd_trace(FlagParser& flags) {
@@ -211,7 +194,7 @@ int cmd_trace(FlagParser& flags) {
   cfg.t = (cfg.n - 1) / 2;
   cfg.writer = 0;
   cfg.initial = Value::from_int64(0);
-  const auto algo = resolve_run_algorithm(flags);
+  const auto algo = parse_algorithm(flags.get_string("algo"));
   const Tick delta = flags.get_int("delta");
 
   SimRegisterGroup::Options gopt;
@@ -354,9 +337,8 @@ int real_main(int argc, char** argv) {
                    "drive the two-bit register and its baselines "
                    "(subcommands: run, kv, trace, ops, modelcheck)");
   flags.add_string("algo", "twobit",
-                   "twobit | abd-unbounded | abd-bounded | attiya");
-  flags.add_string("engine", "twobit",
-                   "register engine: twobit | ohram | timeeff (run/trace/kv)");
+                   "twobit | abd-unbounded | abd-bounded | attiya | ohram "
+                   "| timeeff (run/trace/kv)");
   flags.add_int("n", 5, "number of processes");
   flags.add_int("t", -1, "crash budget (-1 = max, (n-1)/2)");
   flags.add_int("ops", 20, "operations per process (run) / total (kv)");
