@@ -1,5 +1,7 @@
 #include "core/history_log.hpp"
 
+#include <bit>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -7,7 +9,23 @@
 
 namespace tbr {
 
-BoundedHistoryLog::BoundedHistoryLog(std::string_view initial) {
+namespace {
+
+std::uint32_t end_offset(const std::vector<char>& bytes, std::size_t k) {
+  std::uint32_t end = 0;
+  std::memcpy(&end, bytes.data() + k * sizeof end, sizeof end);
+  return end;
+}
+
+}  // namespace
+
+BoundedHistoryLog::BoundedHistoryLog(std::string_view initial,
+                                     std::size_t segment_slots) {
+  TBR_ENSURE(std::has_single_bit(segment_slots) &&
+                 segment_slots <= kFullSegmentSlots,
+             "segment slots must be a power of two, at most 16");
+  slot_mask_ = segment_slots - 1;
+  seg_shift_ = std::countr_zero(segment_slots);
   ring_.resize(2);
   mask_ = ring_.size() - 1;
   ensure_segment_for(0);
@@ -32,22 +50,28 @@ std::string_view BoundedHistoryLog::at(SeqNo idx) const {
   TBR_ENSURE(has(idx), "history index superseded or out of range");
   const Segment& seg = segment(idx);
   const std::size_t k = slot_of(idx);
-  const std::uint32_t begin = k == 0 ? 0 : seg.end[k - 1];
-  return {seg.bytes.data() + begin, seg.end[k] - begin};
+  const std::uint32_t begin = k == 0 ? 0 : end_offset(seg.bytes, k - 1);
+  return {seg.bytes.data() + offsets_bytes() + begin,
+          end_offset(seg.bytes, k) - begin};
 }
 
 void BoundedHistoryLog::store(SeqNo idx, std::string_view v) {
   Segment& seg = segment(idx);
-  // A fresh segment sizes its buffer on its first payload; a recycled one
-  // keeps the capacity of its previous life.
-  if (seg.bytes.capacity() == 0) seg.bytes.reserve(kSegmentSlots * v.size());
-  TBR_ENSURE(v.size() <= std::numeric_limits<std::uint32_t>::max() -
-                             seg.bytes.size(),
+  // Room for a full set of payloads this size, offsets included, whenever
+  // the capacity falls short of it, so every later life of this segment
+  // with payloads this size fills it without allocating.
+  const std::size_t full = offsets_bytes() + segment_slots() * v.size();
+  if (seg.bytes.capacity() < full) seg.bytes.reserve(full);
+  // First payload of this segment life: zero every end offset.
+  if (seg.bytes.empty()) seg.bytes.resize(offsets_bytes());
+  const std::size_t used = seg.bytes.size() - offsets_bytes();
+  TBR_ENSURE(v.size() <= std::numeric_limits<std::uint32_t>::max() - used,
              "history segment exceeds 4 GiB");
-  // `idx` is the newest index in its segment, so the buffer ends where the
-  // previous slot's payload does (at 0 below the segment's first index).
+  // `idx` is the newest index in its segment, so its payload starts where
+  // the previous slot's ends (at 0 below the segment's first index).
   seg.bytes.insert(seg.bytes.end(), v.begin(), v.end());
-  seg.end[slot_of(idx)] = static_cast<std::uint32_t>(seg.bytes.size());
+  const auto end = static_cast<std::uint32_t>(used + v.size());
+  std::memcpy(seg.bytes.data() + slot_of(idx) * sizeof end, &end, sizeof end);
 }
 
 void BoundedHistoryLog::grow_ring() {
@@ -83,7 +107,6 @@ void BoundedHistoryLog::recycle_segment(SeqNo seg) {
   auto& cell = ring_[static_cast<std::size_t>(seg) & mask_];
   TBR_ENSURE(cell != nullptr, "recycling an absent segment");
   cell->bytes.clear();  // keeps the byte capacity for the next life
-  cell->end.fill(0);
   freelist_.push_back(std::move(cell));
 }
 
@@ -102,7 +125,7 @@ std::uint64_t BoundedHistoryLog::advance_checkpoint(SeqNo to) {
   for (SeqNo idx = base_; idx < to; ++idx) {
     payload_bytes_ -= at(idx).size();
     // Leaving the last slot of a segment: the whole segment is superseded.
-    if (slot_of(idx) == kSegmentSlots - 1) recycle_segment(seg_no(idx));
+    if (slot_of(idx) == slot_mask_) recycle_segment(seg_no(idx));
   }
   base_ = to;
   return reclaimed;

@@ -10,15 +10,34 @@
 // peer provably stores), reclaiming superseded entries; crash-rejoin resets
 // the whole log to a checkpoint received from a peer.
 //
-// Storage is a ring of fixed-size segments. A segment packs the payloads of
-// its kSegmentSlots indices into one byte buffer, in index order, and keeps
-// one uint32 end offset per slot: slot k spans [end[k-1], end[k]) (slot 0
-// starts at 0). Slots below the first index a segment ever held keep end 0,
-// so a segment can start mid-way (reset_to_checkpoint). An 8-byte value
-// thus costs its 8 bytes plus a share of one buffer and one offset array,
-// not a std::string of its own. Entries are handed out as string_views into
-// the buffer; a view stays valid until the next append, advance_checkpoint
-// or reset_to_checkpoint.
+// Storage is a ring of fixed-size segments, each one byte buffer. The
+// buffer starts with one uint32 end offset per entry of the segment, then
+// packs the entries' payloads in index order: entry k spans [end[k-1],
+// end[k]) past the offsets (entry 0 starts at 0). Entries below the first
+// index a segment ever held keep end 0, so a segment can start mid-way
+// (reset_to_checkpoint). A segment thus costs one buffer plus a 24-B
+// vector, whatever its size, and an 8-byte value costs its 8 bytes, 4 B of
+// offset and a share of that, not a std::string of its own. Entries are
+// handed out as string_views into the buffer; a view stays valid until the
+// next append, advance_checkpoint or reset_to_checkpoint.
+//
+// The entries per segment are fixed at construction and follow what the
+// log retains. A log that keeps everything (faithful mode, the window
+// ablation, rejoiners) uses kFullSegmentSlots = 16, amortising each
+// buffer and its vector over many entries. A log under known-prefix GC
+// retains one or two live entries, so it uses kGcSegmentSlots = 2: a
+// 16-entry segment there would hold a buffer sized for 16 payloads to keep
+// one or two. The trade-off: a bounded log whose GC has stalled (a crashed
+// peer pins the watermark) grows like a faithful one, in 2-entry segments,
+// which request ~40 B per 8-B entry against ~15.5 B in 16-entry segments.
+//
+// Whenever a segment's capacity falls short of a full set of payloads the
+// size being stored, offsets included, its buffer is reserved for that
+// full set, not only when the capacity is 0. A segment whose first life
+// held smaller payloads (the KV stores' empty genesis value, then one
+// write) is thereby sized for its later lives while it is still live, and
+// does not grow again when it comes back from the freelist. The cost: a
+// log of mixed sizes reserves room for a full set of the largest.
 //
 // Retired segments go to a freelist and are recycled on append with their
 // byte capacity kept, so steady-state bounded operation performs zero
@@ -29,7 +48,6 @@
 // *stable* per-process bound.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -41,12 +59,16 @@ namespace tbr {
 
 class BoundedHistoryLog {
  public:
-  /// Entries per segment. Small enough that a handful of segments cover the
-  /// usual GC windows, large enough to amortise segment rotation.
-  static constexpr std::size_t kSegmentSlots = 16;
+  /// Entries per segment for a log that keeps everything, and the largest
+  /// segment a log may use.
+  static constexpr std::size_t kFullSegmentSlots = 16;
+  /// Entries per segment for a log under known-prefix GC.
+  static constexpr std::size_t kGcSegmentSlots = 2;
 
   /// The log starts as the genesis checkpoint: index 0 = `initial`.
-  explicit BoundedHistoryLog(std::string_view initial);
+  /// `segment_slots` is a power of two, at most kFullSegmentSlots.
+  explicit BoundedHistoryLog(std::string_view initial,
+                             std::size_t segment_slots = kFullSegmentSlots);
 
   // ---- the retained range --------------------------------------------------
   SeqNo base() const noexcept { return base_; }   // checkpoint index
@@ -84,30 +106,34 @@ class BoundedHistoryLog {
   std::uint64_t payload_bytes() const noexcept { return payload_bytes_; }
   /// The protocol-state model Table 1 line 4 and the memory gates report:
   /// retained payloads, 8 B per retained entry, and 8 B per slot ever
-  /// allocated (active or recycled). For a log of equal-sized payloads it
-  /// is an upper bound on the heap bytes the log requests (24 B modelled
-  /// against ~15.5 B requested per 8-B faithful entry); it does not count
+  /// allocated (active or recycled). For a faithful log of equal-sized
+  /// payloads it is an upper bound on the heap bytes the log requests (24 B
+  /// modelled against ~15.5 B requested per 8-B entry); it does not count
   /// the byte capacity recycled segments keep.
   std::uint64_t memory_bytes() const noexcept {
     return payload_bytes_ + 8ull * size() +
-           8ull * kSegmentSlots * allocated_segments_;
+           8ull * segment_slots() * allocated_segments_;
   }
   /// Segments currently allocated (active + freelist). Flat in steady state.
   std::size_t allocated_segments() const noexcept {
     return allocated_segments_;
   }
+  /// Entries per segment, as given at construction.
+  std::size_t segment_slots() const noexcept { return slot_mask_ + 1; }
 
  private:
+  /// [end offsets of the segment's entries][payloads, packed].
   struct Segment {
-    std::vector<char> bytes;                          // payloads, packed
-    std::array<std::uint32_t, kSegmentSlots> end{};   // per-slot end offset
+    std::vector<char> bytes;
   };
 
-  static SeqNo seg_no(SeqNo idx) noexcept {
-    return idx / static_cast<SeqNo>(kSegmentSlots);
+  SeqNo seg_no(SeqNo idx) const noexcept { return idx >> seg_shift_; }
+  std::size_t slot_of(SeqNo idx) const noexcept {
+    return static_cast<std::size_t>(idx) & slot_mask_;
   }
-  static std::size_t slot_of(SeqNo idx) noexcept {
-    return static_cast<std::size_t>(idx) % kSegmentSlots;
+  /// Bytes of end offsets at the front of every segment buffer.
+  std::size_t offsets_bytes() const noexcept {
+    return segment_slots() * sizeof(std::uint32_t);
   }
   Segment& segment(SeqNo idx);
   const Segment& segment(SeqNo idx) const;
@@ -117,6 +143,9 @@ class BoundedHistoryLog {
   void store(SeqNo idx, std::string_view v);
   void grow_ring();
   void recycle_segment(SeqNo seg);
+
+  std::size_t slot_mask_ = 0;  // segment_slots() - 1
+  int seg_shift_ = 0;          // log2(segment_slots())
 
   // Ring of segment pointers; segment s lives at ring_[s & mask_]. The
   // active segments [seg_no(base_), seg_no(head_)] are contiguous, so the

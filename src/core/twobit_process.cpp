@@ -9,7 +9,9 @@ TwoBitProcess::TwoBitProcess(GroupConfig cfg, ProcessId self,
                              TwoBitOptions options)
     : RegisterProcessBase(std::move(cfg), self),
       options_(options),
-      log_(cfg_.initial.bytes()),             // history_i[0] <- v0
+      log_(cfg_.initial.bytes(),              // history_i[0] <- v0
+           options_.bounded_history ? BoundedHistoryLog::kGcSegmentSlots
+                                    : BoundedHistoryLog::kFullSegmentSlots),
       w_sync_(cfg_.n, 0),                     // w_sync_i[1..n] <- [0..0]
       r_sync_(cfg_.n, 0),                     // r_sync_i[1..n] <- [0..0]
       acked_(cfg_.n, 0),
@@ -331,11 +333,11 @@ void TwoBitProcess::on_read(NetworkContext& net, ProcessId from) {
     send_control_frame(net, from, TwoBitType::kProceed);
   } else {
     // Successive READs from one reader see monotonically non-decreasing
-    // freshness points, so releasing the deque front-first is correct.
+    // freshness points, so releasing the queue front-first is correct.
     TBR_ENSURE(parked_reads_[from].empty() ||
                    parked_reads_[from].back() <= sn,
                "freshness points must be monotone per reader");
-    parked_reads_[from].push_back(sn);
+    parked_reads_[from].push(sn);
   }
 }
 
@@ -507,7 +509,7 @@ bool TwoBitProcess::drain_parked_reads(NetworkContext& net) {
   for (ProcessId j = 0; j < cfg_.n; ++j) {
     auto& q = parked_reads_[j];
     while (!q.empty() && known(j) >= q.front()) {
-      q.pop_front();
+      q.pop();
       send_control_frame(net, j, TwoBitType::kProceed);
       any = true;
     }

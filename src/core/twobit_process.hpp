@@ -13,10 +13,14 @@
 //
 // History lives in a BoundedHistoryLog (core/history_log.hpp), which packs
 // each segment's payloads into one byte buffer and hands entries out as
-// string_views. WRITE and CHECKPOINT frames copy the entry into the Value
-// of out_, a recycled frame, and a completing read copies it into
-// read_value_: one buffer each per process, whose capacity steady-state
-// sends and reads reuse. Faithful mode never moves the log's base,
+// string_views. Its segments hold 2 entries under bounded_history, where GC
+// leaves one or two live, and 16 otherwise (faithful logs, the window
+// ablation, rejoiners), where the log keeps what it appends. WRITE and
+// CHECKPOINT frames copy the entry into the Value of out_, a recycled
+// frame, and a completing read copies it into read_value_: one buffer each
+// per process, whose capacity steady-state sends and reads reuse. Parked
+// READs wait in one vector per reader, which stays unallocated until a
+// READ from that reader parks. Faithful mode never moves the log's base,
 // reproducing the paper's unbounded history. The bounded-memory extension
 // (opt-in) adds:
 //   - known(j) = the prefix j provably stores; min over j (clamped by a
@@ -38,7 +42,6 @@
 //     skip past a laggard that a peer retaining the value serves instead.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -176,6 +179,36 @@ class TwoBitProcess final : public RegisterProcessBase {
     SeqNo wsn = 0;
     WriteDone done;
   };
+  /// Line 20's wait for one reader: the freshness points of its parked
+  /// READs, released front-first. A plain vector, so a reader that never
+  /// parks costs no heap; it is cleared when drained, and a push into a
+  /// full vector first drops the released prefix.
+  class ParkedReads {
+   public:
+    bool empty() const noexcept { return head_ == sn_.size(); }
+    std::size_t size() const noexcept { return sn_.size() - head_; }
+    SeqNo front() const { return sn_[head_]; }
+    SeqNo back() const { return sn_.back(); }
+    void push(SeqNo sn) {
+      if (head_ > 0 && sn_.size() == sn_.capacity()) {
+        sn_.erase(sn_.begin(),
+                  sn_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+      sn_.push_back(sn);
+    }
+    void pop() {
+      if (++head_ == sn_.size()) clear();
+    }
+    void clear() noexcept {
+      sn_.clear();
+      head_ = 0;
+    }
+
+   private:
+    std::vector<SeqNo> sn_;
+    std::size_t head_ = 0;  // first point not yet released
+  };
   enum class ReadStage { kDeferred, kAwaitProceeds, kAwaitWsync };
   struct PendingRead {
     SeqNo rsn = 0;
@@ -249,7 +282,7 @@ class TwoBitProcess final : public RegisterProcessBase {
 
   // `wait` translations.
   std::vector<std::optional<ParkedWrite>> parked_write_;  // line 11, per sender
-  std::vector<std::deque<SeqNo>> parked_reads_;           // line 20, per reader
+  std::vector<ParkedReads> parked_reads_;                 // line 20, per reader
   std::optional<PendingWrite> pending_write_;             // line 3
   std::optional<PendingRead> pending_read_;               // lines 7/9
 

@@ -138,6 +138,7 @@ class KvStore::Group final : public KvClientEngine {
     // Every node's batch runs in one simulation: chains across nodes and
     // slots interleave exactly as concurrent clients would. The mux
     // completes each op itself.
+    if (!issued_.empty()) ++batch_.windows;
     for (ProcessId pid = 0; pid < n_; ++pid) {
       auto& node_ops = per_node_[pid];
       if (node_ops.empty()) continue;

@@ -14,9 +14,10 @@ constexpr std::uint32_t kNoChain = 0xFFFFFFFFu;
 
 // Per-slot view of the network: wraps the inner register's frames in a
 // slot-tagged envelope before they reach the real transport. The envelope
-// is a reused scratch Message — the inner frame encodes straight into its
-// recycled Value buffer, so a steady-state wrapped send allocates nothing
-// (ROADMAP's "mux slot-frame wrapping" item).
+// is the mux's one reused outbound Message — the inner frame encodes
+// straight into its recycled Value buffer, so a steady-state wrapped send
+// allocates nothing. One envelope serves every slot because a send never
+// re-enters the mux: the network copies the frame before it returns.
 class MuxProcess::SlotContext final : public NetworkContext {
  public:
   SlotContext(MuxProcess& mux, std::uint32_t slot)
@@ -24,16 +25,17 @@ class MuxProcess::SlotContext final : public NetworkContext {
 
   void send(ProcessId to, const Message& inner) override {
     TBR_ENSURE(mux_.net_ != nullptr, "slot context used before start");
-    outer_.type = inner.type;  // per-type stats still reflect the protocol
-    outer_.seq = slot_;        // routing tag (addressing, not control)
+    Message& outer = mux_.outbound_;
+    outer.type = inner.type;  // per-type stats still reflect the protocol
+    outer.seq = slot_;        // routing tag (addressing, not control)
     mux_.slots_[slot_]->codec().encode_into(inner,
-                                            outer_.value.mutable_bytes());
-    outer_.has_value = true;
-    outer_.aux = 0;
-    outer_.debug_index = inner.debug_index;
-    outer_.wire.control_bits = inner.wire.control_bits;
-    outer_.wire.data_bits = inner.wire.data_bits + 32;  // the slot tag
-    mux_.net_->send(to, outer_);
+                                            outer.value.mutable_bytes());
+    outer.has_value = true;
+    outer.aux = 0;
+    outer.debug_index = inner.debug_index;
+    outer.wire.control_bits = inner.wire.control_bits;
+    outer.wire.data_bits = inner.wire.data_bits + 32;  // the slot tag
+    mux_.net_->send(to, outer);
   }
   ProcessId self() const override { return mux_.self_; }
   std::uint32_t process_count() const override {
@@ -52,7 +54,6 @@ class MuxProcess::SlotContext final : public NetworkContext {
  private:
   MuxProcess& mux_;
   std::uint32_t slot_;
-  Message outer_;  ///< reused envelope (the transport copies on send)
 };
 
 MuxProcess::MuxProcess(std::uint32_t slots,

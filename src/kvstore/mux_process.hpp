@@ -12,12 +12,13 @@
 // exactly 2 control bits per frame. The tag is tallied in the frame's
 // data_bits so the overhead stays visible in benches.
 //
-// Hot-path design: the slot wrapper reuses a per-slot scratch Message
-// (the inner frame is encoded straight into its recycled Value buffer —
-// no fresh string per send), inbound frames decode into a reused scratch
-// via Codec::decode_into, and the batching window runs on a recycled
-// BatchPlan whose chains/steps/op lists keep their high-water capacities
-// — so a steady-state batched operation allocates nothing inside the mux.
+// Hot-path design: every slot wraps its frames in the mux's one reused
+// outbound Message (the inner frame is encoded straight into its recycled
+// Value buffer — no fresh string per send), inbound frames decode into a
+// reused scratch via Codec::decode_into, and the batching window runs on a
+// recycled BatchPlan whose chains/steps/op lists keep their high-water
+// capacities — so a steady-state batched operation allocates nothing
+// inside the mux.
 #pragma once
 
 #include <algorithm>
@@ -32,18 +33,22 @@
 
 namespace tbr {
 
-/// Tally of what a batching window saved. Single-threaded per shard; the
-/// sharded store aggregates snapshots across shards under its own locks.
+/// Tally of what the batching windows saved. Single-threaded per shard;
+/// the sharded store aggregates snapshots across shards under its own
+/// locks. A KvStore window becomes one replica batch (a start_batch call)
+/// per replica it touches.
 struct BatchStats {
+  std::uint64_t windows = 0;          ///< KvStore windows that ran a batch
   std::uint64_t batches = 0;          ///< start_batch invocations
   std::uint64_t client_ops = 0;       ///< operations admitted to batches
   std::uint64_t protocol_reads = 0;   ///< read rounds actually issued
   std::uint64_t protocol_writes = 0;  ///< write rounds actually issued
   std::uint64_t coalesced_reads = 0;  ///< reads served by another op's round
   std::uint64_t absorbed_writes = 0;  ///< writes absorbed by last-write-wins
-  std::uint64_t max_batch_ops = 0;    ///< largest single batch seen
+  std::uint64_t max_batch_ops = 0;    ///< largest single replica batch seen
 
   void merge(const BatchStats& other) {
+    windows += other.windows;
     batches += other.batches;
     client_ops += other.client_ops;
     protocol_reads += other.protocol_reads;
@@ -151,6 +156,9 @@ class MuxProcess final : public ProcessBase {
   std::vector<std::uint32_t> slot_chain_;
   /// Inbound scratch: frames decode into this reused Message.
   Message inbound_;
+  /// Outbound scratch: every slot's frames are wrapped in this envelope,
+  /// which the network copies before send returns.
+  Message outbound_;
   NetworkContext* net_ = nullptr;  // stable per runtime; stashed on entry
   bool crashed_ = false;
 };

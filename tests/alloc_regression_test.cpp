@@ -11,24 +11,31 @@
 // What "steady state" means here: pools, freelists, event-heap backing
 // storage and per-process container capacities are warmed by a first round
 // of traffic; the measured window then repeats the same kind of traffic.
-// Protocol state that grows by design (the two-bit register's history)
-// is kept inside its current 16-entry history segment by the warmup/window
-// sizing — growth of protocol state is not runtime overhead and is
-// measured separately by bench_local_memory. The one byte gate,
-// FaithfulHistoryLogRequestsAtMost16BytesPerEntry, bounds what that
-// growth asks of the heap per entry.
+// Protocol state that grows by design (a faithful two-bit register's
+// history, in 16-entry segments) is kept inside its current history
+// segment by the warmup/window sizing; a bounded register's history
+// (2-entry segments, recycled by known-prefix GC) stays flat on its own.
+// Growth of protocol state is not runtime overhead and is measured
+// separately by bench_local_memory. Three byte gates bound what that state
+// asks of the heap: FaithfulHistoryLogRequestsAtMost16BytesPerEntry per
+// faithful entry, StalledBoundedHistoryLogRequestsAtMost48BytesPerEntry
+// per entry of a bounded log whose GC never advances, and
+// BoundedKvSlotRequestsAtMost6KiBPerReplica per slot replica of a default
+// KvStore.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "bench/alloc_hooks.hpp"
 #include "bench/relay_harness.hpp"
 #include "core/twobit_process.hpp"
+#include "kvstore/kv_store.hpp"
 #include "kvstore/sharded_store.hpp"
 #include "runtime/thread_network.hpp"
 #include "sim/sim_network.hpp"
@@ -173,6 +180,100 @@ TEST(AllocRegression, FaithfulHistoryLogRequestsAtMost16BytesPerEntry) {
       << " B per 8-B history entry";
   EXPECT_LE(requested, modelled)
       << "memory_bytes() must bound the heap bytes the log requests";
+}
+
+TEST(AllocRegression, StalledBoundedHistoryLogRequestsAtMost48BytesPerEntry) {
+  // The price of 2-entry segments: a bounded log whose GC has stalled (a
+  // crashed peer pins the watermark) grows like a faithful one, one
+  // 24-B segment vector and one buffer of 2 offsets and 2 payloads per two
+  // entries, plus the doubling ring. 2^16 appends of 8-B values to a log
+  // that never advances must stay at or below 48 B per entry; a segment
+  // carrying 16 offsets whatever its size would request 68.
+  constexpr std::uint64_t kEntries = std::uint64_t{1} << 16;
+  std::string payload = Value::from_int64(0).bytes();
+  std::uint64_t requested = 0;
+  {
+    const alloc::Window w;
+    BoundedHistoryLog log(payload, BoundedHistoryLog::kGcSegmentSlots);
+    for (std::uint64_t k = 1; k <= kEntries; ++k) {
+      std::memcpy(payload.data(), &k, sizeof k);  // distinct 8-B values
+      log.append(payload);
+    }
+    requested = w.bytes();
+    ASSERT_EQ(log.head(), static_cast<SeqNo>(kEntries));
+    ASSERT_EQ(log.base(), 0);
+  }
+  EXPECT_LE(requested, 48 * kEntries)
+      << "requested " << static_cast<double>(requested) / kEntries
+      << " B per 8-B entry of a stalled bounded log";
+}
+
+TEST(AllocRegression, BoundedKvSlotRequestsAtMost6KiBPerReplica) {
+  // What one bounded register costs a default KvStore: n = 3, t = 1,
+  // 64 two-bit slots under known-prefix GC, 64 windows of 64 callback ops
+  // over 512 keys, half of them puts of 256-B values built beforehand and
+  // moved in. Every byte the store requests from its construction to the
+  // end of the run is charged to its 64 x 3 slot replicas, which must stay
+  // at or below 24 payloads of 256 B each. GC leaves a slot one or two
+  // live entries; a slot replica whose history segments, parked-read
+  // queues or frame envelope are sized for more (16-entry segments, a
+  // std::deque per reader, an envelope per slot) requests ~12.6 KB.
+  constexpr std::uint32_t kSlots = 64;
+  constexpr std::uint32_t kNodes = 3;
+  constexpr std::uint32_t kWindows = 64;
+  constexpr std::uint32_t kWindowOps = 64;
+  constexpr std::uint32_t kKeys = 512;
+  constexpr std::size_t kBig = 256;
+  std::vector<std::string> keys;
+  for (std::uint32_t k = 0; k < kKeys; ++k) {
+    keys.push_back("key-" + std::to_string(k));
+  }
+  std::vector<Value> values;
+  for (std::uint32_t k = 0; k < kWindows * kWindowOps / 2; ++k) {
+    values.push_back(Value::filler(kBig, static_cast<std::uint8_t>(k)));
+  }
+  std::vector<std::uint32_t> picks;  // which key each op touches
+  std::minstd_rand rng(7);
+  for (std::uint32_t k = 0; k < kWindows * kWindowOps; ++k) {
+    picks.push_back(static_cast<std::uint32_t>(rng() % kKeys));
+  }
+
+  std::uint64_t done = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t requested = 0;
+  {
+    const alloc::Window w;
+    KvStore::Options opt;
+    opt.n = kNodes;
+    opt.t = 1;
+    opt.slots = kSlots;
+    KvStore store(std::move(opt));
+    KvClient& client = store.client();
+    std::size_t next_value = 0;
+    for (std::uint32_t window = 0; window < kWindows; ++window) {
+      for (std::uint32_t k = 0; k < kWindowOps; ++k) {
+        const std::string& key = keys[picks[window * kWindowOps + k]];
+        // Two pointers: std::function's inline storage.
+        OpCallback cb = [d = &done, f = &failed](const OpResult& r) {
+          ++(r.status.ok() ? *d : *f);
+        };
+        if (k % 2 == 0) {
+          client.put(key, std::move(values[next_value++]), std::move(cb));
+        } else {
+          client.get(key, kAnyReplica, std::move(cb));
+        }
+      }
+      store.settle();
+    }
+    requested = w.bytes();
+  }
+  EXPECT_EQ(done, std::uint64_t{kWindows} * kWindowOps);
+  EXPECT_EQ(failed, 0u);
+  const double per_replica =
+      static_cast<double>(requested) / (kSlots * kNodes);
+  EXPECT_LE(per_replica, 24.0 * kBig)
+      << "a bounded KV slot requested " << per_replica
+      << " B per replica over the run";
 }
 
 // ---- the unified client API (PR 4): allocs per OPERATION ---------------------

@@ -2,6 +2,11 @@
 // reclamation, crash-rejoin resets, the packed segment layout (payloads of
 // any size across segment boundaries, recycled and mid-segment segments),
 // and the flat-allocation guarantee the steady-state memory gates depend on.
+// Every HistoryLog case runs at both segment sizes the protocol uses: 2
+// entries (bounded logs under known-prefix GC) and 16 (logs that keep
+// everything). The GcSegmentLog cases cover layouts only 2-entry segments
+// reach: a segment recycled every second append, a checkpoint at a
+// segment's second entry, and tiny segments holding mixed payload sizes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -33,8 +38,24 @@ std::string mixed(std::int64_t k) {
   return sized(kSizes[static_cast<std::size_t>(k) % 5], k);
 }
 
-TEST(HistoryLog, StartsAsGenesisCheckpoint) {
-  BoundedHistoryLog log(v(7));
+// The parameter is the log's entries per segment.
+class HistoryLog : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  BoundedHistoryLog make(std::string_view initial) const {
+    return BoundedHistoryLog(initial, GetParam());
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    SegmentSizes, HistoryLog,
+    ::testing::Values(BoundedHistoryLog::kGcSegmentSlots,
+                      BoundedHistoryLog::kFullSegmentSlots),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "Slots" + std::to_string(info.param);
+    });
+
+TEST_P(HistoryLog, StartsAsGenesisCheckpoint) {
+  BoundedHistoryLog log = make(v(7));
   EXPECT_EQ(log.base(), 0);
   EXPECT_EQ(log.head(), 0);
   EXPECT_EQ(log.size(), 1u);
@@ -42,10 +63,11 @@ TEST(HistoryLog, StartsAsGenesisCheckpoint) {
   EXPECT_FALSE(log.has(1));
   EXPECT_EQ(i64(log.at(0)), 7);
   EXPECT_EQ(i64(log.checkpoint_value()), 7);
+  EXPECT_EQ(log.segment_slots(), GetParam());
 }
 
-TEST(HistoryLog, AppendExtendsTheRetainedRange) {
-  BoundedHistoryLog log(v(0));
+TEST_P(HistoryLog, AppendExtendsTheRetainedRange) {
+  BoundedHistoryLog log = make(v(0));
   for (std::int64_t k = 1; k <= 40; ++k) log.append(v(k));
   EXPECT_EQ(log.base(), 0);
   EXPECT_EQ(log.head(), 40);
@@ -56,8 +78,8 @@ TEST(HistoryLog, AppendExtendsTheRetainedRange) {
   }
   EXPECT_FALSE(log.has(41));
 
-  // The same range with mixed payload sizes across three segments.
-  BoundedHistoryLog packed(mixed(0));
+  // The same range with mixed payload sizes across several segments.
+  BoundedHistoryLog packed = make(mixed(0));
   std::uint64_t bytes = mixed(0).size();
   for (std::int64_t k = 1; k <= 40; ++k) {
     packed.append(mixed(k));
@@ -70,8 +92,8 @@ TEST(HistoryLog, AppendExtendsTheRetainedRange) {
   }
 }
 
-TEST(HistoryLog, AdvanceCheckpointReclaimsThePrefix) {
-  BoundedHistoryLog log(v(0));
+TEST_P(HistoryLog, AdvanceCheckpointReclaimsThePrefix) {
+  BoundedHistoryLog log = make(v(0));
   for (std::int64_t k = 1; k <= 20; ++k) log.append(v(k));
 
   EXPECT_EQ(log.advance_checkpoint(15), 15u);
@@ -93,8 +115,8 @@ TEST(HistoryLog, AdvanceCheckpointReclaimsThePrefix) {
   EXPECT_EQ(i64(log.checkpoint_value()), 20);
 }
 
-TEST(HistoryLog, AdvanceCheckpointEnforcesItsBounds) {
-  BoundedHistoryLog log(v(0));
+TEST_P(HistoryLog, AdvanceCheckpointEnforcesItsBounds) {
+  BoundedHistoryLog log = make(v(0));
   for (std::int64_t k = 1; k <= 5; ++k) log.append(v(k));
   ASSERT_EQ(log.advance_checkpoint(3), 3u);
   EXPECT_THROW((void)log.advance_checkpoint(2), ContractViolation);  // < base
@@ -102,8 +124,8 @@ TEST(HistoryLog, AdvanceCheckpointEnforcesItsBounds) {
   EXPECT_THROW((void)log.at(2), ContractViolation);                  // evicted
 }
 
-TEST(HistoryLog, EvictFrontDropsExactlyOneEntry) {
-  BoundedHistoryLog log(v(0));
+TEST_P(HistoryLog, EvictFrontDropsExactlyOneEntry) {
+  BoundedHistoryLog log = make(v(0));
   for (std::int64_t k = 1; k <= 3; ++k) log.append(v(k));
   log.evict_front();
   log.evict_front();
@@ -112,8 +134,8 @@ TEST(HistoryLog, EvictFrontDropsExactlyOneEntry) {
   EXPECT_EQ(log.size(), 2u);
 }
 
-TEST(HistoryLog, ResetToCheckpointRestartsTheLog) {
-  BoundedHistoryLog log(v(0));
+TEST_P(HistoryLog, ResetToCheckpointRestartsTheLog) {
+  BoundedHistoryLog log = make(v(0));
   for (std::int64_t k = 1; k <= 10; ++k) log.append(v(k));
 
   log.reset_to_checkpoint(100, v(100));
@@ -128,9 +150,9 @@ TEST(HistoryLog, ResetToCheckpointRestartsTheLog) {
   EXPECT_EQ(log.head(), 101);
   EXPECT_EQ(i64(log.at(101)), 101);
 
-  // A second reset lands in the middle of a segment (200 = 12 * 16 + 8)
-  // with a payload of a new size, on a recycled segment; appends then
-  // cross into the next segment with mixed sizes.
+  // A second reset, with a payload of a new size, on a recycled segment
+  // (in the middle of a 16-entry one: 200 = 12 * 16 + 8); appends then
+  // cross into the next segments with mixed sizes.
   log.reset_to_checkpoint(200, sized(300, 200));
   EXPECT_EQ(log.checkpoint_value(), sized(300, 200));
   EXPECT_EQ(log.payload_bytes(), 300u);
@@ -146,12 +168,12 @@ TEST(HistoryLog, ResetToCheckpointRestartsTheLog) {
   EXPECT_EQ(log.payload_bytes(), bytes);
 }
 
-TEST(HistoryLog, SlidingWindowRecyclesSegmentsWithoutGrowth) {
+TEST_P(HistoryLog, SlidingWindowRecyclesSegmentsWithoutGrowth) {
   // A bounded-mode steady state: append one, reclaim down to a fixed lag.
   // After warmup, both the segment count and the accounted bytes must be
   // exactly flat — this is the property the CI memory gates lean on.
   constexpr SeqNo kLag = 8;
-  BoundedHistoryLog log(v(0));
+  BoundedHistoryLog log = make(v(0));
   std::size_t warm_segments = 0;
   std::uint64_t warm_bytes = 0;
   for (std::int64_t k = 1; k <= 2000; ++k) {
@@ -184,6 +206,107 @@ TEST(HistoryLog, SlidingWindowRecyclesSegmentsWithoutGrowth) {
     EXPECT_EQ(log.allocated_segments(), warm_segments) << "at append " << k;
   }
   EXPECT_EQ(log.payload_bytes(), 4096u * (static_cast<std::size_t>(kLag) + 1));
+}
+
+TEST(GcSegmentLog, RejectsSegmentSizesOutsidePowersOfTwoUpTo16) {
+  for (const std::size_t slots : {0u, 3u, 12u, 32u}) {
+    EXPECT_THROW(BoundedHistoryLog(v(0), slots), ContractViolation)
+        << slots << " slots";
+  }
+  for (const std::size_t slots : {1u, 2u, 4u, 8u, 16u}) {
+    EXPECT_EQ(BoundedHistoryLog(v(0), slots).segment_slots(), slots);
+  }
+}
+
+TEST(GcSegmentLog, GcThatRecyclesASegmentEverySecondAppend) {
+  // The bounded register's steady state at its tightest: each append is
+  // reclaimed by the next GC step, so the checkpoint leaves a 2-entry
+  // segment on every second append and the freelist hands it straight
+  // back. The segment count and the model stay flat from the start.
+  BoundedHistoryLog log(v(0), BoundedHistoryLog::kGcSegmentSlots);
+  std::size_t segments = 0;
+  std::uint64_t model = 0;
+  std::uint64_t reclaimed = 0;
+  for (std::int64_t k = 1; k <= 1000; ++k) {
+    log.append(v(k));
+    ASSERT_EQ(i64(log.at(k - 1)), k - 1);
+    ASSERT_EQ(i64(log.at(k)), k);
+    reclaimed += log.advance_checkpoint(k);
+    ASSERT_EQ(log.size(), 1u);
+    ASSERT_EQ(i64(log.checkpoint_value()), k);
+    if (k == 4) {
+      segments = log.allocated_segments();
+      model = log.memory_bytes();
+    }
+    if (k > 4) {
+      EXPECT_EQ(log.allocated_segments(), segments) << "at append " << k;
+      EXPECT_EQ(log.memory_bytes(), model) << "at append " << k;
+    }
+  }
+  EXPECT_EQ(reclaimed, 1000u);
+  EXPECT_EQ(segments, 2u);  // the live segment and the one just recycled
+  EXPECT_EQ(log.payload_bytes(), 8u);
+}
+
+TEST(GcSegmentLog, ResetToAnOddIndexThenAppendAcrossTheBoundary) {
+  // An odd checkpoint index lands on a segment's second entry, so the
+  // segment starts mid-way with its first entry unused; the next append
+  // opens a fresh segment. A second odd reset reuses recycled segments.
+  BoundedHistoryLog log(v(0), BoundedHistoryLog::kGcSegmentSlots);
+  for (std::int64_t k = 1; k <= 6; ++k) log.append(v(k));
+
+  log.reset_to_checkpoint(101, sized(300, 101));
+  EXPECT_EQ(log.base(), 101);
+  EXPECT_EQ(log.head(), 101);
+  EXPECT_FALSE(log.has(100));
+  EXPECT_EQ(log.at(101), sized(300, 101));
+  for (std::int64_t k = 102; k <= 107; ++k) log.append(sized(8, k));
+  EXPECT_EQ(log.at(101), sized(300, 101));
+  std::uint64_t bytes = 300;
+  for (SeqNo idx = 102; idx <= 107; ++idx) {
+    EXPECT_EQ(log.at(idx), sized(8, idx)) << "at index " << idx;
+    bytes += 8;
+  }
+  EXPECT_EQ(log.payload_bytes(), bytes);
+
+  // GC across the odd boundary: 101 leaves segment 50 (its second entry),
+  // so that segment is recycled; 103 leaves segment 51.
+  EXPECT_EQ(log.advance_checkpoint(104), 3u);
+  EXPECT_EQ(log.at(104), sized(8, 104));
+  EXPECT_EQ(log.payload_bytes(), 4u * 8u);
+
+  log.reset_to_checkpoint(333, v(333));
+  log.append(v(334));
+  log.append(v(335));
+  EXPECT_EQ(log.base(), 333);
+  EXPECT_EQ(log.head(), 335);
+  for (SeqNo idx = 333; idx <= 335; ++idx) EXPECT_EQ(i64(log.at(idx)), idx);
+  EXPECT_EQ(log.payload_bytes(), 3u * 8u);
+}
+
+TEST(GcSegmentLog, MixedPayloadSizesShareTinySegments) {
+  // 0-, 8- and 256-B payloads in turn, so each 2-entry segment pairs two
+  // different sizes and recycled segments come back for a size they did
+  // not hold before. GC keeps a lag of 3 entries.
+  auto payload = [](std::int64_t k) {
+    static constexpr std::size_t kSizes[] = {0, 8, 256};
+    return sized(kSizes[static_cast<std::size_t>(k) % 3], k);
+  };
+  BoundedHistoryLog log(payload(0), BoundedHistoryLog::kGcSegmentSlots);
+  for (std::int64_t k = 1; k <= 300; ++k) {
+    log.append(payload(k));
+    if (log.head() - 3 > log.base()) {
+      (void)log.advance_checkpoint(log.head() - 3);
+    }
+    std::uint64_t bytes = 0;
+    for (SeqNo idx = log.base(); idx <= log.head(); ++idx) {
+      ASSERT_EQ(log.at(idx), payload(idx)) << "at index " << idx;
+      bytes += payload(idx).size();
+    }
+    ASSERT_EQ(log.payload_bytes(), bytes) << "at append " << k;
+  }
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_LE(log.allocated_segments(), 4u);
 }
 
 }  // namespace

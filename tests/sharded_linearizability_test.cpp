@@ -110,6 +110,9 @@ TEST(ShardedLinearizability, TinyCoalescedHistoryPassesWingGong) {
   ASSERT_TRUE(check.ok) << check.error;
   EXPECT_EQ(r.ops_completed, 15u);
   EXPECT_GT(r.batch.absorbed_writes, 0u);
+  // One store window, split into one replica batch per replica it touches.
+  EXPECT_EQ(r.batch.windows, 1u);
+  EXPECT_EQ(r.batch.batches, 3u);
   ASSERT_EQ(r.registers.size(), 1u);
 
   const KvRegisterHistory& reg = r.registers.front();

@@ -171,8 +171,9 @@ int cmd_kv(FlagParser& flags) {
                  format_double(engine.ops_per_sec, 0)});
   table.add_row({"projected ops/Mtick (capacity model)",
                  format_double(projection.ops_per_mtick, 0)});
-  table.add_row({"batching windows", format_count(engine.batch.batches)});
-  table.add_row({"largest window (ops)",
+  table.add_row({"batching windows", format_count(engine.batch.windows)});
+  table.add_row({"replica batches", format_count(engine.batch.batches)});
+  table.add_row({"largest replica batch (ops)",
                  format_count(engine.batch.max_batch_ops)});
   table.add_row({"protocol reads / client reads",
                  format_count(engine.batch.protocol_reads) + " / " +
