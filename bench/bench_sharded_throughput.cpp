@@ -161,7 +161,7 @@ void run_engine_sweep() {
   std::cout << "-- live engine (wall clock; scales with host cores — "
                "informative, not tracked) --\n";
   TextTable table({"shards", "ops ok", "ops failed", "wall ms", "ops/sec",
-                   "max batch seen"});
+                   "largest replica batch (ops)"});
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     auto mix = op_mix();
     mix.total_ops = quick_mode() ? 4000 : 20000;

@@ -25,6 +25,7 @@ void LinkCodec::decode_into(std::string_view bytes, Message& msg) const {
   msg.type = wire::get_u8(bytes, pos);
   TBR_ENSURE(msg.type <= 1, "bad link frame type");
   msg.seq = static_cast<SeqNo>(wire::get_u64(bytes, pos));
+  TBR_ENSURE(msg.seq >= 0, "link sequence numbers are non-negative");
   if (msg.type == static_cast<std::uint8_t>(LinkType::kData)) {
     const auto len = wire::get_u32(bytes, pos);
     wire::get_blob_into(bytes, pos, len, msg.value.mutable_bytes());

@@ -1,12 +1,20 @@
-// Cross-validation: on thousands of randomly generated small histories the
-// fast SwmrChecker and the exhaustive Wing-Gong oracle must agree exactly.
-// Generated histories deliberately include legal and illegal ones: reads are
-// given indices from a window around plausibility so both verdicts occur.
+// Cross-validation against the exhaustive Wing-Gong oracle. On thousands of
+// randomly generated small single-writer histories the fast SwmrChecker must
+// agree with it exactly; generated histories deliberately include legal and
+// illegal ones: reads are given indices from a window around plausibility so
+// both verdicts occur. MwmrChecker is checked on the multi-writer histories
+// of KV registers, and on seeded mutations of them.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "checker/mwmr_checker.hpp"
 #include "checker/swmr_checker.hpp"
 #include "checker/wg_checker.hpp"
 #include "common/rng.hpp"
+#include "workload/sharded_workload.hpp"
 
 namespace tbr {
 namespace {
@@ -142,6 +150,100 @@ TEST_P(CheckerCrossValidation, FastCheckerAgreesWithWingGong) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckerCrossValidation,
                          testing::Range<std::uint64_t>(0, 10));
+
+// ---- multi-writer: KV register histories ---------------------------------------
+//
+// A KV register is one (shard, slot); its home replica turns the puts of
+// many clients into versions 1..W. Each case projects a tiny store in
+// virtual time with write coalescing off, so every put is one protocol write
+// and each history goes to both checkers exactly as recorded, at most 20 ops
+// so Wing-Gong stays exhaustive. MwmrChecker is sufficient for
+// linearizability but not necessary: it also demands that versions follow
+// real time, which holds for this register but not for every linearizable
+// history. So on mutated histories the test asserts an implication, not
+// agreement.
+
+bool overlap(const OpRecord& a, const OpRecord& b) {
+  return a.start < b.end && b.start < a.end;
+}
+
+class MwmrWgCrossval : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MwmrWgCrossval, KvRegisterHistoriesAgreeWithWingGong) {
+  ShardedKvStore::Options store;
+  store.shards = 1;
+  store.n = 3;
+  store.t = 1;
+  store.slots_per_shard = 4;
+  store.seed = GetParam();
+  store.coalesce_writes = false;
+  KvOpMix mix;
+  mix.keys = 3;
+  mix.zipf_s = 0;
+  mix.read_fraction = 0.5;
+  mix.total_ops = 24;
+  const CapacityProjection run =
+      project_sharded_capacity(store, mix, /*inter_arrival=*/300);
+  ASSERT_FALSE(run.registers.empty());
+
+  Rng rng(GetParam() ^ 0x3A7A7E);
+  int with_overlapping_puts = 0;
+  int mutants_wg_rejects = 0;
+  for (const KvRegisterHistory& reg : run.registers) {
+    SCOPED_TRACE("slot " + std::to_string(reg.slot));
+    const std::vector<OpRecord>& ops = reg.ops;
+    ASSERT_LE(ops.size(), 20u);
+    ASSERT_TRUE(reg.absorbed.empty());
+
+    const CheckResult fast = MwmrChecker::check(ops, run.initial);
+    EXPECT_TRUE(fast.ok) << fast.error;
+    EXPECT_TRUE(wg_linearizable(ops, run.initial));
+
+    std::vector<const OpRecord*> puts;
+    for (const OpRecord& op : ops) {
+      if (op.kind == OpRecord::Kind::kWrite && op.completed) {
+        puts.push_back(&op);
+      }
+    }
+    bool overlapping = false;
+    for (std::size_t i = 0; i < puts.size(); ++i) {
+      for (std::size_t j = i + 1; j < puts.size(); ++j) {
+        overlapping = overlapping || overlap(*puts[i], *puts[j]);
+      }
+    }
+    if (overlapping) ++with_overlapping_puts;
+
+    // Mutants: move each completed read, one at a time, to another
+    // completed put's (version, value) or to (0, initial), drawn by seed.
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+      const OpRecord& read = ops[k];
+      if (read.kind != OpRecord::Kind::kRead || !read.completed) continue;
+      std::vector<std::pair<SeqNo, Value>> targets;
+      if (read.index != 0) targets.emplace_back(0, run.initial);
+      for (const OpRecord* put : puts) {
+        if (put->index != read.index) {
+          targets.emplace_back(put->index, put->value);
+        }
+      }
+      if (targets.empty()) continue;
+      std::vector<OpRecord> mutant = ops;
+      std::tie(mutant[k].index, mutant[k].value) =
+          targets[static_cast<std::size_t>(rng.uniform(
+              0, static_cast<std::int64_t>(targets.size()) - 1))];
+      const bool wg_ok = wg_linearizable(mutant, run.initial);
+      const CheckResult fast_mutant = MwmrChecker::check(mutant, run.initial);
+      EXPECT_TRUE(wg_ok || !fast_mutant.ok)
+          << "MwmrChecker accepts a history Wing-Gong rejects: op " << k
+          << " moved to version " << mutant[k].index;
+      if (!wg_ok) ++mutants_wg_rejects;
+    }
+  }
+  EXPECT_GE(with_overlapping_puts, 1);
+  EXPECT_GT(mutants_wg_rejects, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MwmrWgCrossval,
+                         testing::Range<std::uint64_t>(0, 20));
 
 }  // namespace
 }  // namespace tbr

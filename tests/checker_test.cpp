@@ -1,8 +1,10 @@
 // Checker tests: the fast SWMR checker must accept canonical atomic
 // histories and reject each specific violation class (C0-C3 plus model
-// sanity), with hand-crafted histories.
+// sanity), with hand-crafted histories; the multi-writer checker the KV
+// drivers use gets the same treatment.
 #include <gtest/gtest.h>
 
+#include "checker/mwmr_checker.hpp"
 #include "checker/swmr_checker.hpp"
 #include "checker/wg_checker.hpp"
 #include "common/contracts.hpp"
@@ -254,6 +256,76 @@ TEST(WgCheckerTest, SizeGuard) {
     h.read(1, 10 + 10 * i, 15 + 10 * i, 1);
   }
   EXPECT_THROW((void)wg_linearizable(h.ops(), kInit), ContractViolation);
+}
+
+// ---- MwmrChecker: many writers, versions known at completion ----------------------
+
+TEST(MwmrCheckerTest, AcceptsCleanHistory) {
+  HistoryLog log;
+  auto w1 = log.begin_write_unindexed(1, 0, Value::from_int64(10));
+  log.end_write_indexed(w1, 10, 1);
+  auto r1 = log.begin_read(2, 20);
+  log.end_read(r1, 30, Value::from_int64(10), 1);
+  EXPECT_TRUE(MwmrChecker::check(log.ops(), kInit).ok);
+}
+
+TEST(MwmrCheckerTest, RejectsStaleRead) {
+  HistoryLog log;
+  auto w1 = log.begin_write_unindexed(1, 0, Value::from_int64(10));
+  log.end_write_indexed(w1, 10, 1);
+  auto r1 = log.begin_read(2, 20);
+  log.end_read(r1, 30, kInit, 0);  // returns the initial value
+  const auto verdict = MwmrChecker::check(log.ops(), kInit);
+  EXPECT_FALSE(verdict.ok);
+  EXPECT_NE(verdict.error.find("W-R"), std::string::npos) << verdict.error;
+}
+
+TEST(MwmrCheckerTest, RejectsInversion) {
+  HistoryLog log;
+  auto w1 = log.begin_write_unindexed(1, 0, Value::from_int64(10));
+  log.end_write_indexed(w1, 5, 1);
+  // w2 [10, 100] overlaps both reads: r1 sees it, then r2 sees w1 again.
+  auto w2 = log.begin_write_unindexed(1, 10, Value::from_int64(20));
+  log.end_write_indexed(w2, 100, 2);
+  auto r1 = log.begin_read(2, 20);
+  log.end_read(r1, 30, Value::from_int64(20), 2);
+  auto r2 = log.begin_read(3, 40);
+  log.end_read(r2, 50, Value::from_int64(10), 1);
+  const auto verdict = MwmrChecker::check(log.ops(), kInit);
+  EXPECT_FALSE(verdict.ok);
+  EXPECT_NE(verdict.error.find("R-R"), std::string::npos) << verdict.error;
+}
+
+TEST(MwmrCheckerTest, RejectsWriteBehindObservedRead) {
+  HistoryLog log;
+  auto w6 = log.begin_write_unindexed(1, 0, Value::from_int64(60));
+  auto r1 = log.begin_read(2, 0);
+  log.end_read(r1, 10, Value::from_int64(60), 6);
+  // The read observed version 6; a write invoked after it returned cannot
+  // install a smaller version under version order.
+  auto w5 = log.begin_write_unindexed(3, 20, Value::from_int64(50));
+  log.end_write_indexed(w5, 30, 5);
+  log.end_write_indexed(w6, 40, 6);
+  const auto verdict = MwmrChecker::check(log.ops(), kInit);
+  EXPECT_FALSE(verdict.ok);
+  EXPECT_NE(verdict.error.find("R-W"), std::string::npos) << verdict.error;
+}
+
+TEST(MwmrCheckerTest, AllowsReadOfIncompleteWriteByValue) {
+  HistoryLog log;
+  (void)log.begin_write_unindexed(1, 0, Value::from_int64(10));  // crashes
+  auto r1 = log.begin_read(2, 20);
+  log.end_read(r1, 30, Value::from_int64(10), 1);
+  EXPECT_TRUE(MwmrChecker::check(log.ops(), kInit).ok);
+}
+
+TEST(MwmrCheckerTest, RejectsDuplicateTimestamps) {
+  HistoryLog log;
+  auto w1 = log.begin_write_unindexed(1, 0, Value::from_int64(10));
+  log.end_write_indexed(w1, 10, 1);
+  auto w2 = log.begin_write_unindexed(2, 20, Value::from_int64(20));
+  log.end_write_indexed(w2, 30, 1);
+  EXPECT_FALSE(MwmrChecker::check(log.ops(), kInit).ok);
 }
 
 }  // namespace

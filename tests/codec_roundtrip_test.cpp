@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "abd/phased_codec.hpp"
 #include "abd/specs.hpp"
 #include "common/rng.hpp"
 #include "core/twobit_codec.hpp"
 #include "link/link_codec.hpp"
-#include "mwmr/mwmr_process.hpp"
 
 namespace tbr {
 namespace {
@@ -79,43 +81,35 @@ TEST(CodecRoundtrip, TwoBitRandomized) {
 }
 
 TEST(CodecRoundtrip, PhasedAbdRandomized) {
+  // Every spec the phased engine runs. The truncation contract decodes
+  // every prefix of a frame, and a bounded spec's label blob is n^5 (ABD
+  // bounded) or n^3 (Attiya) bits, so the specs after the first take fewer
+  // draws, and ABD bounded runs at small n.
+  struct Case {
+    const PhasedSpec& spec;
+    std::vector<std::uint32_t> ns;
+    int iters;
+  };
+  const Case cases[] = {{abd_unbounded_spec(), {3, 5, 9}, 150},
+                        {abd_regular_spec(), {3, 5, 9}, 20},
+                        {abd_bounded_spec(), {3, 4}, 20},
+                        {attiya_spec(), {3, 5, 9}, 20}};
   Rng rng(2025);
   std::string buf = dirty_buffer();
-  for (const std::uint32_t n : {3u, 5u, 9u}) {
-    const PhasedCodec codec(abd_unbounded_spec(), n);
-    for (int iter = 0; iter < 150; ++iter) {
-      Message msg;
-      msg.type = static_cast<std::uint8_t>(rng.uniform(0, 3));
-      msg.seq = rng.uniform(0, 1'000'000);
-      msg.aux = rng.uniform(0, 1'000'000);
-      msg.has_value = rng.chance(0.5);
-      if (msg.has_value) msg.value = random_value(rng);
-      expect_roundtrip(codec, msg, buf);
+  for (const Case& c : cases) {
+    for (const std::uint32_t n : c.ns) {
+      SCOPED_TRACE(c.spec.name + " n=" + std::to_string(n));
+      const PhasedCodec codec(c.spec, n);
+      for (int iter = 0; iter < c.iters; ++iter) {
+        Message msg;
+        msg.type = static_cast<std::uint8_t>(rng.uniform(0, 3));
+        msg.seq = rng.uniform(0, 1'000'000);
+        msg.aux = rng.uniform(0, 1'000'000);
+        msg.has_value = rng.chance(0.5);
+        if (msg.has_value) msg.value = random_value(rng);
+        expect_roundtrip(codec, msg, buf);
+      }
     }
-  }
-}
-
-TEST(CodecRoundtrip, MwmrTimestampsSurviveTheWire) {
-  // The MWMR register rides the phased codec with packed (seq, writer)
-  // timestamps; the packing must survive a wire round-trip bit-exactly.
-  Rng rng(2026);
-  const std::uint32_t n = 7;
-  const PhasedCodec codec(abd_unbounded_spec(), n);
-  std::string buf = dirty_buffer();
-  for (int iter = 0; iter < 300; ++iter) {
-    const SeqNo seq = rng.uniform(0, 1'000'000);
-    const auto writer = static_cast<ProcessId>(rng.uniform(0, n - 1));
-    Message msg;
-    msg.type = static_cast<std::uint8_t>(rng.uniform(0, 3));
-    msg.seq = pack_ts(seq, writer);
-    msg.aux = rng.uniform(0, 1'000'000);
-    msg.has_value = rng.chance(0.5);
-    if (msg.has_value) msg.value = random_value(rng);
-    expect_roundtrip(codec, msg, buf);
-
-    const Message back = codec.decode(codec.encode(msg));
-    EXPECT_EQ(ts_seq(back.seq), seq);
-    EXPECT_EQ(ts_writer(back.seq), writer);
   }
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gates, stdlib-only. Run from anywhere: paths resolve from the repo root.
 
-Five checks, all fast enough for a pre-commit reflex:
+Six checks, all fast enough for a pre-commit reflex:
 
 1. Link check: every relative markdown link in README.md and docs/*.md
    must resolve to a file or directory inside the repo. External
@@ -27,6 +27,10 @@ Five checks, all fast enough for a pre-commit reflex:
    tests/, tools/ or examples/ must resolve from the repo root or from
    docs/. Code cannot cite a document the tree does not have.
 
+6. Repo map gate: the code-quoted `src/<dir>/` rows of README.md's
+   "Repo map" table must name exactly the directories under src/. A
+   module cannot be added without a row, or deleted and keep one.
+
 Exit code 0 = clean; 1 = any failure, each printed on its own line.
 """
 import re
@@ -50,6 +54,11 @@ COUNT_RE = re.compile(
     r"\b(\d+) (GoogleTest suites|bench drivers|runnable examples)\b")
 # A markdown file named in code: `README.md`, `docs/operations.md`.
 MD_NAME_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
+# README's "## Repo map" section, up to the next heading, and a row of it
+# that names one src/ directory: | `src/core/` | ... |
+REPO_MAP_RE = re.compile(r"^## Repo map$(.*?)(?=^## |\Z)",
+                         re.MULTILINE | re.DOTALL)
+SRC_ROW_RE = re.compile(r"^\|\s*`src/([\w-]+)/`\s*\|", re.MULTILINE)
 CODE_DIRS = ("src", "bench", "tests", "tools", "examples")
 
 
@@ -155,9 +164,22 @@ def check_md_citations():
     return failures
 
 
+def check_repo_map():
+    section = REPO_MAP_RE.search(
+        (REPO / "README.md").read_text(encoding="utf-8"))
+    if not section:
+        return ["README.md: no \"## Repo map\" section"]
+    rows = set(SRC_ROW_RE.findall(section.group(1)))
+    dirs = {p.name for p in SRC.iterdir() if p.is_dir()}
+    return ([f"README.md: Repo map has no `src/{d}/` row"
+             for d in sorted(dirs - rows)] +
+            [f"README.md: Repo map row `src/{d}/` names no directory "
+             f"under src/" for d in sorted(rows - dirs)])
+
+
 def main():
     failures = (check_links() + check_knobs() + check_bench_names() +
-                check_counts() + check_md_citations())
+                check_counts() + check_md_citations() + check_repo_map())
     for f in failures:
         print(f"FAIL {f}")
     if failures:
@@ -165,7 +187,8 @@ def main():
     n_files = sum(1 for _ in md_files())
     print(f"docs OK: {n_files} markdown files, links resolve, "
           f"operations.md knobs all exist under src/, cited benches exist, "
-          f"counts match the tree, code cites only existing docs")
+          f"counts match the tree, code cites only existing docs, "
+          f"the repo map lists every src/ directory")
     return 0
 
 
