@@ -1,5 +1,6 @@
 #include "core/history_log.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -11,10 +12,25 @@ namespace tbr {
 
 namespace {
 
+// Buffer positions go through vector::operator[], so a build with
+// -D_GLIBCXX_ASSERTIONS bounds-checks every offset computed here.
 std::uint32_t end_offset(const std::vector<char>& bytes, std::size_t k) {
   std::uint32_t end = 0;
-  std::memcpy(&end, bytes.data() + k * sizeof end, sizeof end);
+  std::memcpy(&end, &bytes[k * sizeof end], sizeof end);
   return end;
+}
+
+void set_end_offset(std::vector<char>& bytes, std::size_t k,
+                    std::uint32_t end) {
+  std::memcpy(&bytes[k * sizeof end], &end, sizeof end);
+}
+
+// The `len` bytes of `bytes` from `pos`.
+std::string_view slice(const std::vector<char>& bytes, std::size_t pos,
+                       std::size_t len) {
+  if (len == 0) return {};
+  (void)bytes[pos + len - 1];  // the last byte is in the buffer too
+  return {&bytes[pos], len};
 }
 
 }  // namespace
@@ -23,7 +39,7 @@ BoundedHistoryLog::BoundedHistoryLog(std::string_view initial,
                                      std::size_t segment_slots) {
   TBR_ENSURE(std::has_single_bit(segment_slots) &&
                  segment_slots <= kFullSegmentSlots,
-             "segment slots must be a power of two, at most 16");
+             "segment slots must be a power of two, at most 256");
   slot_mask_ = segment_slots - 1;
   seg_shift_ = std::countr_zero(segment_slots);
   ring_.resize(2);
@@ -50,28 +66,59 @@ std::string_view BoundedHistoryLog::at(SeqNo idx) const {
   TBR_ENSURE(has(idx), "history index superseded or out of range");
   const Segment& seg = segment(idx);
   const std::size_t k = slot_of(idx);
+  if (seg.uniform) return slice(seg.bytes, k * seg.stride, seg.stride);
   const std::uint32_t begin = k == 0 ? 0 : end_offset(seg.bytes, k - 1);
-  return {seg.bytes.data() + offsets_bytes() + begin,
-          end_offset(seg.bytes, k) - begin};
+  return slice(seg.bytes, offsets_bytes() + begin,
+               end_offset(seg.bytes, k) - begin);
 }
 
 void BoundedHistoryLog::store(SeqNo idx, std::string_view v) {
   Segment& seg = segment(idx);
-  // Room for a full set of payloads this size, offsets included, whenever
-  // the capacity falls short of it, so every later life of this segment
-  // with payloads this size fills it without allocating.
-  const std::size_t full = offsets_bytes() + segment_slots() * v.size();
-  if (seg.bytes.capacity() < full) seg.bytes.reserve(full);
-  // First payload of this segment life: zero every end offset.
-  if (seg.bytes.empty()) seg.bytes.resize(offsets_bytes());
-  const std::size_t used = seg.bytes.size() - offsets_bytes();
-  TBR_ENSURE(v.size() <= std::numeric_limits<std::uint32_t>::max() - used,
+  const std::size_t k = slot_of(idx);
+  const std::size_t held =
+      seg.bytes.size() - (seg.uniform ? 0 : offsets_bytes());
+  TBR_ENSURE(v.size() <= std::numeric_limits<std::uint32_t>::max() - held,
              "history segment exceeds 4 GiB");
-  // `idx` is the newest index in its segment, so its payload starts where
-  // the previous slot's ends (at 0 below the segment's first index).
+  // Slot 0 begins a segment life (a recycled segment comes back uniform),
+  // and the life's first payload sets the stride.
+  if (k == 0) seg.stride = static_cast<std::uint32_t>(v.size());
+  const bool uniform = seg.uniform && v.size() == seg.stride;
+  const std::size_t header = uniform ? 0 : offsets_bytes();
+  const std::size_t needed = header + held + v.size();
+  if (seg.bytes.capacity() < needed) {
+    // Room for the whole segment at the average non-empty payload size.
+    const std::size_t count = nonempty_payloads(seg, k) + (v.empty() ? 0 : 1);
+    const std::size_t average = count == 0 ? 0 : (held + v.size()) / count;
+    seg.bytes.reserve(std::max(needed, header + average * segment_slots()));
+  }
+  if (seg.uniform && !uniform) to_offsets(seg, k);
+  // `idx` is the newest index in its segment, so its payload goes last.
   seg.bytes.insert(seg.bytes.end(), v.begin(), v.end());
-  const auto end = static_cast<std::uint32_t>(used + v.size());
-  std::memcpy(seg.bytes.data() + slot_of(idx) * sizeof end, &end, sizeof end);
+  if (!uniform) {
+    set_end_offset(seg.bytes, k, static_cast<std::uint32_t>(held + v.size()));
+  }
+}
+
+std::size_t BoundedHistoryLog::nonempty_payloads(const Segment& seg,
+                                                 std::size_t k) const {
+  if (seg.uniform) return seg.stride > 0 ? k : 0;
+  std::size_t count = 0;
+  std::uint32_t prev = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::uint32_t end = end_offset(seg.bytes, j);
+    if (end > prev) ++count;
+    prev = end;
+  }
+  return count;
+}
+
+void BoundedHistoryLog::to_offsets(Segment& seg, std::size_t k) const {
+  seg.bytes.insert(seg.bytes.begin(), offsets_bytes(), char{0});
+  for (std::size_t j = 0; j < k; ++j) {
+    set_end_offset(seg.bytes, j,
+                   static_cast<std::uint32_t>((j + 1) * seg.stride));
+  }
+  seg.uniform = false;
 }
 
 void BoundedHistoryLog::grow_ring() {
@@ -107,6 +154,8 @@ void BoundedHistoryLog::recycle_segment(SeqNo seg) {
   auto& cell = ring_[static_cast<std::size_t>(seg) & mask_];
   TBR_ENSURE(cell != nullptr, "recycling an absent segment");
   cell->bytes.clear();  // keeps the byte capacity for the next life
+  cell->stride = 0;
+  cell->uniform = true;
   freelist_.push_back(std::move(cell));
 }
 

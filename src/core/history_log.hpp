@@ -10,34 +10,44 @@
 // peer provably stores), reclaiming superseded entries; crash-rejoin resets
 // the whole log to a checkpoint received from a peer.
 //
-// Storage is a ring of fixed-size segments, each one byte buffer. The
-// buffer starts with one uint32 end offset per entry of the segment, then
-// packs the entries' payloads in index order: entry k spans [end[k-1],
-// end[k]) past the offsets (entry 0 starts at 0). Entries below the first
-// index a segment ever held keep end 0, so a segment can start mid-way
-// (reset_to_checkpoint). A segment thus costs one buffer plus a 24-B
-// vector, whatever its size, and an 8-byte value costs its 8 bytes, 4 B of
-// offset and a share of that, not a std::string of its own. Entries are
-// handed out as string_views into the buffer; a view stays valid until the
-// next append, advance_checkpoint or reset_to_checkpoint.
+// Storage is a ring of fixed-size segments, each one byte buffer plus a
+// stride and a layout flag. A segment whose payloads all have one size
+// (the common case: a register's values are usually one size) is
+// *uniform*: its buffer holds only the packed payloads, and entry k of the
+// segment sits at k * stride. Entries below the first index of a
+// segment's life count as empty payloads; reset_to_checkpoint can start a
+// life mid-segment. The first payload of another size switches the
+// segment once, in place, to the *offsets* layout: one uint32 end offset
+// per entry of the segment, then the payloads in index order, entry k
+// spanning [end[k-1], end[k]) past the offsets (entry 0 starts at 0).
+// Either way an 8-byte value costs its 8 bytes and a share of the
+// segment's buffer header, `Segment` record and ring pointer, not a
+// std::string of its own. Entries are handed out as string_views into the
+// buffer; a view stays valid until the next append, advance_checkpoint or
+// reset_to_checkpoint.
 //
 // The entries per segment are fixed at construction and follow what the
-// log retains. A log that keeps everything (faithful mode, the window
-// ablation, rejoiners) uses kFullSegmentSlots = 16, amortising each
-// buffer and its vector over many entries. A log under known-prefix GC
-// retains one or two live entries, so it uses kGcSegmentSlots = 2: a
-// 16-entry segment there would hold a buffer sized for 16 payloads to keep
-// one or two. The trade-off: a bounded log whose GC has stalled (a crashed
-// peer pins the watermark) grows like a faithful one, in 2-entry segments,
-// which request ~40 B per 8-B entry against ~15.5 B in 16-entry segments.
+// log retains. A log that keeps everything (faithful mode, rejoiners) uses
+// kFullSegmentSlots = 256, amortising each segment's 32-B record and
+// buffer header over many entries: ~8.3 requested bytes per 8-B entry. A
+// log that keeps a few entries (known-prefix GC, which leaves one or two
+// live, and the history_window ablation) uses kGcSegmentSlots = 2: a
+// larger segment there would hold a buffer sized for many payloads to keep
+// a few. The trade-off: a bounded log whose GC has stalled (a crashed peer
+// pins the watermark) grows like a faithful one, in 2-entry segments,
+// which request ~40 B per 8-B entry.
 //
-// Whenever a segment's capacity falls short of a full set of payloads the
-// size being stored, offsets included, its buffer is reserved for that
-// full set, not only when the capacity is 0. A segment whose first life
-// held smaller payloads (the KV stores' empty genesis value, then one
-// write) is thereby sized for its later lives while it is still live, and
-// does not grow again when it comes back from the freelist. The cost: a
-// log of mixed sizes reserves room for a full set of the largest.
+// Whenever a segment's capacity falls short of what the next payload
+// needs, its buffer is reserved for the whole segment at the average size
+// of the non-empty payloads it holds (the incoming one included), offsets
+// included, and never for less than it needs. For payloads of one size,
+// and for a genesis segment that holds the empty initial value, that is a
+// full set of payloads the incoming size, not only at capacity 0: a
+// segment whose first life held smaller payloads (the KV stores' empty
+// genesis value, then one write) is thereby sized for its later lives
+// while it is still live, and does not grow again when it comes back from
+// the freelist. A log of mixed sizes reserves for its average, not for a
+// full set of the largest payload it meets.
 //
 // Retired segments go to a freelist and are recycled on append with their
 // byte capacity kept, so steady-state bounded operation performs zero
@@ -61,8 +71,9 @@ class BoundedHistoryLog {
  public:
   /// Entries per segment for a log that keeps everything, and the largest
   /// segment a log may use.
-  static constexpr std::size_t kFullSegmentSlots = 16;
-  /// Entries per segment for a log under known-prefix GC.
+  static constexpr std::size_t kFullSegmentSlots = 256;
+  /// Entries per segment for a log that keeps a few entries: known-prefix
+  /// GC and the history_window ablation.
   static constexpr std::size_t kGcSegmentSlots = 2;
 
   /// The log starts as the genesis checkpoint: index 0 = `initial`.
@@ -108,8 +119,8 @@ class BoundedHistoryLog {
   /// retained payloads, 8 B per retained entry, and 8 B per slot ever
   /// allocated (active or recycled). For a faithful log of equal-sized
   /// payloads it is an upper bound on the heap bytes the log requests (24 B
-  /// modelled against ~15.5 B requested per 8-B entry); it does not count
-  /// the byte capacity recycled segments keep.
+  /// modelled against ~8.3 B requested per 8-B entry in 256-entry uniform
+  /// segments); it does not count the byte capacity recycled segments keep.
   std::uint64_t memory_bytes() const noexcept {
     return payload_bytes_ + 8ull * size() +
            8ull * segment_slots() * allocated_segments_;
@@ -122,16 +133,22 @@ class BoundedHistoryLog {
   std::size_t segment_slots() const noexcept { return slot_mask_ + 1; }
 
  private:
-  /// [end offsets of the segment's entries][payloads, packed].
+  /// Uniform: [payloads, `stride` bytes each], entry k at k * stride;
+  /// entries below the first slot of the segment's life count as empty.
+  /// Otherwise: [end offsets of the segment's entries][payloads, packed].
   struct Segment {
     std::vector<char> bytes;
+    std::uint32_t stride = 0;
+    bool uniform = true;
   };
+  // A stalled 2-entry log pays this record once per two entries.
+  static_assert(sizeof(Segment) <= sizeof(std::vector<char>) + 8);
 
   SeqNo seg_no(SeqNo idx) const noexcept { return idx >> seg_shift_; }
   std::size_t slot_of(SeqNo idx) const noexcept {
     return static_cast<std::size_t>(idx) & slot_mask_;
   }
-  /// Bytes of end offsets at the front of every segment buffer.
+  /// Bytes of end offsets at the front of an offsets-layout buffer.
   std::size_t offsets_bytes() const noexcept {
     return segment_slots() * sizeof(std::uint32_t);
   }
@@ -141,6 +158,11 @@ class BoundedHistoryLog {
   void ensure_segment_for(SeqNo idx);
   /// Write `v` as the payload of `idx`, the newest index in its segment.
   void store(SeqNo idx, std::string_view v);
+  /// Non-empty payloads `seg` holds in slots [0, k).
+  std::size_t nonempty_payloads(const Segment& seg, std::size_t k) const;
+  /// Switch uniform `seg`, which holds slots [0, k), to the offsets layout
+  /// in place.
+  void to_offsets(Segment& seg, std::size_t k) const;
   void grow_ring();
   void recycle_segment(SeqNo seg);
 

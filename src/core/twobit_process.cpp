@@ -10,8 +10,9 @@ TwoBitProcess::TwoBitProcess(GroupConfig cfg, ProcessId self,
     : RegisterProcessBase(std::move(cfg), self),
       options_(options),
       log_(cfg_.initial.bytes(),              // history_i[0] <- v0
-           options_.bounded_history ? BoundedHistoryLog::kGcSegmentSlots
-                                    : BoundedHistoryLog::kFullSegmentSlots),
+           options_.bounded_history || options_.history_window > 0
+               ? BoundedHistoryLog::kGcSegmentSlots
+               : BoundedHistoryLog::kFullSegmentSlots),
       w_sync_(cfg_.n, 0),                     // w_sync_i[1..n] <- [0..0]
       r_sync_(cfg_.n, 0),                     // r_sync_i[1..n] <- [0..0]
       acked_(cfg_.n, 0),

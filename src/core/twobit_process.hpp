@@ -13,16 +13,16 @@
 //
 // History lives in a BoundedHistoryLog (core/history_log.hpp), which packs
 // each segment's payloads into one byte buffer and hands entries out as
-// string_views. Its segments hold 2 entries under bounded_history, where GC
-// leaves one or two live, and 16 otherwise (faithful logs, the window
-// ablation, rejoiners), where the log keeps what it appends. WRITE and
-// CHECKPOINT frames copy the entry into the Value of out_, a recycled
-// frame, and a completing read copies it into read_value_: one buffer each
-// per process, whose capacity steady-state sends and reads reuse. Parked
-// READs wait in one vector per reader, which stays unallocated until a
-// READ from that reader parks. Faithful mode never moves the log's base,
-// reproducing the paper's unbounded history. The bounded-memory extension
-// (opt-in) adds:
+// string_views. Its segments hold 2 entries where the log keeps a few
+// (bounded_history, where GC leaves one or two live, and the window
+// ablation) and 256 otherwise (faithful logs, rejoiners), where the log
+// keeps what it appends. WRITE and CHECKPOINT frames copy the entry into
+// the Value of out_, a recycled frame, and a completing read copies it
+// into read_value_: one buffer each per process, whose capacity
+// steady-state sends and reads reuse. Parked READs wait in one vector per
+// reader, which stays unallocated until a READ from that reader parks.
+// Faithful mode never moves the log's base, reproducing the paper's
+// unbounded history. The bounded-memory extension (opt-in) adds:
 //   - known(j) = the prefix j provably stores; min over j (clamped by a
 //     pending read's freshness index) is the GC watermark the checkpoint
 //     advances to, reclaiming superseded entries. On a confirmed channel

@@ -12,14 +12,16 @@
 // storage and per-process container capacities are warmed by a first round
 // of traffic; the measured window then repeats the same kind of traffic.
 // Protocol state that grows by design (a faithful two-bit register's
-// history, in 16-entry segments) is kept inside its current history
+// history, in 256-entry segments) is kept inside its first history
 // segment by the warmup/window sizing; a bounded register's history
 // (2-entry segments, recycled by known-prefix GC) stays flat on its own.
 // Growth of protocol state is not runtime overhead and is measured
-// separately by bench_local_memory. Three byte gates bound what that state
-// asks of the heap: FaithfulHistoryLogRequestsAtMost16BytesPerEntry per
-// faithful entry, StalledBoundedHistoryLogRequestsAtMost48BytesPerEntry
-// per entry of a bounded log whose GC never advances, and
+// separately by bench_local_memory. Four byte gates bound what that state
+// asks of the heap: FaithfulHistoryLogRequestsAtMost9BytesPerEntry per
+// faithful entry, MixedSizeHistoryLogRequestsAtMost2180BytesPerEntry per
+// entry of a faithful log whose payload size changes every append,
+// StalledBoundedHistoryLogRequestsAtMost48BytesPerEntry per entry of a
+// bounded log whose GC never advances, and
 // BoundedKvSlotRequestsAtMost6KiBPerReplica per slot replica of a default
 // KvStore.
 
@@ -116,10 +118,10 @@ TEST(AllocRegression, EventQueueClosureSchedulingIsAllocFree) {
 TEST(AllocRegression, TwoBitDisseminationSettlesAllocFree) {
   // The real protocol: after each (unmeasured) client write completes, the
   // residual WRITE-frame gossip drained by settle() must be allocation-free.
-  // Warmup/window sizes keep each process's history inside its current
-  // 16-entry segment, whose byte buffer was sized for 16 payloads when it
-  // opened (17 warmup writes -> 18 entries incl. the initial value; +8
-  // window writes -> 26 < 32), so the window sees pure delivery work.
+  // Warmup/window sizes keep each process's history inside its first
+  // 256-entry segment, whose byte buffer was sized for 256 payloads when
+  // it opened (17 warmup writes -> 18 entries incl. the initial value; +8
+  // window writes -> 26 < 256), so the window sees pure delivery work.
   auto make = [] {
     SimRegisterGroup::Options opt;
     opt.cfg.n = 5;
@@ -152,14 +154,15 @@ TEST(AllocRegression, TwoBitDisseminationSettlesAllocFree) {
       << "two-bit gossip must ride the frame pool without allocating";
 }
 
-TEST(AllocRegression, FaithfulHistoryLogRequestsAtMost16BytesPerEntry) {
+TEST(AllocRegression, FaithfulHistoryLogRequestsAtMost9BytesPerEntry) {
   // The byte gate on the paper's unbounded history (Table 1, line 4):
-  // 2^16 faithful appends of 8-B values. A packed segment requests its 16
-  // payloads in one buffer plus an 88-B header (buffer pointers and 16 end
-  // offsets), and the segment ring doubles: ~15.5 B per entry, where one
-  // std::string per entry requested 35.5 B. The accounting model
-  // (memory_bytes(), 24 B per 8-B entry) must stay an upper bound on what
-  // the log asks of the heap.
+  // 2^16 faithful appends of 8-B values. A uniform 256-entry segment
+  // requests its 256 payloads in one buffer, with no end offsets, plus a
+  // 32-B record (buffer pointers, stride and layout), and the segment ring
+  // doubles: ~8.3 B per entry, where 16-entry segments with end offsets
+  // requested 15.5 B and one std::string per entry 35.5 B. The accounting
+  // model (memory_bytes(), 24 B per 8-B entry) must stay an upper bound on
+  // what the log asks of the heap.
   constexpr std::uint64_t kEntries = std::uint64_t{1} << 16;
   std::string payload = Value::from_int64(0).bytes();
   std::uint64_t requested = 0;
@@ -175,20 +178,52 @@ TEST(AllocRegression, FaithfulHistoryLogRequestsAtMost16BytesPerEntry) {
     modelled = log.memory_bytes();
     ASSERT_EQ(log.head(), static_cast<SeqNo>(kEntries));
   }
-  EXPECT_LE(requested, 16 * kEntries)
+  EXPECT_LE(requested, 9 * kEntries)
       << "requested " << static_cast<double>(requested) / kEntries
       << " B per 8-B history entry";
   EXPECT_LE(requested, modelled)
       << "memory_bytes() must bound the heap bytes the log requests";
 }
 
+TEST(AllocRegression, MixedSizeHistoryLogRequestsAtMost2180BytesPerEntry) {
+  // A faithful log whose payload size changes every append: 0, 1, 8, 300
+  // and 4096 B in turn, 881 B per entry on average, 2^12 entries. A
+  // segment whose capacity falls short reserves for the whole segment at
+  // the average non-empty payload size it holds, so a segment pays about
+  // twice its payloads; reserving a full set of each larger incoming
+  // payload requested ~4,360 B per entry. The bound is half of that.
+  static constexpr std::size_t kSizes[] = {0, 1, 8, 300, 4096};
+  constexpr std::uint64_t kEntries = std::uint64_t{1} << 12;
+  std::vector<std::string> payloads;
+  for (const std::size_t size : kSizes) {
+    payloads.push_back(Value::filler(size, 0x5A).bytes());
+  }
+  std::uint64_t requested = 0;
+  std::uint64_t payload = 0;
+  {
+    const alloc::Window w;
+    BoundedHistoryLog log(payloads[0]);
+    for (std::uint64_t k = 1; k <= kEntries; ++k) {
+      log.append(payloads[k % payloads.size()]);
+    }
+    requested = w.bytes();
+    payload = log.payload_bytes();
+    ASSERT_EQ(log.head(), static_cast<SeqNo>(kEntries));
+  }
+  EXPECT_GE(payload, 880 * kEntries);
+  EXPECT_LE(requested, 2180 * kEntries)
+      << "requested " << static_cast<double>(requested) / kEntries
+      << " B per mixed-size history entry";
+}
+
 TEST(AllocRegression, StalledBoundedHistoryLogRequestsAtMost48BytesPerEntry) {
   // The price of 2-entry segments: a bounded log whose GC has stalled (a
-  // crashed peer pins the watermark) grows like a faithful one, one
-  // 24-B segment vector and one buffer of 2 offsets and 2 payloads per two
-  // entries, plus the doubling ring. 2^16 appends of 8-B values to a log
-  // that never advances must stay at or below 48 B per entry; a segment
-  // carrying 16 offsets whatever its size would request 68.
+  // crashed peer pins the watermark) grows like a faithful one, one 32-B
+  // segment record and one buffer of 2 payloads per two entries, plus the
+  // doubling ring: ~40 B per entry. 2^16 appends of 8-B values to a log
+  // that never advances must stay at or below 48 B per entry, which holds
+  // only while a segment's record stays one vector plus its layout state;
+  // a segment carrying 16 offsets whatever its size would request 68.
   constexpr std::uint64_t kEntries = std::uint64_t{1} << 16;
   std::string payload = Value::from_int64(0).bytes();
   std::uint64_t requested = 0;
@@ -281,7 +316,7 @@ TEST(AllocRegression, BoundedKvSlotRequestsAtMost6KiBPerReplica) {
 // Same discipline, one level up: a steady-state operation through the
 // Ticket convenience API — pooled OpState in, submit, wait, result out —
 // must not touch the heap. Windows keep the register's history inside its
-// current segment (one entry per write, 16 entries per segment, one
+// first segment (one entry per write, 256 entries per segment, one
 // allocation pair when a segment opens): protocol-state growth is the
 // paper's open problem, not client overhead, and is measured by
 // bench_local_memory instead.
@@ -389,7 +424,7 @@ TEST(AllocRegression, SimTicketClosedLoopIsAllocFree) {
   RegisterClient& client = group.client();
 
   // Warm: pool, chains, engine storage, and the history segment (16 writes
-  // -> entries 0..16; the measured 8 writes land at 17..24 < 32).
+  // -> entries 0..16; the measured 8 writes land at 17..24 < 256).
   for (int k = 0; k < 16; ++k) {
     ASSERT_TRUE(client.write_sync(Value::from_int64(k)).status.ok());
     ASSERT_TRUE(client.read_sync(4).status.ok());
@@ -457,7 +492,7 @@ TEST(AllocRegression, ThreadedTicketClosedLoopIsAllocFree) {
   net.start();
   RegisterClient& client = net.client();
 
-  // Warm 64 writes (entries 0..64; segment boundary at 64 lands in warmup)
+  // Warm 64 writes (entries 0..64, inside the first 256-entry segment)
   // plus reads for every pool/ring/heap high-water mark.
   for (int k = 0; k < 64; ++k) {
     ASSERT_TRUE(client.write_sync(Value::from_int64(k)).status.ok());
@@ -468,9 +503,9 @@ TEST(AllocRegression, ThreadedTicketClosedLoopIsAllocFree) {
   // Concurrent pools reach their high-water marks asynchronously, so one
   // window can still catch a late growth step; the MINIMUM over a few
   // windows is the steady state (a per-op allocation would show up in
-  // every window). Each window holds 8 writes: boundary windows (history
-  // entries crossing a multiple of 16) absorb the segment allocation, the
-  // clean windows must be exactly zero.
+  // every window). Each window holds 8 writes, and the 4 windows' writes
+  // (entries 65..96) stay inside the first 256-entry segment, so no window
+  // opens a segment; the minimum must be exactly zero.
   std::uint64_t min_allocs = ~0ull;
   for (int window = 0; window < 4; ++window) {
     const alloc::Window w;
@@ -495,7 +530,8 @@ TEST(AllocRegression, SocketTicketClosedLoopStaysWithinOneAllocPerOp) {
   // min-of-windows discipline as the threaded gate (n loop threads reach
   // their buffer high-water marks asynchronously; a true per-op allocation
   // would count in EVERY window), same 1-write-in-4 mix so windows stay
-  // inside the warmed history segment. Gate: <= 1 alloc/op.
+  // inside the warmed history segment (64 warm-up writes and 4 x 8
+  // measured ones: entries 0..96 of the first 256). Gate: <= 1 alloc/op.
   SocketNetwork::Options opt;
   opt.cfg.n = 3;
   opt.cfg.t = 1;

@@ -1,14 +1,20 @@
 // BoundedHistoryLog unit tests: the checkpoint-record contract, known-prefix
-// reclamation, crash-rejoin resets, the packed segment layout (payloads of
-// any size across segment boundaries, recycled and mid-segment segments),
-// and the flat-allocation guarantee the steady-state memory gates depend on.
-// Every HistoryLog case runs at both segment sizes the protocol uses: 2
-// entries (bounded logs under known-prefix GC) and 16 (logs that keep
-// everything). The GcSegmentLog cases cover layouts only 2-entry segments
-// reach: a segment recycled every second append, a checkpoint at a
-// segment's second entry, and tiny segments holding mixed payload sizes.
+// reclamation, crash-rejoin resets, the packed segment layouts (uniform
+// segments, the switch to end offsets on a payload of a new size or a
+// mid-segment reset, payloads of any size across segment boundaries,
+// recycled segments), and the flat-allocation guarantee the steady-state
+// memory gates depend on. Every HistoryLog case runs at both segment sizes
+// the protocol uses: 2 entries (logs that keep a few: known-prefix GC and
+// the window ablation) and 256 (logs that keep everything); one of them
+// checks the log against a std::deque model over seeded random operations.
+// The GcSegmentLog cases cover layouts only 2-entry segments reach: a
+// segment recycled every second append, a checkpoint at a segment's second
+// entry, and tiny segments holding mixed payload sizes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
 #include <string>
 #include <string_view>
 
@@ -150,9 +156,11 @@ TEST_P(HistoryLog, ResetToCheckpointRestartsTheLog) {
   EXPECT_EQ(log.head(), 101);
   EXPECT_EQ(i64(log.at(101)), 101);
 
-  // A second reset, with a payload of a new size, on a recycled segment
-  // (in the middle of a 16-entry one: 200 = 12 * 16 + 8); appends then
-  // cross into the next segments with mixed sizes.
+  // A second reset, with a payload of a new size, on a recycled segment:
+  // in the middle of a 256-entry one, so the segment starts with end
+  // offsets, and at the start of a 2-entry one, so it starts uniform and
+  // switches on the next size. Appends then add mixed sizes, across
+  // segment boundaries in 2-entry segments.
   log.reset_to_checkpoint(200, sized(300, 200));
   EXPECT_EQ(log.checkpoint_value(), sized(300, 200));
   EXPECT_EQ(log.payload_bytes(), 300u);
@@ -171,8 +179,12 @@ TEST_P(HistoryLog, ResetToCheckpointRestartsTheLog) {
 TEST_P(HistoryLog, SlidingWindowRecyclesSegmentsWithoutGrowth) {
   // A bounded-mode steady state: append one, reclaim down to a fixed lag.
   // After warmup, both the segment count and the accounted bytes must be
-  // exactly flat — this is the property the CI memory gates lean on.
+  // exactly flat — this is the property the CI memory gates lean on. The
+  // warmup covers two segments' worth of appends, so the second segment
+  // has opened and the first has come back from the freelist.
   constexpr SeqNo kLag = 8;
+  const std::int64_t warm =
+      std::max<std::int64_t>(200, 2 * static_cast<std::int64_t>(GetParam()));
   BoundedHistoryLog log = make(v(0));
   std::size_t warm_segments = 0;
   std::uint64_t warm_bytes = 0;
@@ -181,11 +193,11 @@ TEST_P(HistoryLog, SlidingWindowRecyclesSegmentsWithoutGrowth) {
     if (log.head() - kLag > log.base()) {
       (void)log.advance_checkpoint(log.head() - kLag);
     }
-    if (k == 200) {
+    if (k == warm) {
       warm_segments = log.allocated_segments();
       warm_bytes = log.memory_bytes();
     }
-    if (k > 200) {
+    if (k > warm) {
       EXPECT_EQ(log.allocated_segments(), warm_segments) << "at append " << k;
       EXPECT_EQ(log.memory_bytes(), warm_bytes) << "at append " << k;
     }
@@ -208,12 +220,94 @@ TEST_P(HistoryLog, SlidingWindowRecyclesSegmentsWithoutGrowth) {
   EXPECT_EQ(log.payload_bytes(), 4096u * (static_cast<std::size_t>(kLag) + 1));
 }
 
-TEST(GcSegmentLog, RejectsSegmentSizesOutsidePowersOfTwoUpTo16) {
-  for (const std::size_t slots : {0u, 3u, 12u, 32u}) {
+TEST_P(HistoryLog, MatchesADequeModelUnderRandomOps) {
+  // Differential test: seeded random appends, checkpoint advances,
+  // evictions and resets ahead of and behind the head, against a
+  // std::deque<std::string> of the retained entries. Payloads come in runs
+  // of one size (0 B included) that switch at random points, so segments
+  // go uniform, switch to end offsets mid-segment and come back from the
+  // freelist for sizes they did not hold. Phases that rarely reclaim let
+  // the log span several 256-entry segments. After every op, the retained
+  // range, every retained entry and payload_bytes() match the model.
+  static constexpr std::size_t kSizes[] = {0, 1, 7, 8, 64, 300};
+  constexpr int kOps = 20'000;
+  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    auto draw = [&rng](std::uint64_t bound) { return rng() % bound; };
+    std::uint64_t stamp = 0;  // makes every payload's bytes distinct
+    std::size_t size = 8;
+    auto next_payload = [&]() {
+      if (draw(16) == 0) size = kSizes[draw(std::size(kSizes))];
+      std::string p(size, '\0');
+      for (std::size_t i = 0; i < size; ++i) {
+        p[i] = static_cast<char>(stamp * 131 + i);
+      }
+      ++stamp;
+      return p;
+    };
+
+    std::string initial = next_payload();
+    BoundedHistoryLog log = make(initial);
+    std::deque<std::string> model{std::move(initial)};
+    SeqNo base = 0;
+    std::uint64_t bytes = model.front().size();
+    auto drop_front = [&](std::uint64_t count) {
+      for (; count > 0; --count) {
+        bytes -= model.front().size();
+        model.pop_front();
+        ++base;
+      }
+    };
+    auto reset_to = [&](SeqNo idx) {
+      std::string p = next_payload();
+      log.reset_to_checkpoint(idx, p);
+      model.assign(1, std::move(p));
+      base = idx;
+      bytes = model.front().size();
+    };
+
+    bool keep = false;  // a phase that rarely reclaims
+    for (int op = 0; op < kOps; ++op) {
+      if (op % 500 == 0) keep = draw(2) == 0;
+      const SeqNo head = base + static_cast<SeqNo>(model.size()) - 1;
+      const std::uint64_t r = draw(1000);
+      if (r < (keep ? 10 : 100) && model.size() > 1) {
+        const auto to = base + static_cast<SeqNo>(draw(model.size()));
+        ASSERT_EQ(log.advance_checkpoint(to),
+                  static_cast<std::uint64_t>(to - base));
+        drop_front(static_cast<std::uint64_t>(to - base));
+      } else if (r >= 100 && r < (keep ? 110 : 150) && model.size() > 1) {
+        log.evict_front();
+        drop_front(1);
+      } else if (r == 998) {
+        reset_to(head + 1 + static_cast<SeqNo>(draw(600)));  // ahead
+      } else if (r == 999 && head > 0) {  // behind, maybe below the base
+        reset_to(static_cast<SeqNo>(draw(static_cast<std::uint64_t>(head))));
+      } else {
+        std::string p = next_payload();
+        log.append(p);
+        bytes += p.size();
+        model.push_back(std::move(p));
+      }
+      ASSERT_EQ(log.base(), base) << "seed " << seed << ", op " << op;
+      ASSERT_EQ(log.size(), model.size()) << "seed " << seed << ", op " << op;
+      ASSERT_EQ(log.payload_bytes(), bytes) << "seed " << seed << ", op " << op;
+      for (std::size_t k = 0; k < model.size(); ++k) {
+        ASSERT_EQ(log.at(base + static_cast<SeqNo>(k)), model[k])
+            << "seed " << seed << ", op " << op << ", index "
+            << base + static_cast<SeqNo>(k);
+      }
+    }
+  }
+}
+
+TEST(GcSegmentLog, RejectsSegmentSizesOutsidePowersOfTwoUpTo256) {
+  for (const std::size_t slots : {0u, 3u, 12u, 257u, 512u}) {
     EXPECT_THROW(BoundedHistoryLog(v(0), slots), ContractViolation)
         << slots << " slots";
   }
-  for (const std::size_t slots : {1u, 2u, 4u, 8u, 16u}) {
+  for (const std::size_t slots :
+       {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u, 256u}) {
     EXPECT_EQ(BoundedHistoryLog(v(0), slots).segment_slots(), slots);
   }
 }
