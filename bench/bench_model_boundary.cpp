@@ -1,36 +1,18 @@
-// Experiments D8 and D9 — the model boundary, and the deployment fix.
+// Experiment D8 — the model boundary.
 //
-// D8: the paper's system model (§2.1) promises reliable channels and at
-// most t < n/2 crashes, and §2.2 cites the ABD impossibility for the
-// latter. This bench violates each assumption on purpose and reports what
-// breaks: completed operations stay atomic in every cell (safety never
-// depends on the environment), while liveness degrades exactly as the
-// theory says.
-//
-// D9: the two-bit register's liveness dies at ~1% frame loss, because the
+// The paper's system model (§2.1) promises reliable channels and at most
+// t < n/2 crashes, and §2.2 cites the ABD impossibility for the latter.
+// This bench violates each assumption on purpose and reports what breaks:
+// completed operations stay atomic in every cell (safety never depends on
+// the environment), while liveness degrades exactly as the theory says.
+// The two-bit register's liveness dies at ~1% frame loss, because the
 // alternating-bit value stream has no slack (one lost WRITE wedges a pair
-// forever). The reliable link (src/link) is the classic retransmitting
-// transport the paper's reference [6] lineage provides. The loss sweep
-// also runs the register over the link, and a cost table reports what the
-// fix costs: retransmission traffic and a 65-bit transport header per
-// frame, while the *register protocol* inside the payload still pays
-// exactly 2 control bits per frame — the paper's headline number is a
-// statement about the protocol layer, not about the machinery that makes
-// channels reliable.
+// forever); a deployment gets reliable channels from a retransmitting
+// transport such as TCP, which the socket engine runs on.
 #include "bench_common.hpp"
-
-#include "core/twobit_process.hpp"
-#include "link/reliable_link.hpp"
 
 namespace tbr::bench {
 namespace {
-
-/// Two-bit processes riding the retransmitting link.
-std::unique_ptr<RegisterProcessBase> linked_twobit(const GroupConfig& cfg,
-                                                   ProcessId pid) {
-  return std::make_unique<ReliableLinkProcess>(
-      cfg, pid, std::make_unique<TwoBitProcess>(cfg, pid));
-}
 
 struct BoundaryRow {
   std::uint32_t runs = 0;
@@ -41,7 +23,7 @@ struct BoundaryRow {
   bool all_atomic = true;
 };
 
-BoundaryRow loss_sweep(Algorithm algo, bool linked, double loss_rate) {
+BoundaryRow loss_sweep(Algorithm algo, double loss_rate) {
   BoundaryRow row;
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     SimRegisterGroup::Options engine;
@@ -49,7 +31,6 @@ BoundaryRow loss_sweep(Algorithm algo, bool linked, double loss_rate) {
     engine.algo = algo;
     engine.seed = seed;
     engine.loss_rate = loss_rate;
-    if (linked) engine.process_factory = linked_twobit;
     WorkloadOptions opt;
     opt.ops_per_process = 20;
     opt.think_time_max = 200;
@@ -66,45 +47,10 @@ BoundaryRow loss_sweep(Algorithm algo, bool linked, double loss_rate) {
   return row;
 }
 
-struct LinkCost {
-  std::uint64_t frames = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t inner_control_bits = 0;
-  std::uint64_t header_control_bits = 0;
-};
-
-// Per-process link counters need the group alive; measure them separately
-// on one representative run per loss rate.
-LinkCost link_cost(double loss_rate) {
-  SimRegisterGroup::Options gopt;
-  gopt.cfg = make_cfg(5);
-  gopt.seed = 42;
-  gopt.loss_rate = loss_rate;
-  gopt.process_factory = linked_twobit;
-  SimRegisterGroup group(std::move(gopt));
-  for (int k = 1; k <= 20; ++k) {
-    group.client().write_sync(Value::from_int64(k));
-    (void)group.client().read_sync(static_cast<ProcessId>(k % 5));
-  }
-  group.settle();
-  LinkCost cost;
-  for (ProcessId pid = 0; pid < 5; ++pid) {
-    const auto& stats =
-        group.net().process_as<ReliableLinkProcess>(pid).link_stats();
-    cost.frames += stats.data_frames_sent + stats.ack_frames_sent;
-    cost.retransmits += stats.retransmit_frames;
-    cost.inner_control_bits += stats.inner_control_bits;
-    cost.header_control_bits += stats.header_control_bits;
-  }
-  return cost;
-}
-
 void run() {
-  print_header("D8/D9: model boundary and the reliable-link fix "
-               "(out-of-model faults, n=5, 12 runs/cell)",
+  print_header("D8: model boundary (out-of-model faults, n=5, 12 runs/cell)",
                "safety survives everything; liveness needs reliable "
-               "channels and a live majority, and a retransmitting link "
-               "restores it at 2 protocol control bits per frame");
+               "channels and a live majority");
 
   std::cout << "-- reliable channels are necessary (frame loss sweep) --\n";
   TextTable table({"algorithm", "loss", "runs stalled", "ops done/quota",
@@ -112,14 +58,12 @@ void run() {
   struct Config {
     const char* label;
     Algorithm algo;
-    bool linked;
   };
-  for (const Config& config :
-       {Config{"twobit", Algorithm::kTwoBit, false},
-        Config{"abd-unbounded", Algorithm::kAbdUnbounded, false},
-        Config{"twobit + reliable link", Algorithm::kTwoBit, true}}) {
+  for (const Config& config : {Config{"twobit", Algorithm::kTwoBit},
+                               Config{"abd-unbounded",
+                                      Algorithm::kAbdUnbounded}}) {
     for (const double loss : {0.0, 0.01, 0.05, 0.10}) {
-      const auto row = loss_sweep(config.algo, config.linked, loss);
+      const auto row = loss_sweep(config.algo, loss);
       table.add_row({config.label, format_double(loss, 2),
                      std::to_string(row.stalled_runs) + "/" +
                          std::to_string(row.runs),
@@ -130,25 +74,6 @@ void run() {
     }
   }
   std::cout << table.render() << "\n";
-
-  std::cout << "-- what the link costs (20 writes + 20 reads, one run) --\n";
-  TextTable cost_table({"loss", "link frames", "retransmits",
-                        "protocol ctrl bits", "transport header bits",
-                        "protocol bits/frame"});
-  for (const double loss : {0.0, 0.01, 0.05, 0.10}) {
-    const auto cost = link_cost(loss);
-    const auto delivered = cost.inner_control_bits / 2;  // 2 bits per frame
-    cost_table.add_row(
-        {format_double(loss, 2), format_count(cost.frames),
-         format_count(cost.retransmits), format_count(cost.inner_control_bits),
-         format_count(cost.header_control_bits),
-         delivered == 0
-             ? "-"
-             : format_double(static_cast<double>(cost.inner_control_bits) /
-                                 static_cast<double>(delivered),
-                             2)});
-  }
-  std::cout << cost_table.render() << "\n";
 
   std::cout << "-- a live majority is necessary (crash f of n=5, t=2) --\n";
   TextTable crash_table(
@@ -183,13 +108,10 @@ void run() {
       << "channel's reliability IS the protocol's sequencing — a real\n"
       << "deployment needs a retransmitting transport underneath, which\n"
       << "is exactly where the alternating-bit protocol came from\n"
-      << "(Bartlett et al. 1969, the paper's reference [6]).\n\n"
-      << "over the reliable link every run completes at every loss rate.\n"
-      << "The register protocol inside the payload still ships exactly 2\n"
-      << "control bits per frame — the 65-bit link header is the price of\n"
-      << "reliability, paid by any protocol one deploys over lossy\n"
-      << "channels (TCP charges more). Retransmissions scale with the loss\n"
-      << "rate and vanish at 0%.\n";
+      << "(Bartlett et al. 1969, the paper's reference [6]). TCP is that\n"
+      << "transport: the socket engine runs every protocol over it, and\n"
+      << "the register inside each frame still ships exactly 2 control\n"
+      << "bits.\n";
 }
 
 }  // namespace

@@ -82,12 +82,15 @@ class ClientBase {
   /// for sim-backed engines), return its result and recycle the slot. The
   /// ticket is consumed: waiting twice on the same ticket is a contract
   /// violation. The result's Value is copied out, so the pooled buffer
-  /// keeps its capacity (callers that must avoid the copy for large
-  /// payloads should use the callback form instead).
+  /// keeps its capacity, and a value too long for inline string storage
+  /// costs one allocation per call. To avoid it, poll try_result() into
+  /// one reused OpResult, or use the callback form.
   OpResult wait(Ticket t);
 
   /// Non-blocking poll: if the op has completed, copy its result into
-  /// `out`, recycle the slot (consuming the ticket) and return true.
+  /// `out`, recycle the slot (consuming the ticket) and return true. The
+  /// copy reuses `out.value`'s capacity, so polling into one OpResult
+  /// reads values of a size it has held without allocating.
   bool try_result(Ticket t, OpResult& out);
 
   // ---- engine side ---------------------------------------------------------

@@ -3,9 +3,9 @@
 // std::function heap-allocates any capture larger than two pointers, which
 // made every scheduled simulator event cost an allocation. InlineFn stores
 // captures up to kInlineBytes in place — sized so that every closure the
-// engine itself schedules (deliver/drain bookkeeping, crash markers, timer
-// wrappers around a user std::function) fits inline — and falls back to the
-// heap only for larger client-provided captures.
+// engine itself schedules (crash and recover markers, the workload
+// drivers' op issues) fits inline with room to spare — and falls back to
+// the heap only for larger client-provided captures.
 //
 // Only what the event queue needs is implemented: construct, move, invoke,
 // test for emptiness. No copy, no target introspection, no allocator

@@ -244,7 +244,6 @@ KvStore::Group::Group(Options options)
   }
   SimNetwork::Options net_opt;
   net_opt.seed = options.seed;
-  net_opt.loss_rate = options.loss_rate;
   net_opt.service_time = options.service_time;
   net_opt.delay =
       options.delay ? std::move(options.delay) : make_constant_delay(1000);

@@ -56,12 +56,6 @@ class KvStore {
     /// `absorbed = true`). Reads always share rounds.
     bool coalesce_writes = true;
 
-    /// OUT-OF-MODEL loss injection (see SimNetwork::Options::loss_rate).
-    /// Keep 0 unless the per-slot registers ride a retransmitting link
-    /// (`register_factory` wrapping in ReliableLinkProcess) — bare
-    /// registers assume the model's reliable channels.
-    double loss_rate = 0.0;
-
     /// Per-frame CPU ticks at each replica (SimNetwork::Options::
     /// service_time); 0 = infinite capacity. The sharded capacity
     /// projection sets it to give every replica finite CPU.

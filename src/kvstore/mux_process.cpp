@@ -46,10 +46,6 @@ class MuxProcess::SlotContext final : public NetworkContext {
     TBR_ENSURE(mux_.net_ != nullptr, "slot context used before start");
     return mux_.net_->now();
   }
-  void schedule(Tick delay, std::function<void()> fn) override {
-    TBR_ENSURE(mux_.net_ != nullptr, "slot context used before start");
-    mux_.net_->schedule(delay, std::move(fn));
-  }
 
  private:
   MuxProcess& mux_;

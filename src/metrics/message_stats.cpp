@@ -15,10 +15,7 @@ void MessageStats::record_send(std::uint8_t type, const WireAccounting& wire) {
   max_control_bits_ = std::max(max_control_bits_, wire.control_bits);
 }
 
-void MessageStats::record_drop(std::uint8_t type) {
-  TBR_ENSURE(type < kMaxTypes, "message type id out of range");
-  ++total_dropped_;
-}
+void MessageStats::record_drop() { ++total_dropped_; }
 
 std::uint64_t MessageStats::sent_of_type(std::uint8_t type) const {
   TBR_ENSURE(type < kMaxTypes, "message type id out of range");

@@ -26,7 +26,9 @@ class MessageStats {
   static constexpr std::size_t kMaxTypes = 16;
 
   void record_send(std::uint8_t type, const WireAccounting& wire);
-  void record_drop(std::uint8_t type);  ///< destination crashed
+  /// A sent frame that will never be handled: its destination crashed, its
+  /// channel was fenced by a rejoin, or loss injection destroyed it.
+  void record_drop();
 
   std::uint64_t total_sent() const noexcept { return total_sent_; }
   std::uint64_t total_dropped() const noexcept { return total_dropped_; }

@@ -53,11 +53,6 @@ class McRun::McContext final : public NetworkContext {
       return f.from == self_ && f.to == to;
     });
   }
-  void schedule(Tick, std::function<void()>) override {
-    TBR_ENSURE(false,
-               "the model checker explores timer-free protocols only "
-               "(the register algorithms never use timers)");
-  }
 
  private:
   McRun& run_;

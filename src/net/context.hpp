@@ -4,8 +4,6 @@
 // this interface, so every algorithm is written exactly once.
 #pragma once
 
-#include <functional>
-
 #include "common/ids.hpp"
 #include "net/message.hpp"
 
@@ -42,15 +40,6 @@ class NetworkContext {
   /// this for free and keep the no-op default; the delay-reordering
   /// runtimes (simulator, threaded, model checker) override it.
   virtual void fence_peer(ProcessId to) { (void)to; }
-
-  /// Run `fn` on this process after `delay` ticks, with the same mutual
-  /// exclusion as message handlers. Never fires once the process has
-  /// crashed. The *register algorithms* are timer-free (the CAMP model is
-  /// asynchronous and the paper's protocols never consult a clock); timers
-  /// exist for transport-layer decorators such as the retransmitting
-  /// reliable link (src/link), which sit below the model's "reliable
-  /// channel" abstraction.
-  virtual void schedule(Tick delay, std::function<void()> fn) = 0;
 };
 
 }  // namespace tbr

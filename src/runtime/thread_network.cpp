@@ -35,16 +35,9 @@ struct CrashEnvelope {};
 /// — it is the one envelope that ends the crashed state.
 struct RecoverEnvelope {};
 
-/// Timer expiry (NetworkContext::schedule): run `fn` on the process
-/// thread, unless the incarnation that armed it has since crashed.
-struct TimerEnvelope {
-  std::function<void()> fn;
-  std::uint32_t incarnation = 0;
-};
-
 /// A client operation travels as its pooled OpState (RegisterClient issue).
-using Envelope = std::variant<DeliverEnvelope, OpState*, CrashEnvelope,
-                              RecoverEnvelope, TimerEnvelope>;
+using Envelope =
+    std::variant<DeliverEnvelope, OpState*, CrashEnvelope, RecoverEnvelope>;
 using Mailbox = MailboxT<Envelope>;
 }  // namespace
 
@@ -63,9 +56,6 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
   ProcessId self() const override { return pid_; }
   std::uint32_t process_count() const override { return net_.cfg_.n; }
   Tick now() const override { return net_.now(); }
-  void schedule(Tick delay, std::function<void()> fn) override {
-    net_.schedule_timer(pid_, incarnation_, delay, std::move(fn));
-  }
   void fence_peer(ProcessId to) override {
     // Runs on this host's loop thread (inside a handler): re-establish our
     // send side toward `to`, so frames we sent before this point die.
@@ -129,7 +119,6 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
 
   void handle_one(CrashEnvelope) {
     crashed_.store(true, std::memory_order_release);
-    ++incarnation_;  // pending timers die with the incarnation
     proc_->on_crash();
     // The model says a faulty process's last operation may never take
     // effect (§2.2); its *client* still must not wait forever. Fail the
@@ -151,10 +140,6 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
     proc_->on_start(*this);  // a rejoiner broadcasts CATCHUP here
   }
 
-  void handle_one(TimerEnvelope e) {
-    if (e.incarnation == incarnation_ && e.fn) e.fn();
-  }
-
   ThreadNetwork& net_;
   ProcessId pid_;
   std::unique_ptr<RegisterProcessBase> proc_;
@@ -162,10 +147,9 @@ class ThreadNetwork::ProcessHost final : public NetworkContext {
   Message inbound_;  ///< decode_into scratch (loop thread only)
   std::atomic<bool> crashed_{false};
   // Loop thread only: the in-flight client op (resolved by the protocol's
-  // completion, or failed by a crash or the stop, whichever comes first),
-  // the incarnation that timers are fenced by, and the thread's stop token.
+  // completion, or failed by a crash or the stop, whichever comes first)
+  // and the thread's stop token.
   OpSlot slot_;
-  std::uint32_t incarnation_ = 0;
   std::stop_token stop_;
 };
 
@@ -246,7 +230,7 @@ void ThreadNetwork::dispatch(ProcessId from, ProcessId to,
     const std::scoped_lock lock(stats_mu_);
     stats_.record_send(msg.type, msg.wire);
     if (hosts_[to]->crashed()) {
-      stats_.record_drop(msg.type);
+      stats_.record_drop();
       return;
     }
   }
@@ -266,25 +250,6 @@ void ThreadNetwork::dispatch(ProcessId from, ProcessId to,
     frame_heap_.push_back(std::move(frame));
     std::push_heap(frame_heap_.begin(), frame_heap_.end(),
                    std::greater<>{});
-  }
-  dispatch_cv_.notify_one();
-}
-
-void ThreadNetwork::schedule_timer(ProcessId pid, std::uint32_t incarnation,
-                                   Tick delay, std::function<void()> fn) {
-  TBR_ENSURE(pid < cfg_.n, "pid out of range");
-  TBR_ENSURE(delay > 0, "timer delay must be positive");
-  {
-    const std::scoped_lock lock(dispatch_mu_);
-    PendingFrame frame;
-    frame.release_at = now() + delay;
-    frame.seq = frame_seq_++;
-    frame.from = pid;
-    frame.to = pid;
-    frame.epoch = incarnation;
-    frame.timer = std::move(fn);
-    frame_heap_.push_back(std::move(frame));
-    std::push_heap(frame_heap_.begin(), frame_heap_.end(), std::greater<>{});
   }
   dispatch_cv_.notify_one();
 }
@@ -312,20 +277,11 @@ void ThreadNetwork::dispatcher_loop(std::stop_token st) {
     PendingFrame frame = std::move(frame_heap_.back());
     frame_heap_.pop_back();
     lock.unlock();
-    if (frame.timer) {
-      // Timer expiry: runs on the owning process's thread like any handler,
-      // unless the incarnation that armed it has crashed since.
-      hosts_[frame.to]->mailbox().push(
-          TimerEnvelope{std::move(frame.timer), frame.epoch});
-    } else {
-      const bool delivered = hosts_[frame.to]->mailbox().push(
-          DeliverEnvelope{frame.from, std::move(frame.encoded),
-                          frame.epoch});
-      if (!delivered || hosts_[frame.to]->crashed()) {
-        const std::scoped_lock slock(stats_mu_);
-        // type is inside the encoding; account the drop generically as 0.
-        stats_.record_drop(0);
-      }
+    const bool delivered = hosts_[frame.to]->mailbox().push(
+        DeliverEnvelope{frame.from, std::move(frame.encoded), frame.epoch});
+    if (!delivered || hosts_[frame.to]->crashed()) {
+      const std::scoped_lock slock(stats_mu_);
+      stats_.record_drop();
     }
     lock.lock();
   }
@@ -338,7 +294,7 @@ void ThreadNetwork::crash(ProcessId pid) {
 
 void ThreadNetwork::record_fenced_drop() {
   const std::scoped_lock lock(stats_mu_);
-  stats_.record_drop(0);
+  stats_.record_drop();
 }
 
 void ThreadNetwork::recover(ProcessId pid) {

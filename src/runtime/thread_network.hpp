@@ -75,8 +75,7 @@ class ThreadNetwork final : private RegisterClientEngine {
   /// recover_factory). Every channel touching it is re-established:
   /// in-flight frames stamped with the old channel epoch are dropped at
   /// delivery, exactly as a closed-and-reopened TCP connection would lose
-  /// them, and the old incarnation's timers never fire. The new
-  /// incarnation starts (and catches up) on the loop thread.
+  /// them. The new incarnation starts (and catches up) on the loop thread.
   void recover(ProcessId pid);
 
   MessageStats stats_snapshot() const;
@@ -91,11 +90,7 @@ class ThreadNetwork final : private RegisterClientEngine {
     ProcessId from = kNoProcess;
     ProcessId to = kNoProcess;
     std::string encoded;
-    /// Fencing stamp: the channel epoch at send time for a frame, the
-    /// arming incarnation of `to` for a timer.
-    std::uint32_t epoch = 0;
-    /// Set => this entry is a timer expiry for `to`, not a frame.
-    std::function<void()> timer;
+    std::uint32_t epoch = 0;  ///< the channel epoch at send time
     bool operator>(const PendingFrame& other) const {
       if (release_at != other.release_at) return release_at > other.release_at;
       return seq > other.seq;
@@ -107,8 +102,6 @@ class ThreadNetwork final : private RegisterClientEngine {
   bool client_crashed(ProcessId pid) const override { return crashed(pid); }
 
   void dispatch(ProcessId from, ProcessId to, const Message& msg);
-  void schedule_timer(ProcessId pid, std::uint32_t incarnation, Tick delay,
-                      std::function<void()> fn);
   void dispatcher_loop(std::stop_token st);
 
   /// Channel epochs, flattened [from * n + to]; see SimNetwork's matrix for

@@ -7,8 +7,8 @@
 // tagged frame-pool slot (the slot holds the frame and its route), not a
 // closure, so scheduling one costs zero heap allocations once the backing
 // storage is warm. Drain events (the capacity model's per-loop CPU) are a
-// second tag. The general case — client scripts, crash markers, timer
-// wrappers — remains a callable, stored in an InlineFn whose 48-byte inline
+// second tag. The general case — client scripts, crash and recover
+// markers — remains a callable, stored in an InlineFn whose 48-byte inline
 // buffer covers every closure the engine itself creates.
 //
 // The entries live in a std::priority_queue binary heap: O(log n) per op,

@@ -20,21 +20,6 @@ class SimNetwork::Context final : public NetworkContext {
     return net_.process_count();
   }
   Tick now() const override { return net_.now(); }
-  void schedule(Tick delay, std::function<void()> fn) override {
-    TBR_ENSURE(delay > 0, "timer delay must be positive");
-    // Fenced by incarnation: a crash kills the timers its process armed,
-    // even if a rejoined incarnation is live when they fall due.
-    auto timer = [net = &net_, self = self_,
-                  incarnation = net_.incarnation_[self_], fn = std::move(fn)] {
-      if (!net->crashed_[self] && net->incarnation_[self] == incarnation) {
-        fn();
-      }
-    };
-    static_assert(sizeof(timer) <= InlineFn::kInlineBytes,
-                  "a timer must fit InlineFn's buffer: scheduling one "
-                  "allocates only what `fn` itself captured");
-    net_.schedule_after(delay, std::move(timer));
-  }
   void fence_peer(ProcessId to) override { net_.fence_from(self_, to); }
 
  private:
@@ -73,7 +58,6 @@ SimNetwork::SimNetwork(std::vector<std::unique_ptr<ProcessBase>> processes,
                        Options options)
     : processes_(std::move(processes)),
       crashed_(processes_.size(), false),
-      incarnation_(processes_.size(), 0),
       recover_factory_(std::move(options.recover_factory)),
       chan_epoch_(processes_.size() * processes_.size(), 0),
       rng_(options.seed),
@@ -130,7 +114,6 @@ void SimNetwork::crash_now(ProcessId pid) {
   TBR_ENSURE(pid < processes_.size(), "pid out of range");
   if (crashed_[pid]) return;
   crashed_[pid] = true;
-  ++incarnation_[pid];
   ++crash_count_;
   if (trace_ != nullptr) {
     trace_->record(
@@ -233,7 +216,7 @@ void SimNetwork::drop_frame(EventQueue::FrameId frame) {
 
 void SimNetwork::record_drop(ProcessId from, ProcessId to,
                              const Message& msg) {
-  stats_.record_drop(msg.type);
+  stats_.record_drop();
   if (trace_ != nullptr) {
     trace_->record(TraceEvent{TraceEvent::Kind::kDrop, now_, from, to,
                               msg.type, msg.debug_index, msg.has_value});

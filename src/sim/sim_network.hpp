@@ -102,9 +102,8 @@ class SimNetwork {
   /// identity: every channel touching pid is re-established, so frames
   /// still in flight to or from the old incarnation are dead on arrival
   /// (channel-epoch fencing below) — exactly what a closed-and-reopened
-  /// TCP connection gives the socket runtime — and timers the old
-  /// incarnation armed never fire. The new incarnation's on_start runs
-  /// immediately (it broadcasts CATCHUP when configured with
+  /// TCP connection gives the socket runtime. The new incarnation's
+  /// on_start runs immediately (it broadcasts CATCHUP when configured with
   /// recover_via_catchup).
   void recover_at(ProcessId pid, Tick when);
   void recover_now(ProcessId pid);
@@ -205,9 +204,6 @@ class SimNetwork {
   std::vector<std::unique_ptr<ProcessBase>> processes_;
   std::vector<std::unique_ptr<Context>> contexts_;
   std::vector<bool> crashed_;
-  /// Bumped by every crash: timers carry the value at arming and die when
-  /// it moved (a later incarnation must not run its predecessor's timers).
-  std::vector<std::uint32_t> incarnation_;
   std::uint32_t crash_count_ = 0;
   std::uint32_t recover_count_ = 0;
   std::function<std::unique_ptr<ProcessBase>(ProcessId)> recover_factory_;

@@ -24,9 +24,9 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
 
 // ---- Loop: one epoll event loop multiplexing a shard of the processes ----------
 //
-// Each loop owns an Epoller, a wakeup pipe, a typed command queue, and a
-// timer heap; the processes assigned to it (pid % loops) run all their
-// handlers on its thread. Connections register a Watch once — interest
+// Each loop owns an Epoller, a wakeup pipe and a typed command queue; the
+// processes assigned to it (pid % loops) run all their handlers on its
+// thread. Connections register a Watch once — interest
 // changes are O(1) epoll_ctl calls against a cached armed-events mask,
 // nothing is rebuilt per iteration (the poll(2) engine this replaces
 // rebuilt and rescanned its whole pollfd array every wakeup).
@@ -49,7 +49,7 @@ class SocketNetwork::Loop {
     bool pause = false;           // kReadPause
   };
 
-  explicit Loop(SocketNetwork& net) : net_(net) {
+  Loop() {
     auto [rd, wr] = tcp::make_wakeup_pipe();
     wake_rd_ = std::move(rd);
     wake_wr_ = std::move(wr);
@@ -108,9 +108,6 @@ class SocketNetwork::Loop {
     (void)!::write(wake_wr_.get(), &byte, 1);
   }
 
-  void schedule(Node* node, std::uint64_t epoch, Tick at,
-                std::function<void()> fn);
-
   void run(std::stop_token st);
 
  private:
@@ -121,33 +118,9 @@ class SocketNetwork::Loop {
     std::uint32_t armed = 0;
     bool registered = false;
   };
-  struct Timer {
-    Tick at = 0;
-    std::uint64_t seq = 0;
-    Node* node = nullptr;
-    std::uint64_t epoch = 0;
-    std::function<void()> fn;
-  };
-  struct TimerLater {
-    bool operator()(const Timer& a, const Timer& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  int wait_timeout_ms() const {
-    if (timers_.empty()) return -1;
-    const Tick ns = timers_.front().at - net_.now();
-    if (ns <= 0) return 0;
-    return static_cast<int>(
-        std::min<Tick>((ns + 999'999) / 1'000'000, 60'000));
-  }
-
-  void fire_due_timers();
   void run_commands();
   void fail_queued_commands();
 
-  SocketNetwork& net_;
   Epoller epoll_;
   OwnedFd wake_rd_, wake_wr_;
   std::vector<Node*> nodes_;  ///< the processes sharded onto this loop
@@ -157,9 +130,6 @@ class SocketNetwork::Loop {
   std::vector<Command> commands_;
   std::vector<Command> cmd_batch_;  ///< recycled drain buffer (loop thread)
   bool closed_ = false;
-
-  std::vector<Timer> timers_;  // min-heap
-  std::uint64_t timer_seq_ = 0;
 };
 
 // ---- Node: one process, its connections, its handlers --------------------------
@@ -178,7 +148,7 @@ class SocketNetwork::Node final : public NetworkContext {
     net_.record_send(msg.type, msg.wire);
     Connection& conn = peers_[to];
     if (!conn.alive()) {
-      net_.record_drop(msg.type);
+      net_.record_drop();
       return;
     }
     // encode_into a reused scratch, then frame into the connection's
@@ -208,10 +178,6 @@ class SocketNetwork::Node final : public NetworkContext {
   ProcessId self() const override { return pid_; }
   std::uint32_t process_count() const override { return net_.cfg_.n; }
   Tick now() const override { return net_.now(); }
-  void schedule(Tick delay, std::function<void()> fn) override {
-    TBR_ENSURE(delay > 0, "timer delay must be positive");
-    loop_->schedule(this, timer_epoch_, net_.now() + delay, std::move(fn));
-  }
 
   // ---- mesh setup (main thread, before the loops start) -------------------------
   std::uint16_t listen() {
@@ -266,7 +232,6 @@ class SocketNetwork::Node final : public NetworkContext {
     return crashed_flag_.load(std::memory_order_acquire);
   }
   bool parked() const { return parked_flag_.load(std::memory_order_acquire); }
-  std::uint64_t timer_epoch() const noexcept { return timer_epoch_; }
 
   void accumulate(BackpressureStats& out) const {
     out.park_events += park_events_.load(std::memory_order_relaxed);
@@ -329,7 +294,6 @@ class SocketNetwork::Node final : public NetworkContext {
     for (ProcessId p = 0; p < peers_.size(); ++p) {
       if (p != pid_) teardown_conn(p);
     }
-    ++timer_epoch_;  // pending timers die with the incarnation
     recompute_park();
   }
 
@@ -402,8 +366,6 @@ class SocketNetwork::Node final : public NetworkContext {
     }
     update_interest(p);
   }
-
-  bool crashed_local() const noexcept { return crashed_; }
 
  private:
   void dispatch_frames(ProcessId p) {
@@ -478,7 +440,6 @@ class SocketNetwork::Node final : public NetworkContext {
   bool read_paused_ = false;               // slow-reader fault hook
   bool park_active_ = false;               // loop thread's view
   std::atomic<bool> parked_flag_{false};   // external observers
-  std::uint64_t timer_epoch_ = 0;
 
   std::atomic<std::uint64_t> park_events_{0};
   std::atomic<std::uint64_t> resume_events_{0};
@@ -487,26 +448,6 @@ class SocketNetwork::Node final : public NetworkContext {
 };
 
 // ---- Loop methods needing the complete Node type -------------------------------
-
-void SocketNetwork::Loop::schedule(Node* node, std::uint64_t epoch, Tick at,
-                                   std::function<void()> fn) {
-  timers_.push_back(Timer{at, timer_seq_++, node, epoch, std::move(fn)});
-  std::push_heap(timers_.begin(), timers_.end(), TimerLater{});
-}
-
-void SocketNetwork::Loop::fire_due_timers() {
-  while (!timers_.empty() && timers_.front().at <= net_.now()) {
-    std::pop_heap(timers_.begin(), timers_.end(), TimerLater{});
-    Timer timer = std::move(timers_.back());
-    timers_.pop_back();
-    // Epoch fencing: a crash bumps the node's epoch, so timers armed by a
-    // dead incarnation are skipped without scanning the heap.
-    if (timer.node->timer_epoch() == timer.epoch &&
-        !timer.node->crashed_local() && timer.fn) {
-      timer.fn();
-    }
-  }
-}
 
 void SocketNetwork::Loop::run_commands() {
   // Swap the queue against the recycled batch buffer: both vectors keep
@@ -555,8 +496,7 @@ void SocketNetwork::Loop::fail_queued_commands() {
 void SocketNetwork::Loop::run(std::stop_token st) {
   for (Node* node : nodes_) node->on_loop_start();
   while (!st.stop_requested()) {
-    const auto events = epoll_.wait(wait_timeout_ms());
-    fire_due_timers();
+    const auto events = epoll_.wait(-1);
     for (const epoll_event& ev : events) {
       const std::uint64_t tag = ev.data.u64;
       if (tag == kWakeTag) {
@@ -600,7 +540,7 @@ SocketNetwork::SocketNetwork(Options options)
   count = std::clamp<std::uint32_t>(count, 1, cfg_.n);
   loops_.reserve(count);
   for (std::uint32_t l = 0; l < count; ++l) {
-    loops_.push_back(std::make_unique<Loop>(*this));
+    loops_.push_back(std::make_unique<Loop>());
   }
   // Shard processes onto loops: pid % loops. Every connection of a
   // process lives on its owner's loop — the mesh-topology analogue of
@@ -767,9 +707,9 @@ void SocketNetwork::record_send(std::uint8_t type,
   stats_.record_send(type, wire);
 }
 
-void SocketNetwork::record_drop(std::uint8_t type) {
+void SocketNetwork::record_drop() {
   const std::scoped_lock lock(stats_mu_);
-  stats_.record_drop(type);
+  stats_.record_drop();
 }
 
 }  // namespace tbr

@@ -141,7 +141,7 @@ class SocketNetwork final : private RegisterClientEngine {
   mutable std::mutex stats_mu_;
   MessageStats stats_;
   void record_send(std::uint8_t type, const WireAccounting& wire);
-  void record_drop(std::uint8_t type);
+  void record_drop();
 
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::jthread> threads_;

@@ -41,8 +41,8 @@ std::unique_ptr<RegisterProcessBase> make_register_process(Algorithm algo,
 struct RegisterGroupOptions {
   GroupConfig cfg;
   Algorithm algo = Algorithm::kTwoBit;
-  /// Optional override: build each process yourself (e.g. wrap in a
-  /// ReliableLinkProcess). When set, `algo` is informational.
+  /// Optional override: build each process yourself (e.g. a TwoBitProcess
+  /// with non-default TwoBitOptions). When set, `algo` is informational.
   ProcessFactory process_factory;
   /// Optional override for the incarnation built by recover(). Unset, a
   /// plain two-bit group (algo == kTwoBit, no process_factory) rejoins as

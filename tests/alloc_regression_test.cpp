@@ -371,9 +371,11 @@ TEST(AllocRegression, BoundedHistoryWorkloadIsAllocFree) {
   // Again with kv-uniform-write50's 256-B values, which no string keeps
   // inline: recycled segments take them into the byte capacity of their
   // previous life, and frames and read results reuse warmed buffers.
-  // Callback ops, because a Ticket's wait() copies the result out, and
-  // each value is built before its window, because building a 256-B Value
-  // is an allocation of the caller's.
+  // Two ways to take results: callbacks, and Tickets polled with
+  // try_result into one reused OpResult (wait() returns a fresh OpResult,
+  // so each 256-B read it returns allocates). Each value is built before
+  // its window, because building a 256-B Value is an allocation of the
+  // caller's.
   constexpr std::size_t kBig = 256;
   SimRegisterGroup big = make_bounded_group(Value::filler(kBig));
   struct Counts {
@@ -403,7 +405,36 @@ TEST(AllocRegression, BoundedHistoryWorkloadIsAllocFree) {
     run_pair(k, std::move(v));
     big_allocs += w.allocations();
   }
-  EXPECT_EQ(counts.ok, 2u * (64 + 32));
+  struct Poll {
+    RegisterClient* client = nullptr;
+    Ticket ticket;
+    OpResult result;  ///< reused: its value keeps its capacity
+  } poll{&big.client(), {}, {}};
+  auto await = [&big, &poll, &counts](Ticket t) {
+    poll.ticket = t;
+    // One pointer: std::function's inline storage.
+    const bool done = big.net().run_until(
+        [p = &poll] { return p->client->try_result(p->ticket, p->result); });
+    ++(done && poll.result.status.ok() ? counts.ok : counts.failed);
+  };
+  auto poll_pair = [&big, &poll, &counts, &await](int k, Value v) {
+    await(big.client().write(std::move(v)));
+    big.settle();
+    await(big.client().read((k % 2) + 1));
+    if (poll.result.value.size() != kBig) ++counts.short_reads;
+    big.settle();
+  };
+  for (int k = 0; k < 8; ++k) {  // warm the reused result's value buffer
+    poll_pair(k, Value::filler(kBig, static_cast<std::uint8_t>(k)));
+  }
+  std::uint64_t poll_allocs = 0;
+  for (int k = 0; k < 32; ++k) {
+    Value v = Value::filler(kBig, static_cast<std::uint8_t>(200 + k));
+    const alloc::Window w;
+    poll_pair(k, std::move(v));
+    poll_allocs += w.allocations();
+  }
+  EXPECT_EQ(counts.ok, 2u * (64 + 32 + 8 + 32));
   EXPECT_EQ(counts.failed, 0u);
   EXPECT_EQ(counts.short_reads, 0u);
   EXPECT_GT(big.net().process_as<TwoBitProcess>(0).gc_reclaimed_count(), 0u)
@@ -411,6 +442,9 @@ TEST(AllocRegression, BoundedHistoryWorkloadIsAllocFree) {
   EXPECT_EQ(big_allocs, 0u)
       << "bounded-mode steady state with 256-B values must be "
          "allocation-free per op";
+  EXPECT_EQ(poll_allocs, 0u)
+      << "Ticket ops polled with try_result into a reused OpResult must be "
+         "allocation-free per op with 256-B values";
 }
 
 TEST(AllocRegression, SimTicketClosedLoopIsAllocFree) {

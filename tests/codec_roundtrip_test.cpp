@@ -17,7 +17,6 @@
 #include "abd/specs.hpp"
 #include "common/rng.hpp"
 #include "core/twobit_codec.hpp"
-#include "link/link_codec.hpp"
 
 namespace tbr {
 namespace {
@@ -110,22 +109,6 @@ TEST(CodecRoundtrip, PhasedAbdRandomized) {
         expect_roundtrip(codec, msg, buf);
       }
     }
-  }
-}
-
-TEST(CodecRoundtrip, LinkRandomized) {
-  Rng rng(2027);
-  const LinkCodec& codec = link_codec();
-  std::string buf = dirty_buffer();
-  for (int iter = 0; iter < 400; ++iter) {
-    Message msg;
-    const bool data = rng.chance(0.5);
-    msg.type = static_cast<std::uint8_t>(data ? LinkType::kData
-                                              : LinkType::kAck);
-    msg.seq = rng.uniform(0, 1'000'000'000);
-    msg.has_value = data;
-    if (data) msg.value = random_value(rng);
-    expect_roundtrip(codec, msg, buf);
   }
 }
 

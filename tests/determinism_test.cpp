@@ -81,8 +81,8 @@ GroupConfig cfg_n(std::uint32_t n) {
 }
 
 // A scripted run with overlap, a crash, random (seeded) delays and a trace:
-// exercises send/deliver/drop scheduling, crash events, client events and
-// timers of the event queue in one deterministic scenario.
+// exercises send/deliver/drop scheduling, crash events and client events
+// of the event queue in one deterministic scenario.
 std::uint64_t scripted_trace_digest(std::uint64_t seed) {
   SimRegisterGroup::Options opt;
   opt.cfg = cfg_n(5);

@@ -67,6 +67,32 @@ TEST(KvStore, KeysAreIndependent) {
   EXPECT_EQ(store.client().get_sync("b", 1).version, 1) << "b's slot register untouched";
 }
 
+// Every other KV test runs two-bit or fast-path slots; this one hosts the
+// phased ABD register inside the mux, so the slot envelope stays checked
+// as protocol-agnostic.
+TEST(KvStore, AbdSlotsServeEachKeysLastPut) {
+  KvStore::Options opt = small_store(8, 31);
+  opt.engine = Algorithm::kAbdUnbounded;
+  opt.initial = Value::from_string("?");
+  KvStore store(std::move(opt));
+  ASSERT_NE(store.slot_of("k0"), store.slot_of("k1"));
+  ASSERT_NE(store.slot_of("k0"), store.slot_of("k2"));
+  ASSERT_NE(store.slot_of("k1"), store.slot_of("k2"));
+  for (int k = 1; k <= 6; ++k) {
+    store.client().put_sync("k" + std::to_string(k % 3), Value::from_int64(k));
+  }
+  // Each key was put twice, on a slot of its own.
+  const auto k0 = store.client().get_sync("k0", 1);
+  const auto k1 = store.client().get_sync("k1", 2);
+  const auto k2 = store.client().get_sync("k2", 3);
+  EXPECT_EQ(k0.value.to_int64(), 6);
+  EXPECT_EQ(k1.value.to_int64(), 4);
+  EXPECT_EQ(k2.value.to_int64(), 5);
+  EXPECT_EQ(k0.version, 2);
+  EXPECT_EQ(k1.version, 2);
+  EXPECT_EQ(k2.version, 2);
+}
+
 TEST(KvStore, PlacementIsStableAndSpreads) {
   KvStore store(small_store(16));
   std::map<ProcessId, int> per_home;

@@ -42,8 +42,8 @@ TEST(MessageStatsTest, TracksMaxControlBits) {
 
 TEST(MessageStatsTest, RecordsDrops) {
   MessageStats s;
-  s.record_drop(1);
-  s.record_drop(1);
+  s.record_drop();
+  s.record_drop();
   EXPECT_EQ(s.total_dropped(), 2u);
   EXPECT_EQ(s.total_sent(), 0u);
 }

@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "core/twobit_codec.hpp"
 #include "fastread/fastread_codec.hpp"
-#include "link/link_codec.hpp"
 #include "workload/workload.hpp"
 
 namespace tbr {
@@ -60,8 +59,7 @@ TEST_P(CodecFuzz, MalformedFramesThrowOrRoundTripOnEveryCodec) {
                         {"phased abd-bounded", bounded, false},
                         {"phased attiya", attiya, false},
                         {"oh-ram", ohram_codec(), true},
-                        {"time-efficient", time_efficient_codec(), true},
-                        {"link", link_codec(), true}};
+                        {"time-efficient", time_efficient_codec(), true}};
   Rng rng(GetParam());
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

@@ -19,16 +19,12 @@ class MockContext final : public NetworkContext {
   ProcessId self() const override { return self_; }
   std::uint32_t process_count() const override { return n_; }
   Tick now() const override { return 0; }
-  void schedule(Tick delay, std::function<void()> fn) override {
-    timers.push_back({delay, std::move(fn)});
-  }
 
   struct Sent {
     ProcessId to;
     Message msg;
   };
   std::vector<Sent> sent;
-  std::vector<std::pair<Tick, std::function<void()>>> timers;
   std::vector<Sent> take() {
     auto out = std::move(sent);
     sent.clear();

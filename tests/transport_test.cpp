@@ -1,7 +1,6 @@
 // Socket runtime (src/transport): the register over real loopback TCP —
 // basic semantics via the unified client, all four algorithms on the
-// wire, crash behaviour, the inbound frame ring, and composition with the
-// reliable-link decorator (timers on a real event loop). Concurrent-history
+// wire, crash behaviour and the inbound frame ring. Concurrent-history
 // atomicity is swept in workload_test, alongside the sim and threaded
 // engines.
 #include <gtest/gtest.h>
@@ -11,8 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/twobit_process.hpp"
-#include "link/reliable_link.hpp"
 #include "transport/frame_buffer.hpp"
 #include "transport/socket_network.hpp"
 
@@ -189,29 +186,6 @@ TEST(SocketNetworkTest, StopIsIdempotentAndDestructorSafe) {
   net.start();
   ASSERT_TRUE(net.client().write_sync(Value::from_int64(1)).status.ok());
   net.stop();
-  net.stop();
-}
-
-TEST(SocketNetworkTest, LinkDecoratorComposesOverTcp) {
-  // TCP is already reliable, so the link's sequencing must be exactly-once
-  // pass-through (no retransmissions); this exercises the timer path of
-  // the socket event loop and the decorator's runtime-independence.
-  SocketNetwork::Options opt = net_options(Algorithm::kTwoBit, 3, 1);
-  LinkOptions lopt;
-  lopt.retransmit_timeout = 50'000'000;  // 50 ms in ns
-  opt.process_factory = [lopt](const GroupConfig& cfg, ProcessId pid) {
-    return std::make_unique<ReliableLinkProcess>(
-        cfg, pid, std::make_unique<TwoBitProcess>(cfg, pid), lopt);
-  };
-  SocketNetwork net(std::move(opt));
-  net.start();
-  for (int k = 1; k <= 10; ++k) {
-    ASSERT_TRUE(net.client().write_sync(Value::from_int64(k)).status.ok());
-    EXPECT_EQ(net.client()
-                  .read_sync(static_cast<ProcessId>(k % 3))
-                  .value.to_int64(),
-              k);
-  }
   net.stop();
 }
 

@@ -19,18 +19,13 @@ class MockContext final : public NetworkContext {
   }
   ProcessId self() const override { return self_; }
   std::uint32_t process_count() const override { return n_; }
-  Tick now() const override { return clock; }
-  void schedule(Tick delay, std::function<void()> fn) override {
-    timers.push_back({clock + delay, std::move(fn)});
-  }
+  Tick now() const override { return 0; }
 
   struct Sent {
     ProcessId to;
     Message msg;
   };
   std::vector<Sent> sent;
-  std::vector<std::pair<Tick, std::function<void()>>> timers;
-  Tick clock = 0;
 
   std::vector<Sent> take() {
     auto out = std::move(sent);

@@ -256,7 +256,7 @@ std::vector<EngineLinCase> lin_cases() {
       {Engine::kSocket, A::kAbdBounded, 3, 1, 0, 8},
       // Multi-loop rows: the same histories must stay atomic when
       // processes are sharded pid % loops across event loops (cross-loop
-      // frames, timers, and crashes).
+      // frames and crashes).
       {Engine::kSocket, A::kTwoBit, 5, 2, 0, 9, 2},
       {Engine::kSocket, A::kTwoBit, 5, 2, 2, 10, 4},
       {Engine::kSocket, A::kTwoBit, 7, 3, 3, 11, 4},

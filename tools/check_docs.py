@@ -18,10 +18,14 @@ Six checks, all fast enough for a pre-commit reflex:
    `BENCH_<name>.json` in README.md and docs/*.md must name an existing
    bench/bench_<name>.cpp. Docs cannot cite a deleted bench or its JSON.
 
-4. Count gate: every "<N> GoogleTest suites", "<N> bench drivers" and
-   "<N> runnable examples" in README.md and docs/*.md must equal the
-   tbr_add_test( calls in tests/CMakeLists.txt, the TBR_BENCHES entries
-   in bench/CMakeLists.txt and the .cpp files in examples/, respectively.
+4. Count gate: every "<N> GoogleTest suites", "<N> ctest entries",
+   "<N> bench drivers" and "<N> runnable examples" in README.md and
+   docs/*.md must equal, respectively: the tbr_add_test( calls in
+   tests/CMakeLists.txt; the entries a non-sanitized build registers (one
+   per tbr_add_test( call without FAMILIES, one per family of a call
+   with it, and one per add_test( in examples/ and tools/); the
+   TBR_BENCHES entries in bench/CMakeLists.txt; and the .cpp files in
+   examples/.
 
 5. Citation gate: every `<name>.md` named in a file under src/, bench/,
    tests/, tools/ or examples/ must resolve from the repo root or from
@@ -50,8 +54,12 @@ KNOB_RE = re.compile(r"^\|\s*`([A-Za-z_][A-Za-z0-9_]*)`\s*\|")
 CODE_RE = re.compile(r"`([^`\n]+)`")
 BENCH_RE = re.compile(r"\bbench_([a-z0-9_]+)|\bBENCH_([a-z0-9_]+)\.json")
 # "<N> GoogleTest suites" and friends; N is compared against the tree.
-COUNT_RE = re.compile(
-    r"\b(\d+) (GoogleTest suites|bench drivers|runnable examples)\b")
+COUNT_RE = re.compile(r"\b(\d+) (GoogleTest suites|ctest entries|"
+                      r"bench drivers|runnable examples)\b")
+# One tbr_add_test(...) call, arguments included (they never nest parens),
+# and the keywords that end a FAMILIES list.
+TBR_ADD_TEST_RE = re.compile(r"^\s*tbr_add_test\(([^)]*)\)", re.MULTILINE)
+TBR_ADD_TEST_KEYWORDS = ("LABELS", "TIMEOUT", "FAMILIES")
 # A markdown file named in code: `README.md`, `docs/operations.md`.
 MD_NAME_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
 # README's "## Repo map" section, up to the next heading, and a row of it
@@ -122,13 +130,31 @@ def check_bench_names():
     return failures
 
 
+def ctest_entries(suite_calls):
+    entries = 0
+    for args in suite_calls:
+        words = args.split()
+        if "FAMILIES" not in words:
+            entries += 1
+            continue
+        for word in words[words.index("FAMILIES") + 1:]:
+            if word in TBR_ADD_TEST_KEYWORDS:
+                break
+            entries += 1
+    for top in ("examples", "tools"):
+        text = (REPO / top / "CMakeLists.txt").read_text(encoding="utf-8")
+        entries += len(re.findall(r"^\s*add_test\(", text, re.MULTILINE))
+    return entries
+
+
 def tree_counts():
     tests = (REPO / "tests" / "CMakeLists.txt").read_text(encoding="utf-8")
     benches = (REPO / "bench" / "CMakeLists.txt").read_text(encoding="utf-8")
     bench_list = re.search(r"set\(TBR_BENCHES\s+([^)]*)\)", benches)
+    suite_calls = TBR_ADD_TEST_RE.findall(tests)
     return {
-        "GoogleTest suites": len(
-            re.findall(r"^\s*tbr_add_test\(", tests, re.MULTILINE)),
+        "GoogleTest suites": len(suite_calls),
+        "ctest entries": ctest_entries(suite_calls),
         "bench drivers": len(bench_list.group(1).split()) if bench_list else 0,
         "runnable examples": len(list((REPO / "examples").glob("*.cpp"))),
     }
