@@ -11,8 +11,8 @@
 //    loop CPU and the wire is pure delay; ticks are nanoseconds. Same
 //    numbers on every host, so the 1-CPU CI box can gate on it.
 //  * live engine (wall clock): the real epoll runtime under the socket
-//    workload at 1 vs 4 loops. Scales with the cores the host actually
-//    has — informative, not tracked.
+//    workload at 1 vs 4 loops, with the loops' syscalls per op. Scales
+//    with the cores the host actually has — informative, not tracked.
 //
 // Expectation: >= 2x projected throughput at 4 loops vs 1 on a saturated
 // 8-process mesh (enforced below: the exit code is the verdict, as is every
@@ -159,7 +159,7 @@ void run_live_engine() {
   std::cout << "-- live engine (wall clock; scales with host cores — "
                "informative, not tracked) --\n";
   TextTable table({"loops", "ops", "wall ms", "ops/sec", "park events",
-                   "resume events"});
+                   "resume events", "syscalls/op"});
   for (const std::uint32_t loops : {1u, 4u}) {
     SocketNetwork::Options engine;
     engine.cfg = make_cfg(5);
@@ -177,12 +177,15 @@ void run_live_engine() {
       std::cout << "ATOMICITY VIOLATION: " << check.error << "\n";
       std::exit(1);
     }
+    const double ops = r.completed_by_correct;
     table.add_row(
         {format_count(loops), format_count(r.completed_by_correct),
          format_double(wall * 1e3, 1),
-         format_double(wall > 0 ? r.completed_by_correct / wall : 0.0, 0),
+         format_double(wall > 0 ? ops / wall : 0.0, 0),
          format_count(r.backpressure.park_events),
-         format_count(r.backpressure.resume_events)});
+         format_count(r.backpressure.resume_events),
+         format_double(
+             ops > 0 ? r.backpressure.syscalls.total() / ops : 0.0, 2)});
   }
   std::cout << table.render() << "\n";
 }

@@ -153,6 +153,9 @@ class OpPool {
     st->shard = 0;
     st->start = 0;
     st->result.status = Status();
+    // Cleared in place: a write never sets it, and a read's copy reuses
+    // the capacity.
+    st->result.value.mutable_bytes().clear();
     st->result.version = 0;
     st->result.latency = 0;
     st->result.absorbed = false;

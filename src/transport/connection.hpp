@@ -12,16 +12,22 @@
 // Frames already queued are never dropped or reordered — backpressure
 // stalls producers, it does not touch the stream.
 //
-// Budgets bound per-readiness-round work so one hot connection cannot
-// starve the rest of its event loop: a readiness callback reads at most
-// `read_budget` bytes and writes at most `write_budget` bytes, then
-// yields (level-triggered epoll re-reports the remainder).
+// Budgets bound per-round work so one hot connection cannot starve the
+// rest of its event loop: a readiness callback reads at most
+// `read_budget` bytes, stopping early at a short read, and the round's
+// one flush writes at most `write_budget` bytes, then yields
+// (level-triggered epoll re-reports the remainder).
+//
+// A length prefix above `max_frame_bytes` refuses the inbound stream: a
+// peer that announces a 4 GiB frame is lying or broken, and buffering
+// toward it would let one header pin gigabytes.
 //
 // Threading: a Connection is owned by exactly one event loop and only
 // ever touched from that loop's thread (or from the setup thread before
 // the loop starts).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -39,9 +45,10 @@ struct ConnLimits {
   /// strictly below high water: the gap is the hysteresis that stops the
   /// runtime from flapping park/resume on every frame.
   std::size_t outbuf_low_water = 256 * 1024;
-  /// Max bytes read from the socket per readiness round.
+  /// Max bytes read from the socket per readiness round; a short read
+  /// ends the round sooner.
   std::size_t read_budget = 256 * 1024;
-  /// Max bytes written to the socket per readiness round.
+  /// Max bytes written to the socket by the loop round's one flush.
   std::size_t write_budget = 256 * 1024;
   /// When nonzero, shrink every mesh socket's kernel buffers (SO_SNDBUF /
   /// SO_RCVBUF) to this many bytes. Loopback kernel buffers auto-tune into
@@ -49,8 +56,44 @@ struct ConnLimits {
   /// the userspace outbuf ever crosses high water — backpressure tests set
   /// this small so the watermarks, not the kernel, bound the queue.
   int kernel_buffer_bytes = 0;
+  /// Largest inbound frame payload accepted. A length prefix above it
+  /// closes the channel before any more of the stream is buffered.
+  std::size_t max_frame_bytes = FrameBuffer::kDefaultMaxFrame;
 
   void validate() const;
+};
+
+/// Syscalls an event loop made, by kind: a plain snapshot.
+struct SyscallCounts {
+  std::uint64_t reads = 0;         ///< socket read() calls
+  std::uint64_t eagain_reads = 0;  ///< ... of which returned EAGAIN
+  std::uint64_t sends = 0;         ///< socket send() calls
+  std::uint64_t wake_writes = 0;   ///< wake-pipe write() calls
+  std::uint64_t epoll_waits = 0;
+  std::uint64_t epoll_ctls = 0;
+
+  std::uint64_t total() const noexcept {
+    return reads + sends + wake_writes + epoll_waits + epoll_ctls;
+  }
+  SyscallCounts& operator+=(const SyscallCounts& o) noexcept;
+};
+
+/// The live counters behind SyscallCounts, one set per event loop. The
+/// loop thread is the only writer of each, so bump() is a relaxed load
+/// and store, not a locked add. `wake_writes` is the exception: any
+/// thread that submits to the loop adds to it with fetch_add.
+struct SyscallCounters {
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> eagain_reads{0};
+  std::atomic<std::uint64_t> sends{0};
+  std::atomic<std::uint64_t> wake_writes{0};
+  std::atomic<std::uint64_t> epoll_waits{0};
+  std::atomic<std::uint64_t> epoll_ctls{0};
+
+  static void bump(std::atomic<std::uint64_t>& c) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  SyscallCounts snapshot() const noexcept;
 };
 
 class Connection {
@@ -61,7 +104,14 @@ class Connection {
   Connection(Connection&&) = default;
   Connection& operator=(Connection&&) = default;
 
-  void configure(const ConnLimits& limits) { limits_ = limits; }
+  /// Apply `limits`; count this channel's reads and sends into
+  /// `syscalls` when given.
+  void configure(const ConnLimits& limits,
+                 SyscallCounters* syscalls = nullptr) {
+    limits_ = limits;
+    syscalls_ = syscalls;
+    inbuf_.set_max_frame(limits.max_frame_bytes);
+  }
   const ConnLimits& limits() const noexcept { return limits_; }
 
   /// Take ownership of a connected socket. Any previous channel state
@@ -83,8 +133,10 @@ class Connection {
     IoStatus status = IoStatus::kOk;  ///< kClosed: peer gone, tear down
     bool resumed = false;             ///< crossed low water while parked
   };
-  /// Write up to `write_budget` queued bytes. Never blocks; kWouldBlock is
-  /// folded into kOk (wants_write() says whether EPOLLOUT is still needed).
+  /// Write up to `write_budget` queued bytes: the event loop calls it once
+  /// per round for each connection that queued frames, so a round's frames
+  /// to one peer leave in one send. Never blocks; kWouldBlock is folded
+  /// into kOk (wants_write() says whether EPOLLOUT is still needed).
   FlushOutcome flush();
 
   bool wants_write() const noexcept { return queued_bytes() > 0; }
@@ -95,11 +147,16 @@ class Connection {
 
   // ---- receive side --------------------------------------------------------------
 
-  /// Read up to `read_budget` bytes into the inbound frame ring. Returns
-  /// kClosed on EOF/reset, kOk otherwise (partial progress included).
+  /// Read up to `read_budget` bytes into the inbound frame ring, stopping
+  /// at the first short read (the socket is drained; level-triggered epoll
+  /// reports whatever lands later). Returns kClosed on EOF/reset or once
+  /// the stream is refused (frame_refused()), kOk otherwise.
   IoStatus read_budgeted();
   /// Peel the next complete inbound frame (see FrameBuffer::next_frame).
   bool next_frame(std::string_view& frame) { return inbuf_.next_frame(frame); }
+  /// An inbound length prefix exceeded `max_frame_bytes`: the channel is
+  /// unusable and nothing more is read from it.
+  bool frame_refused() const noexcept { return inbuf_.refused(); }
   /// Inbound bytes buffered but not yet consumed as frames.
   std::size_t inbuf_pending() const noexcept { return inbuf_.pending_bytes(); }
 
@@ -115,6 +172,7 @@ class Connection {
   std::string outbuf_;
   std::size_t out_pos_ = 0;
   ConnLimits limits_;
+  SyscallCounters* syscalls_ = nullptr;
   bool paused_ = false;
 };
 

@@ -30,6 +30,14 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
 // changes are O(1) epoll_ctl calls against a cached armed-events mask,
 // nothing is rebuilt per iteration (the poll(2) engine this replaces
 // rebuilt and rescanned its whole pollfd array every wakeup).
+//
+// One round of run(), in order: wait; dispatch readiness; run queued
+// commands; start admitted ops; flush once each connection that queued
+// frames. Sends only frame into an outbuf and mark the connection dirty,
+// so the replies a round's handlers send and the READs its new ops
+// broadcast leave together, one send per peer. The wake pipe is written
+// only while the loop sleeps in epoll_wait: an awake loop drains its
+// queue every round anyway.
 
 class SocketNetwork::Loop {
  public:
@@ -71,6 +79,7 @@ class SocketNetwork::Loop {
     Watch& w = watches_[id];
     if (!w.registered) {
       epoll_.add(fd, events, id);
+      SyscallCounters::bump(syscalls_.epoll_ctls);
       w.registered = true;
       w.fd = fd;
       w.armed = events;
@@ -79,6 +88,7 @@ class SocketNetwork::Loop {
     TBR_ENSURE(w.fd == fd, "watch rebound without clear_interest");
     if (w.armed != events) {
       epoll_.mod(fd, events, id);
+      SyscallCounters::bump(syscalls_.epoll_ctls);
       w.armed = events;
     }
   }
@@ -98,15 +108,36 @@ class SocketNetwork::Loop {
       if (closed_) return false;
       commands_.push_back(std::move(cmd));
     }
-    wake();
+    // Pairs with run()'s store before its queue check: a loop that read
+    // the queue empty has already announced its sleep, so this load sees
+    // it. An awake loop takes the command at its next round.
+    if (sleeping_.load()) wake();
     return true;
   }
 
   void wake() {
     const char byte = 1;
+    syscalls_.wake_writes.fetch_add(1, std::memory_order_relaxed);
     // A full pipe already guarantees a pending wakeup.
     (void)!::write(wake_wr_.get(), &byte, 1);
   }
+
+  /// Queue the watch's connection for this round's flush (owning loop
+  /// thread). Idempotent within a round.
+  void mark_dirty(std::uint32_t id) {
+    Watch& w = watches_[id];
+    if (w.dirty) return;
+    w.dirty = true;
+    dirty_.push_back(id);
+  }
+  /// Marked for this round's flush, which also settles its interest.
+  bool dirty(std::uint32_t id) const { return watches_[id].dirty; }
+  /// A process unparked with an op waiting to start: make the next wait a
+  /// poll, so the op starts without waiting for unrelated traffic.
+  void repump() { repump_ = true; }
+
+  SyscallCounters& syscalls() noexcept { return syscalls_; }
+  const SyscallCounters& syscalls() const noexcept { return syscalls_; }
 
   void run(std::stop_token st);
 
@@ -117,19 +148,31 @@ class SocketNetwork::Loop {
     int fd = -1;
     std::uint32_t armed = 0;
     bool registered = false;
+    bool dirty = false;  ///< queued frames this round: in dirty_
   };
+  /// Round step 1: whether the wait must not block. Called after
+  /// sleeping_ is set, so a command that lands after the check wakes the
+  /// loop through the pipe.
+  bool must_poll();
   void run_commands();
+  void flush_dirty();
   void fail_queued_commands();
 
   Epoller epoll_;
   OwnedFd wake_rd_, wake_wr_;
   std::vector<Node*> nodes_;  ///< the processes sharded onto this loop
   std::vector<Watch> watches_;
+  std::vector<std::uint32_t> dirty_;  ///< watches to flush this round
+  bool repump_ = false;
+  SyscallCounters syscalls_;
 
   std::mutex cmd_mu_;
   std::vector<Command> commands_;
   std::vector<Command> cmd_batch_;  ///< recycled drain buffer (loop thread)
   bool closed_ = false;
+  /// True from just before the loop checks its queue until epoll_wait
+  /// returns; submit() writes the pipe only then.
+  std::atomic<bool> sleeping_{false};
 };
 
 // ---- Node: one process, its connections, its handlers --------------------------
@@ -163,17 +206,9 @@ class SocketNetwork::Node final : public NetworkContext {
     if (queued > peak_outbuf_.load(std::memory_order_relaxed)) {
       peak_outbuf_.store(queued, std::memory_order_relaxed);
     }
-    const auto fo = conn.flush();
-    if (fo.status == IoStatus::kClosed) {
-      teardown_conn(to);
-      recompute_park();
-      return;
-    }
-    if (fo.resumed) {
-      resume_events_.fetch_add(1, std::memory_order_relaxed);
-      recompute_park();
-    }
-    update_interest(to);
+    // Frame only: the loop flushes the connection once, at the end of
+    // this round, with whatever else the round queued to `to`.
+    loop_->mark_dirty(watch_ids_[to]);
   }
   ProcessId self() const override { return pid_; }
   std::uint32_t process_count() const override { return net_.cfg_.n; }
@@ -195,7 +230,7 @@ class SocketNetwork::Node final : public NetworkContext {
     loop->adopt_node(this);
     for (ProcessId p = 0; p < peers_.size(); ++p) {
       if (p == pid_) continue;
-      peers_[p].configure(limits);
+      peers_[p].configure(limits, &loop->syscalls());
       watch_ids_[p] = loop->register_watch(this, p);
     }
   }
@@ -240,6 +275,7 @@ class SocketNetwork::Node final : public NetworkContext {
     out.peak_outbuf_bytes = std::max(
         out.peak_outbuf_bytes, peak_outbuf_.load(std::memory_order_relaxed));
     if (parked()) ++out.parked_now;
+    out.refused_frames += refused_frames_.load(std::memory_order_relaxed);
   }
 
   // ---- command handlers (owning loop thread) ------------------------------------
@@ -323,6 +359,7 @@ class SocketNetwork::Node final : public NetworkContext {
     for (ProcessId p = 0; p < peers_.size(); ++p) {
       if (p != pid_ && peers_[p].alive()) dispatch_frames(p);
     }
+    recompute_park();
   }
 
   void handle_read_pause(bool paused) {
@@ -352,17 +389,26 @@ class SocketNetwork::Node final : public NetworkContext {
         return;
       }
     }
+    // The kernel takes bytes again: the round's flush sends the backlog.
     if ((events & EPOLLOUT) != 0 && conn.wants_write()) {
-      const auto fo = conn.flush();
-      if (fo.status == IoStatus::kClosed) {
-        teardown_conn(p);
-        recompute_park();
-        return;
-      }
-      if (fo.resumed) {
-        resume_events_.fetch_add(1, std::memory_order_relaxed);
-        recompute_park();
-      }
+      loop_->mark_dirty(watch_ids_[p]);
+    }
+    update_interest(p);
+  }
+
+  /// Round step 5 for the channel to `p`: its one flush of the round.
+  void flush(ProcessId p) {
+    Connection& conn = peers_[p];
+    if (!conn.alive()) return;  // torn down after it queued
+    const auto fo = conn.flush();
+    if (fo.status == IoStatus::kClosed) {
+      teardown_conn(p);
+      recompute_park();
+      return;
+    }
+    if (fo.resumed) {
+      resume_events_.fetch_add(1, std::memory_order_relaxed);
+      recompute_park();
     }
     update_interest(p);
   }
@@ -381,6 +427,13 @@ class SocketNetwork::Node final : public NetworkContext {
       proc_->codec().decode_into(frame, inbound_);
       proc_->on_message(*this, p, inbound_);
     }
+    if (conn.alive() && conn.frame_refused()) {
+      // A length prefix above max_frame_bytes: nothing after it can be
+      // framed. Close this channel alone; to this process the peer looks
+      // crashed, which the model tolerates up to t.
+      refused_frames_.fetch_add(1, std::memory_order_relaxed);
+      teardown_conn(p);
+    }
   }
 
   void teardown_conn(ProcessId p) {
@@ -393,6 +446,9 @@ class SocketNetwork::Node final : public NetworkContext {
   void update_interest(ProcessId p) {
     Connection& conn = peers_[p];
     if (!conn.alive()) return;
+    // A dirty channel's flush settles its interest: arming EPOLLOUT for
+    // frames the flush is about to send would cost two epoll_ctl calls.
+    if (loop_->dirty(watch_ids_[p])) return;
     std::uint32_t ev = 0;
     if (!read_paused_) ev |= EPOLLIN;
     if (conn.wants_write()) ev |= EPOLLOUT;
@@ -414,6 +470,7 @@ class SocketNetwork::Node final : public NetworkContext {
     if (any != park_active_) {
       park_active_ = any;
       parked_flag_.store(any, std::memory_order_release);
+      if (!any && admitted_ != nullptr) loop_->repump();
     }
   }
 
@@ -445,9 +502,16 @@ class SocketNetwork::Node final : public NetworkContext {
   std::atomic<std::uint64_t> resume_events_{0};
   std::atomic<std::uint64_t> deferred_admissions_{0};
   std::atomic<std::uint64_t> peak_outbuf_{0};
+  std::atomic<std::uint64_t> refused_frames_{0};
 };
 
 // ---- Loop methods needing the complete Node type -------------------------------
+
+bool SocketNetwork::Loop::must_poll() {
+  if (std::exchange(repump_, false)) return true;
+  const std::scoped_lock lock(cmd_mu_);
+  return !commands_.empty();
+}
 
 void SocketNetwork::Loop::run_commands() {
   // Swap the queue against the recycled batch buffer: both vectors keep
@@ -479,6 +543,17 @@ void SocketNetwork::Loop::run_commands() {
   }
 }
 
+void SocketNetwork::Loop::flush_dirty() {
+  // A flush only writes and tears down: it runs no handler, so nothing
+  // marks a connection dirty while this walks the list.
+  for (const std::uint32_t id : dirty_) {
+    Watch& w = watches_[id];
+    w.dirty = false;
+    w.node->flush(w.peer);
+  }
+  dirty_.clear();
+}
+
 void SocketNetwork::Loop::fail_queued_commands() {
   std::vector<Command> rest;
   {
@@ -495,23 +570,35 @@ void SocketNetwork::Loop::fail_queued_commands() {
 
 void SocketNetwork::Loop::run(std::stop_token st) {
   for (Node* node : nodes_) node->on_loop_start();
+  flush_dirty();
   while (!st.stop_requested()) {
-    const auto events = epoll_.wait(-1);
+    // 1. Wait. Announce the sleep, then check the queue: a command queued
+    // before the check makes this wait a poll, and one queued after it
+    // sees sleeping_ and writes the pipe.
+    sleeping_.store(true);
+    const auto events = epoll_.wait(must_poll() ? 0 : -1);
+    sleeping_.store(false, std::memory_order_relaxed);
+    SyscallCounters::bump(syscalls_.epoll_waits);
+    // 2. Dispatch readiness.
     for (const epoll_event& ev : events) {
       const std::uint64_t tag = ev.data.u64;
       if (tag == kWakeTag) {
         tcp::drain_pipe(wake_rd_.get());
-        run_commands();
         continue;
       }
       const Watch& w = watches_[tag];
       if (!w.registered) continue;  // torn down earlier in this batch
       w.node->on_io(w.peer, ev.events);
     }
-    // Top-of-loop op admission: start admitted client ops only here, never
-    // from inside a protocol handler (sequential-process guarantee), and
-    // only after backpressure state has settled for this batch.
+    // 3. Commands, every round: an op that a completion above chained onto
+    // its process is admitted now, without touching the pipe.
+    run_commands();
+    // 4. Start admitted client ops only here, never from inside a protocol
+    // handler (sequential-process guarantee), and only after backpressure
+    // state has settled for this batch.
     for (Node* node : nodes_) node->pump_op();
+    // 5. One flush per connection that queued frames this round.
+    flush_dirty();
   }
   // Loop exit: fail everything accepted, then everything still queued;
   // later submissions bounce at submit().
@@ -684,6 +771,7 @@ SocketNetwork::BackpressureStats SocketNetwork::backpressure_snapshot()
     const {
   BackpressureStats out;
   for (const auto& node : nodes_) node->accumulate(out);
+  for (const auto& loop : loops_) out.syscalls += loop->syscalls().snapshot();
   return out;
 }
 

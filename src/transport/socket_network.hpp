@@ -31,9 +31,16 @@
 // connection parks and the owning process stops *starting* client
 // operations — one admitted op waits on the node, the RegisterClient
 // chain holds the rest and stalls deterministically instead of the outbuf
-// growing without bound. EPOLLOUT-driven flushes resume admission at low
-// water. Nothing queued is dropped or reordered. parked()/
-// backpressure_snapshot() surface the state.
+// growing without bound. A connection parks when a frame is queued and
+// resumes at the flush that drains it to low water. Nothing queued is
+// dropped or reordered. parked()/backpressure_snapshot() surface the
+// state.
+//
+// Syscall batching: each loop round waits, dispatches readiness, runs
+// queued commands, starts admitted ops, and then flushes once every
+// connection that queued frames in the round, so a round's frames to one
+// peer share one send. A read round stops at the first short read, and a
+// submitter writes a loop's wake pipe only while that loop sleeps.
 //
 // Client API: client() exposes the same unified RegisterClient as every
 // other engine (pooled Ticket/callback completions, uniform Status — see
@@ -72,13 +79,17 @@ class SocketNetwork final : private RegisterClientEngine {
     ConnLimits limits;
   };
 
-  /// Aggregate backpressure counters across all processes.
+  /// Aggregate backpressure counters across all processes, and the
+  /// syscalls the loops made.
   struct BackpressureStats {
     std::uint64_t park_events = 0;    ///< outbufs that crossed high water
     std::uint64_t resume_events = 0;  ///< parked outbufs drained to low water
     std::uint64_t deferred_ops = 0;   ///< ops admitted while parked (stalled)
     std::uint64_t peak_outbuf_bytes = 0;  ///< max queued bytes on any channel
     std::uint32_t parked_now = 0;     ///< processes currently parked
+    /// Channels closed on a length prefix above ConnLimits::max_frame_bytes.
+    std::uint64_t refused_frames = 0;
+    SyscallCounts syscalls;           ///< summed over the event loops
   };
 
   explicit SocketNetwork(Options options);

@@ -124,7 +124,7 @@ void set_rcvbuf(int fd, int bytes) {
 }
 
 IoResult read_some(int fd, std::string& buffer, std::size_t cap) {
-  char chunk[16 * 1024];
+  char chunk[kReadChunk];
   const std::size_t want = std::min(cap, sizeof(chunk));
   for (;;) {
     const ssize_t got = ::read(fd, chunk, want);
@@ -202,7 +202,8 @@ std::pair<OwnedFd, OwnedFd> make_wakeup_pipe() {
 
 void drain_pipe(int fd) {
   char sink[256];
-  while (::read(fd, sink, sizeof(sink)) > 0) {
+  while (::read(fd, sink, sizeof(sink)) ==
+         static_cast<ssize_t>(sizeof(sink))) {
   }
 }
 

@@ -75,7 +75,11 @@ void set_nodelay(int fd);
 void set_sndbuf(int fd, int bytes);
 void set_rcvbuf(int fd, int bytes);
 
-/// Non-blocking read of up to `cap` bytes appended onto `buffer`.
+/// Most bytes one read_some call asks the kernel for.
+inline constexpr std::size_t kReadChunk = 16 * 1024;
+
+/// Non-blocking read of up to min(`cap`, kReadChunk) bytes appended onto
+/// `buffer`.
 IoResult read_some(int fd, std::string& buffer, std::size_t cap);
 
 /// Non-blocking write of as much of [data, data+len) as the kernel takes.
@@ -97,7 +101,8 @@ std::pair<OwnedFd, OwnedFd> make_loopback_pair();
 /// read end non-blocking.
 std::pair<OwnedFd, OwnedFd> make_wakeup_pipe();
 
-/// Drain everything currently readable from a wakeup pipe's read end.
+/// Drain everything currently readable from a wakeup pipe's read end,
+/// stopping at the first short read.
 void drain_pipe(int fd);
 
 }  // namespace tcp

@@ -46,6 +46,10 @@ TEST(ConnLimitsTest, ValidationRejectsInvertedWatermarks) {
   EXPECT_NO_THROW(bad.validate());
   bad.read_budget = 0;
   EXPECT_THROW(bad.validate(), ContractViolation);
+  bad.read_budget = 1024;
+  bad.max_frame_bytes = 0;
+  EXPECT_THROW(bad.validate(), ContractViolation);
+  EXPECT_EQ(ConnLimits{}.max_frame_bytes, std::size_t{16} << 20);
 }
 
 TEST(ConnectionTest, ParksAtHighWaterResumesAtLowWaterNoLossNoReorder) {
@@ -158,6 +162,35 @@ TEST(ConnectionTest, ReadBudgetBoundsOneReadRound) {
   EXPECT_EQ(conn.read_budgeted(), IoStatus::kOk);
   EXPECT_LE(conn.inbuf_pending(), 2 * limits.read_budget);
   EXPECT_GT(conn.inbuf_pending(), limits.read_budget);
+}
+
+TEST(ConnectionTest, LyingLengthPrefixIsRefusedWithinOneReadBudget) {
+  // A peer announces a 0xFFFFFFFF-byte frame and streams garbage after
+  // it. The header alone refuses the stream: nothing more is read, so the
+  // inbound buffer never holds more than the one budget already read.
+  auto [writer_fd, reader_fd] = tcp::make_loopback_pair();
+  tcp::set_nonblocking(reader_fd.get());
+  std::string blob(4, static_cast<char>(0xFF));
+  blob.append(64 * 1024, 'g');
+  tcp::write_all_blocking(writer_fd.get(), blob.data(), blob.size());
+
+  ConnLimits limits;
+  limits.read_budget = 4 * 1024;
+  Connection conn;
+  conn.configure(limits);
+  conn.adopt(std::move(reader_fd));
+  std::string_view frame;
+  for (int round = 0; round < 32; ++round) {
+    const IoStatus rs = conn.read_budgeted();
+    EXPECT_LE(conn.inbuf_pending(), limits.read_budget) << "round " << round;
+    EXPECT_FALSE(conn.next_frame(frame));
+    ASSERT_TRUE(conn.frame_refused());
+    if (round > 0) {
+      EXPECT_EQ(rs, IoStatus::kClosed) << "a refused stream reads no more";
+    }
+  }
+  conn.close();
+  EXPECT_FALSE(conn.frame_refused());
 }
 
 TEST(ConnectionTest, TeardownOnPeerCloseReportsClosed) {

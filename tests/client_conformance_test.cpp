@@ -666,6 +666,95 @@ TEST(ClientConformance, CallbackOpsFailOnLivenessLossAcrossFlatAndSharded) {
             expected);
 }
 
+// ---- a write's result carries no value -------------------------------------
+
+// The pool recycles an OpState whose last life may have been a read: a
+// write reusing it must not hand that read's value back. A burst of reads
+// leaves kBurst pooled slots holding 256-B values; the writes after it
+// take those slots.
+constexpr std::size_t kBurst = 16;
+constexpr std::size_t kBigValue = 256;
+
+void expect_writes_carry_no_value(
+    const std::function<Ticket(std::size_t)>& read,
+    const std::function<Ticket(std::size_t, Value)>& write,
+    ClientBase& client) {
+  std::array<Ticket, kBurst> tickets;
+  for (std::size_t k = 0; k < kBurst; ++k) tickets[k] = read(k);
+  for (const Ticket t : tickets) {
+    const OpResult r = client.wait(t);
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    ASSERT_EQ(r.value.size(), kBigValue) << "the burst must read big values";
+  }
+  for (std::size_t k = 0; k < kBurst; ++k) {
+    tickets[k] = write(k, Value::from_int64(static_cast<std::int64_t>(k)));
+  }
+  for (std::size_t k = 0; k < kBurst; ++k) {
+    const OpResult r = client.wait(tickets[k]);
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    EXPECT_TRUE(r.value.empty())
+        << "write " << k << " carries a " << r.value.size()
+        << "-B value from its slot's last read";
+  }
+}
+
+void expect_register_writes_carry_no_value(RegisterClient& client) {
+  ASSERT_TRUE(client.write_sync(Value::filler(kBigValue)).status.ok());
+  expect_writes_carry_no_value(
+      [&client](std::size_t k) {
+        return client.read(static_cast<ProcessId>(k % 3));
+      },
+      [&client](std::size_t, Value v) { return client.write(std::move(v)); },
+      client);
+}
+
+void expect_kv_writes_carry_no_value(KvClient& client) {
+  for (std::size_t k = 0; k < kBurst; ++k) {
+    ASSERT_TRUE(client.put_sync("key-" + std::to_string(k),
+                                Value::filler(kBigValue))
+                    .status.ok());
+  }
+  expect_writes_carry_no_value(
+      [&client](std::size_t k) {
+        return client.get("key-" + std::to_string(k));
+      },
+      [&client](std::size_t k, Value v) {
+        return client.put("key-" + std::to_string(k), std::move(v));
+      },
+      client);
+}
+
+TEST(ClientConformance, WriteResultsCarryNoValueOnEveryEngine) {
+  {
+    SCOPED_TRACE("sim");
+    auto group = make_sim_group();
+    expect_register_writes_carry_no_value(group.client());
+  }
+  {
+    SCOPED_TRACE("threaded");
+    auto net = make_thread_net();
+    expect_register_writes_carry_no_value(net->client());
+    net->stop();
+  }
+  {
+    SCOPED_TRACE("socket");
+    auto net = make_socket_net();
+    expect_register_writes_carry_no_value(net->client());
+    net->stop();
+  }
+  {
+    SCOPED_TRACE("flat kv");
+    auto flat = make_flat_store();
+    expect_kv_writes_carry_no_value(flat.client());
+  }
+  {
+    SCOPED_TRACE("sharded kv");
+    auto sharded = make_sharded_store();
+    expect_kv_writes_carry_no_value(sharded->client());
+    sharded->stop();
+  }
+}
+
 TEST(ClientConformance, TryResultPollsWithoutBlocking) {
   auto group = make_sim_group();
   RegisterClient& client = group.client();

@@ -1,11 +1,18 @@
 // Socket runtime (src/transport): the register over real loopback TCP —
 // basic semantics via the unified client, all four algorithms on the
-// wire, crash behaviour and the inbound frame ring. Concurrent-history
+// wire, crash behaviour, the loops' wake handshake and syscall counts,
+// frame-cap refusal and the inbound frame ring. Concurrent-history
 // atomicity is swept in workload_test, alongside the sim and threaded
 // engines.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,6 +196,226 @@ TEST(SocketNetworkTest, StopIsIdempotentAndDestructorSafe) {
   net.stop();
 }
 
+// ---- the loops' wake handshake and syscall counts ----------------------------------
+
+/// One op outstanding at a time, resolved by its callback on a loop
+/// thread; the issuing thread waits for it with a deadline, so an op a
+/// loop never picks up fails the test instead of hanging it.
+class OneOpAtATime {
+ public:
+  OpCallback callback() {
+    return [this](const OpResult& r) {
+      {
+        const std::scoped_lock lock(mu_);
+        ok_ = r.status.ok();
+        done_ = true;
+      }
+      cv_.notify_one();
+    };
+  }
+  /// False if the deadline passed first. Re-arms for the next op.
+  bool wait(std::chrono::steady_clock::time_point deadline, bool& ok) {
+    std::unique_lock lock(mu_);
+    if (!cv_.wait_until(lock, deadline, [this] { return done_; })) {
+      return false;
+    }
+    ok = ok_;
+    done_ = false;
+    return true;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  bool ok_ = false;
+};
+
+TEST(SocketNetworkTest, WakeOnlyWhileSleepingStrandsNoOp) {
+  // A submit writes a loop's wake pipe only while the loop sleeps. If the
+  // handshake ever let a command land unseen just as its loop went to
+  // sleep, that op would wait forever. Four callers each run 2,000
+  // callback ops, one at a time, pausing 0-50 us after each: a caller
+  // often submits while the loop that completed its last op is still
+  // flushing, and the loops keep falling asleep between ops.
+  constexpr int kCallers = 4;
+  constexpr int kOpsPerCaller = 2000;
+  for (const std::uint32_t loops : {1u, 2u, 3u}) {
+    SCOPED_TRACE("loops=" + std::to_string(loops));
+    // Outlive the network: stop() resolves a stalled op into its waiter.
+    std::array<OneOpAtATime, kCallers> waiters;
+    auto opt = net_options(Algorithm::kTwoBit, 3, 1);
+    opt.loops = loops;
+    SocketNetwork net(std::move(opt));
+    net.start();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    std::atomic<int> ok{0};
+    std::atomic<int> failed{0};
+    std::atomic<int> stalled{0};  ///< callers whose op missed the deadline
+    {
+      std::vector<std::jthread> callers;
+      for (int c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+          std::mt19937 rng(static_cast<std::uint32_t>(97 * c + loops));
+          std::uniform_int_distribution<int> pause_us(0, 50);
+          std::uniform_int_distribution<int> percent(0, 99);
+          OneOpAtATime& op = waiters[c];
+          for (int k = 0; k < kOpsPerCaller; ++k) {
+            if (percent(rng) < 90) {
+              net.client().read(kAnyReplica, op.callback());
+            } else {
+              net.client().write(Value::from_int64(c * kOpsPerCaller + k),
+                                 op.callback());
+            }
+            bool op_ok = false;
+            if (!op.wait(deadline, op_ok)) {
+              stalled.fetch_add(1);
+              return;
+            }
+            (op_ok ? ok : failed).fetch_add(1);
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(pause_us(rng)));
+          }
+        });
+      }
+    }  // every caller done or stalled
+    EXPECT_EQ(stalled.load(), 0)
+        << stalled.load() << " ops outstanding at the deadline; "
+        << ok.load() + failed.load() << " of " << kCallers * kOpsPerCaller
+        << " completed";
+    EXPECT_EQ(ok.load(), kCallers * kOpsPerCaller);
+    EXPECT_EQ(failed.load(), 0);
+    net.stop();
+  }
+}
+
+TEST(SocketNetworkTest, ClosedLoopMakesNoEmptyReads) {
+  // A short closed loop shaped like the benchmark's sock-read90: n = 3 on
+  // 2 loops, 12 ops in flight from one generator thread, 90% reads, 8-B
+  // values. A read round stops at a short read, so no socket read ever
+  // comes back EAGAIN, and a flush sends a round's frames to one peer
+  // together, so there are never more sends than frames. Per-op counts
+  // by kind are printed; exact gates need a deterministic kernel.
+  constexpr std::uint64_t kInFlight = 12;
+  constexpr std::uint64_t kWarmOps = 1000;
+  constexpr std::uint64_t kOps = 10000;
+  // Declared before the network: stop() in its destructor resolves any op
+  // still in flight into these, also when an assertion returns early.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::uint64_t done = 0;  // guarded by mu
+  std::atomic<std::uint64_t> failed{0};
+  auto opt = net_options(Algorithm::kTwoBit, 3, 1);
+  opt.loops = 2;
+  SocketNetwork net(std::move(opt));
+  net.start();
+  auto on_done = [&](const OpResult& r) {
+    if (!r.status.ok()) failed.fetch_add(1, std::memory_order_relaxed);
+    {
+      const std::scoped_lock lock(mu);
+      ++done;
+    }
+    cv.notify_one();
+  };
+  auto issue = [&net, &on_done](std::uint64_t k) {
+    if (k % 10 == 0) {
+      net.client().write(Value::from_int64(static_cast<std::int64_t>(k)),
+                         on_done);
+    } else {
+      net.client().read(kAnyReplica, on_done);
+    }
+  };
+  // Keep kInFlight ops outstanding until `until` have completed; false if
+  // the completions stop coming.
+  std::uint64_t issued = 0;
+  auto run_until = [&](std::uint64_t until) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    std::uint64_t seen = 0;
+    for (;;) {
+      while (issued < until && issued < seen + kInFlight) issue(issued++);
+      std::unique_lock lock(mu);
+      if (!cv.wait_until(lock, deadline, [&] { return done > seen; })) {
+        return false;
+      }
+      seen = done;
+      if (seen >= until) return true;
+    }
+  };
+  ASSERT_TRUE(run_until(kWarmOps));
+  const auto before = net.backpressure_snapshot().syscalls;
+  const std::uint64_t frames_before = net.stats_snapshot().total_sent();
+  const bool finished = run_until(kWarmOps + kOps);
+  const auto after = net.backpressure_snapshot().syscalls;
+  const std::uint64_t frames = net.stats_snapshot().total_sent() -
+                               frames_before;
+  net.stop();
+  ASSERT_TRUE(finished) << "completions stopped before " << kOps << " ops";
+  ASSERT_EQ(failed.load(), 0u);
+
+  const double ops = static_cast<double>(kOps);
+  auto per_op = [ops](std::uint64_t a, std::uint64_t b) {
+    return static_cast<double>(a - b) / ops;
+  };
+  std::printf(
+      "syscalls per op: %.2f total = %.2f reads (%.2f EAGAIN) + %.2f sends "
+      "+ %.2f wake writes + %.2f epoll_wait + %.2f epoll_ctl; "
+      "%.2f frames per op\n",
+      per_op(after.total(), before.total()), per_op(after.reads, before.reads),
+      per_op(after.eagain_reads, before.eagain_reads),
+      per_op(after.sends, before.sends),
+      per_op(after.wake_writes, before.wake_writes),
+      per_op(after.epoll_waits, before.epoll_waits),
+      per_op(after.epoll_ctls, before.epoll_ctls),
+      static_cast<double>(frames) / ops);
+  EXPECT_EQ(after.eagain_reads - before.eagain_reads, 0u)
+      << "a read round must stop at its first short read";
+  EXPECT_GT(after.sends, before.sends);
+  EXPECT_LE(after.sends - before.sends, frames)
+      << "a flush sends the round's frames to one peer together";
+}
+
+// ---- frames above the cap ------------------------------------------------------------
+
+TEST(SocketNetworkTest, FrameAboveCapClosesOnlyItsChannels) {
+  // Every frame carrying a 256-B value exceeds a 64-B cap. The writer's
+  // WRITE to each replica is refused there: each replica closes its
+  // channel to the writer, counts it, and keeps running. Replicas 1 and 2
+  // still form a quorum for reads, which the writer's lost write never
+  // reached.
+  std::atomic<int> big_status{-1};  // outlives the network's stop()
+  auto opt = net_options(Algorithm::kTwoBit, 3, 1);
+  opt.limits.max_frame_bytes = 64;
+  SocketNetwork net(std::move(opt));
+  net.start();
+  ASSERT_TRUE(net.client().write_sync(Value::from_int64(5)).status.ok());
+  ASSERT_EQ(net.backpressure_snapshot().refused_frames, 0u);
+
+  net.client().write(Value::filler(256), [&big_status](const OpResult& r) {
+    big_status.store(static_cast<int>(r.status.code()));
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (net.backpressure_snapshot().refused_frames < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(net.backpressure_snapshot().refused_frames, 2u)
+      << "both replicas refuse the writer's oversized WRITE";
+  for (const ProcessId reader : {ProcessId{1}, ProcessId{2}}) {
+    const OpResult r = net.client().read_sync(reader);
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    EXPECT_EQ(r.value.to_int64(), 5);
+    EXPECT_EQ(r.version, 1);
+  }
+  EXPECT_FALSE(net.crashed(0));
+  net.stop();
+  // A wall-clock engine has no liveness verdict: the cut-off write waits
+  // for its quorum until stop() fails it.
+  EXPECT_EQ(big_status.load(), static_cast<int>(StatusCode::kShutdown));
+}
+
 // ---- the inbound frame ring --------------------------------------------------------
 
 TEST(FrameBufferTest, DrainsManySmallFramesFromOneBufferedRead) {
@@ -235,6 +462,30 @@ TEST(FrameBufferTest, PartialFramesSpanAppends) {
     EXPECT_EQ(seen[2], std::string(3000, 'z'));
   }
   (void)buf;
+}
+
+TEST(FrameBufferTest, AcceptsAFrameOfExactlyTheCapAndRefusesOneByteMore) {
+  constexpr std::size_t kCap = 1024;
+  FrameBuffer at_cap;
+  at_cap.set_max_frame(kCap);
+  FrameBuffer::append_frame(at_cap.tail(), std::string(kCap, 'c'));
+  std::string_view frame;
+  ASSERT_TRUE(at_cap.next_frame(frame));
+  EXPECT_EQ(frame.size(), kCap);
+  EXPECT_FALSE(at_cap.refused());
+
+  FrameBuffer over;
+  over.set_max_frame(kCap);
+  // The header alone condemns the frame: no payload byte has arrived.
+  std::string wire;
+  FrameBuffer::append_frame(wire, std::string(kCap + 1, 'c'));
+  over.tail().append(wire, 0, 4);
+  EXPECT_FALSE(over.next_frame(frame));
+  EXPECT_TRUE(over.refused());
+  over.tail().append(wire, 4, std::string::npos);
+  EXPECT_FALSE(over.next_frame(frame)) << "a refused stream stays refused";
+  over.clear();
+  EXPECT_FALSE(over.refused());
 }
 
 TEST(FrameBufferTest, InterleavedAppendDrainKeepsOffsetBounded) {
