@@ -58,6 +58,12 @@ WireAccounting PhasedCodec::account(const Message& msg) const {
   return wire;
 }
 
+std::size_t PhasedCodec::value_frame_overhead() const {
+  // type, tag, seq, value flag, value length, label length, label blob
+  return 1 + 8 + 8 + 1 + 4 + 4 +
+         static_cast<std::size_t>(physical_label_bytes_);
+}
+
 std::string PhasedCodec::type_name(std::uint8_t type) const {
   switch (static_cast<PhasedType>(type)) {
     case PhasedType::kPhaseReq:

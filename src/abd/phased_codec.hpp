@@ -30,6 +30,7 @@ class PhasedCodec final : public Codec {
   void decode_into(std::string_view bytes, Message& out) const override;
   WireAccounting account(const Message& msg) const override;
   std::string type_name(std::uint8_t type) const override;
+  std::size_t value_frame_overhead() const override;
 
   std::uint64_t label_bits() const noexcept { return label_bits_; }
 

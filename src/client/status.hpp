@@ -25,6 +25,10 @@ enum class StatusCode : std::uint8_t {
   /// The op's register group can no longer assemble quorums (more than t
   /// crashes, or a stalled batch); the engine refuses or abandons ops.
   kLivenessLost,
+  /// A write's value is larger than the engine's frames can carry
+  /// (SocketNetwork::max_value_bytes()); the op was refused before it
+  /// reached the protocol.
+  kTooLarge,
 };
 
 class Status {

@@ -74,6 +74,10 @@ WireAccounting TwoBitCodec::account(const Message& msg) const {
   return wire;
 }
 
+std::size_t TwoBitCodec::value_frame_overhead() const {
+  return 1 + 8 + 4;  // CHECKPOINT: type, index, value length
+}
+
 std::string TwoBitCodec::type_name(std::uint8_t type) const {
   switch (static_cast<TwoBitType>(type)) {
     case TwoBitType::kWrite0:

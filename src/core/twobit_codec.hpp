@@ -40,6 +40,7 @@ class TwoBitCodec final : public Codec {
   void decode_into(std::string_view bytes, Message& out) const override;
   WireAccounting account(const Message& msg) const override;
   std::string type_name(std::uint8_t type) const override;
+  std::size_t value_frame_overhead() const override;
 
   static constexpr std::uint64_t kControlBitsPerMessage = 2;
   /// Extra control bits of the extension frames carrying an index.

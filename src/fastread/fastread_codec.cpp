@@ -87,6 +87,10 @@ WireAccounting OhRamCodec::account(const Message& msg) const {
   return wire;
 }
 
+std::size_t OhRamCodec::value_frame_overhead() const {
+  return 1 + 8 + 8 + 4;  // read-path state: type, tag, seq, value length
+}
+
 std::string OhRamCodec::type_name(std::uint8_t type) const {
   switch (static_cast<OhRamType>(type)) {
     case OhRamType::kWrite:
@@ -175,6 +179,10 @@ WireAccounting TimeEfficientCodec::account(const Message& msg) const {
   }
   wire.data_bits = msg.has_value ? 32 + msg.value.size_bits() : 0;
   return wire;
+}
+
+std::size_t TimeEfficientCodec::value_frame_overhead() const {
+  return 1 + 8 + 8 + 4;  // STATE: type, tag, seq, value length
 }
 
 std::string TimeEfficientCodec::type_name(std::uint8_t type) const {

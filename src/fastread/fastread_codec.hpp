@@ -45,6 +45,7 @@ class OhRamCodec final : public Codec {
   void decode_into(std::string_view bytes, Message& out) const override;
   WireAccounting account(const Message& msg) const override;
   std::string type_name(std::uint8_t type) const override;
+  std::size_t value_frame_overhead() const override;
 };
 
 /// Shared immutable instance (codecs are stateless).
@@ -70,6 +71,7 @@ class TimeEfficientCodec final : public Codec {
   void decode_into(std::string_view bytes, Message& out) const override;
   WireAccounting account(const Message& msg) const override;
   std::string type_name(std::uint8_t type) const override;
+  std::size_t value_frame_overhead() const override;
 };
 
 /// Shared immutable instance (codecs are stateless).

@@ -6,6 +6,7 @@
 // to coordinate — type tags, sequence numbers, bounded labels — is control.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -51,6 +52,12 @@ class Codec {
 
   /// Control/data bit accounting for this frame.
   virtual WireAccounting account(const Message& msg) const = 0;
+
+  /// The most bytes any frame adds around the one value it carries (type
+  /// tag, counters, value length, label blob): a frame carrying a v-byte
+  /// value encodes to at most v + value_frame_overhead() bytes. The socket
+  /// engine sizes its largest write from it.
+  virtual std::size_t value_frame_overhead() const = 0;
 
   /// Human-readable name of a type id ("WRITE0", "ACK_W", ...).
   virtual std::string type_name(std::uint8_t type) const = 0;

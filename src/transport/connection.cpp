@@ -12,7 +12,6 @@ void ConnLimits::validate() const {
   TBR_ENSURE(outbuf_high_water > 0, "outbuf_high_water must be positive");
   TBR_ENSURE(read_budget > 0, "read_budget must be positive");
   TBR_ENSURE(write_budget > 0, "write_budget must be positive");
-  TBR_ENSURE(max_frame_bytes > 0, "max_frame_bytes must be positive");
 }
 
 SyscallCounts& SyscallCounts::operator+=(const SyscallCounts& o) noexcept {

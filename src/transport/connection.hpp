@@ -18,9 +18,9 @@
 // one flush writes at most `write_budget` bytes, then yields
 // (level-triggered epoll re-reports the remainder).
 //
-// A length prefix above `max_frame_bytes` refuses the inbound stream: a
-// peer that announces a 4 GiB frame is lying or broken, and buffering
-// toward it would let one header pin gigabytes.
+// A length prefix above FrameBuffer::kMaxFrame refuses the inbound
+// stream: a peer that announces a 4 GiB frame is lying or broken, and
+// buffering toward it would let one header pin gigabytes.
 //
 // Threading: a Connection is owned by exactly one event loop and only
 // ever touched from that loop's thread (or from the setup thread before
@@ -56,9 +56,6 @@ struct ConnLimits {
   /// the userspace outbuf ever crosses high water — backpressure tests set
   /// this small so the watermarks, not the kernel, bound the queue.
   int kernel_buffer_bytes = 0;
-  /// Largest inbound frame payload accepted. A length prefix above it
-  /// closes the channel before any more of the stream is buffered.
-  std::size_t max_frame_bytes = FrameBuffer::kDefaultMaxFrame;
 
   void validate() const;
 };
@@ -110,7 +107,6 @@ class Connection {
                  SyscallCounters* syscalls = nullptr) {
     limits_ = limits;
     syscalls_ = syscalls;
-    inbuf_.set_max_frame(limits.max_frame_bytes);
   }
   const ConnLimits& limits() const noexcept { return limits_; }
 
@@ -154,8 +150,8 @@ class Connection {
   IoStatus read_budgeted();
   /// Peel the next complete inbound frame (see FrameBuffer::next_frame).
   bool next_frame(std::string_view& frame) { return inbuf_.next_frame(frame); }
-  /// An inbound length prefix exceeded `max_frame_bytes`: the channel is
-  /// unusable and nothing more is read from it.
+  /// An inbound length prefix exceeded FrameBuffer::kMaxFrame: the
+  /// channel is unusable and nothing more is read from it.
   bool frame_refused() const noexcept { return inbuf_.refused(); }
   /// Inbound bytes buffered but not yet consumed as frames.
   std::size_t inbuf_pending() const noexcept { return inbuf_.pending_bytes(); }

@@ -12,10 +12,9 @@
 // amortized and the storage is recycled like every other hot-path buffer
 // in the tree.
 //
-// A length prefix above the buffer's frame cap refuses the stream: the
-// header is all next_frame() needs to see, so a lying prefix is caught
-// before its "payload" is buffered, and the buffer stays refused until
-// clear().
+// A length prefix above kMaxFrame refuses the stream: the header is all
+// next_frame() needs to see, so a lying prefix is caught before its
+// "payload" is buffered, and the buffer stays refused until clear().
 #pragma once
 
 #include <cstddef>
@@ -27,13 +26,11 @@ namespace tbr {
 
 class FrameBuffer {
  public:
-  /// Default cap on one frame's payload: far above any frame the tree's
-  /// codecs make (a 4 KiB value is the largest), far below the 4 GiB a
-  /// 32-bit prefix can claim.
-  static constexpr std::size_t kDefaultMaxFrame = std::size_t{16} << 20;
-
-  /// Refuse any frame whose payload exceeds `bytes`.
-  void set_max_frame(std::size_t bytes) noexcept { max_frame_ = bytes; }
+  /// Largest frame payload accepted: far above any frame the tree's
+  /// workloads make (a 4 KiB value is the largest), far below the 4 GiB a
+  /// 32-bit prefix can claim. Senders keep under it by refusing larger
+  /// values (SocketNetwork::max_value_bytes()).
+  static constexpr std::size_t kMaxFrame = std::size_t{16} << 20;
 
   /// The tail storage new stream bytes are appended onto (hand this to
   /// tcp::read_some). Only ever append; the head is managed here.
@@ -43,14 +40,14 @@ class FrameBuffer {
   /// payload, consume it, and return true. The view stays valid until the
   /// next call against this buffer (consumption only moves the offset;
   /// compaction happens between frames, never under a live view). A
-  /// prefix above the frame cap sets refused() and returns false, now and
-  /// on every later call.
+  /// prefix above kMaxFrame sets refused() and returns false, now and on
+  /// every later call.
   bool next_frame(std::string_view& frame) {
     if (refused_) return false;
     maybe_compact();
     if (buf_.size() - pos_ < kHeader) return false;
     const std::uint32_t len = peek_len();
-    if (len > max_frame_) {
+    if (len > kMaxFrame) {
       refused_ = true;
       return false;
     }
@@ -77,7 +74,7 @@ class FrameBuffer {
   /// amortization the ring buys (the old code compacted once per drain).
   std::uint64_t compactions() const noexcept { return compactions_; }
 
-  /// A length prefix exceeded the frame cap (see next_frame).
+  /// A length prefix exceeded kMaxFrame (see next_frame).
   bool refused() const noexcept { return refused_; }
 
   void clear() {
@@ -119,7 +116,6 @@ class FrameBuffer {
   std::string buf_;
   std::size_t pos_ = 0;
   std::uint64_t compactions_ = 0;
-  std::size_t max_frame_ = kDefaultMaxFrame;
   bool refused_ = false;
 };
 

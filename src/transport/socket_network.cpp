@@ -20,6 +20,8 @@ using Clock = std::chrono::steady_clock;
 namespace {
 /// epoll tag reserved for a loop's own wakeup pipe.
 constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
+constexpr Status kValueTooLarge{StatusCode::kTooLarge,
+                                "value does not fit in a frame"};
 }  // namespace
 
 // ---- Loop: one epoll event loop multiplexing a shard of the processes ----------
@@ -428,9 +430,10 @@ class SocketNetwork::Node final : public NetworkContext {
       proc_->on_message(*this, p, inbound_);
     }
     if (conn.alive() && conn.frame_refused()) {
-      // A length prefix above max_frame_bytes: nothing after it can be
-      // framed. Close this channel alone; to this process the peer looks
-      // crashed, which the model tolerates up to t.
+      // A length prefix above FrameBuffer::kMaxFrame, which no sender in
+      // this program frames: nothing after it can be framed. Close this
+      // channel alone; to this process the peer looks crashed, which the
+      // model tolerates up to t.
       refused_frames_.fetch_add(1, std::memory_order_relaxed);
       teardown_conn(p);
     }
@@ -621,6 +624,12 @@ SocketNetwork::SocketNetwork(Options options)
     nodes_.push_back(
         std::make_unique<Node>(*this, pid, make_group_process(opt_, pid)));
   }
+  // Every frame that carries a value must fit a peer's FrameBuffer.
+  max_value_bytes_ =
+      FrameBuffer::kMaxFrame -
+      nodes_[0]->process_unlocked().codec().value_frame_overhead();
+  TBR_ENSURE(cfg_.initial.size() <= max_value_bytes_,
+             "initial value does not fit in a frame");
   const auto hw = std::max(1u, std::thread::hardware_concurrency());
   std::uint32_t count =
       opt_.loops == 0 ? std::min<std::uint32_t>(cfg_.n, hw) : opt_.loops;
@@ -748,6 +757,12 @@ void SocketNetwork::recover(ProcessId pid) {
 
 void SocketNetwork::client_issue(OpState& st) {
   TBR_ENSURE(started_, "start() the network first");
+  // Peers would refuse its frames and close their channels to the writer:
+  // refuse the write before any frame exists.
+  if (st.kind == OpKind::kWrite && st.value.size() > max_value_bytes_) {
+    st.owner->complete_failed(st, kValueTooLarge);
+    return;
+  }
   Node* node = nodes_[st.node].get();
   Loop::Command cmd;
   cmd.node = node;

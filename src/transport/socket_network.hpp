@@ -48,7 +48,9 @@
 // a command to the owning loop thread, park blocks on the client pool's
 // condition variable, and the loop thread runs the op through the node's
 // OpSlot (src/client/op_slot.hpp): the protocol's result, kCrashed after
-// a crash marker, or kShutdown once the network stops. Inbound bytes ride a consumed-offset ring
+// a crash marker, or kShutdown once the network stops. A write whose value
+// would not fit in a frame fails with kTooLarge at issue (see
+// max_value_bytes()). Inbound bytes ride a consumed-offset ring
 // (FrameBuffer), so draining a frame is O(frame), not O(buffer); a
 // steady-state ticket round-trip stays allocation-free.
 #pragma once
@@ -87,7 +89,7 @@ class SocketNetwork final : private RegisterClientEngine {
     std::uint64_t deferred_ops = 0;   ///< ops admitted while parked (stalled)
     std::uint64_t peak_outbuf_bytes = 0;  ///< max queued bytes on any channel
     std::uint32_t parked_now = 0;     ///< processes currently parked
-    /// Channels closed on a length prefix above ConnLimits::max_frame_bytes.
+    /// Channels closed on a length prefix above FrameBuffer::kMaxFrame.
     std::uint64_t refused_frames = 0;
     SyscallCounts syscalls;           ///< summed over the event loops
   };
@@ -119,6 +121,11 @@ class SocketNetwork final : private RegisterClientEngine {
 
   /// Event loops actually running (after auto-resolution).
   std::uint32_t loop_count() const noexcept;
+  /// Largest write value the mesh carries: FrameBuffer::kMaxFrame less
+  /// the codec's value_frame_overhead(), so every frame carrying the value
+  /// fits a peer's frame cap. A larger write fails with kTooLarge at
+  /// issue, before any frame is queued.
+  std::size_t max_value_bytes() const noexcept { return max_value_bytes_; }
   /// True while pid's op admission is stalled by backpressure: some
   /// outbound channel is above high water, so a newly issued operation
   /// waits at the node instead of starting. The RegisterClient chain
@@ -145,6 +152,7 @@ class SocketNetwork final : private RegisterClientEngine {
   GroupConfig cfg_;
   Options opt_;
   ProcessFactory rejoin_;  ///< builds recover()'s incarnations; may be empty
+  std::size_t max_value_bytes_ = 0;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Loop>> loops_;
   RegisterClient client_{*this, cfg_};

@@ -1,7 +1,9 @@
 // Cross-cutting property tests: codec fuzzing (malformed frames must throw
-// or round-trip), non-default writer placement, larger groups, and
-// empty-payload values end to end.
+// or round-trip) and each codec's declared frame overhead, non-default
+// writer placement, larger groups, and empty-payload values end to end.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "abd/phased_codec.hpp"
 #include "abd/specs.hpp"
@@ -15,11 +17,11 @@ namespace {
 
 // ---- codec fuzz -------------------------------------------------------------
 
-// A well-formed frame to corrupt: random fields, kept only once the codec's
+// A well-formed frame: random fields in `msg`, kept only once the codec's
 // own encoder accepts them, so one generator serves every codec.
-std::string random_valid_frame(const Codec& codec, Rng& rng) {
+std::string random_valid_frame(const Codec& codec, Rng& rng, Message& msg) {
   for (;;) {
-    Message msg;
+    msg = Message();
     msg.type = static_cast<std::uint8_t>(rng.uniform(0, 6));
     msg.seq = rng.chance(0.5) ? 0 : rng.uniform(0, 1'000'000);
     msg.aux = rng.chance(0.5) ? 0 : rng.uniform(0, 1'000'000);
@@ -36,40 +38,71 @@ std::string random_valid_frame(const Codec& codec, Rng& rng) {
   }
 }
 
-class CodecFuzz : public testing::TestWithParam<std::uint64_t> {};
+// Every codec in the tree, the phased one under each spec. A codec is
+// canonical (re-encoding gives a decoded frame back byte for byte) unless
+// its frames carry a bounded label: the phased codec skips that padding
+// unread and re-encodes zeros.
+struct CodecCase {
+  const char* name;
+  const Codec& codec;
+  bool canonical;
+};
 
-// Random bytes and single-bit flips of valid frames, into every codec: each
-// input must be rejected with ContractViolation or decode to a message whose
-// re-encoding decodes to the same fields. A codec is canonical (re-encoding
-// gives the input back byte for byte) unless its frames carry a bounded
-// label: the phased codec skips that padding unread and re-encodes zeros.
-TEST_P(CodecFuzz, MalformedFramesThrowOrRoundTripOnEveryCodec) {
+template <typename Fn>
+void for_each_codec(Fn&& fn) {
   const PhasedCodec abd(abd_unbounded_spec(), 5);
   const PhasedCodec regular(abd_regular_spec(), 5);
   const PhasedCodec bounded(abd_bounded_spec(), 3);
   const PhasedCodec attiya(attiya_spec(), 3);
-  struct Case {
-    const char* name;
-    const Codec& codec;
-    bool canonical;
-  };
-  const Case cases[] = {{"two-bit", twobit_codec(), true},
-                        {"phased abd", abd, true},
-                        {"phased abd-regular", regular, true},
-                        {"phased abd-bounded", bounded, false},
-                        {"phased attiya", attiya, false},
-                        {"oh-ram", ohram_codec(), true},
-                        {"time-efficient", time_efficient_codec(), true}};
-  Rng rng(GetParam());
-  for (const Case& c : cases) {
+  const CodecCase cases[] = {{"two-bit", twobit_codec(), true},
+                             {"phased abd", abd, true},
+                             {"phased abd-regular", regular, true},
+                             {"phased abd-bounded", bounded, false},
+                             {"phased attiya", attiya, false},
+                             {"oh-ram", ohram_codec(), true},
+                             {"time-efficient", time_efficient_codec(), true}};
+  for (const CodecCase& c : cases) {
     SCOPED_TRACE(c.name);
+    fn(c);
+  }
+}
+
+// Every valid frame fits its value plus the codec's value_frame_overhead(),
+// and some frame needs all of it: the socket engine refuses any write
+// larger than FrameBuffer::kMaxFrame less that overhead.
+TEST(CodecOverhead, EveryFrameFitsItsValuePlusTheDeclaredOverhead) {
+  Rng rng(77);
+  for_each_codec([&rng](const CodecCase& c) {
+    std::size_t widest = 0;
+    for (int trial = 0; trial < 1000; ++trial) {
+      Message msg;
+      const std::string bytes = random_valid_frame(c.codec, rng, msg);
+      ASSERT_LE(bytes.size(),
+                msg.value.size() + c.codec.value_frame_overhead())
+          << "type " << int{msg.type};
+      widest = std::max(widest, bytes.size() - msg.value.size());
+    }
+    EXPECT_EQ(widest, c.codec.value_frame_overhead());
+  });
+}
+
+class CodecFuzz : public testing::TestWithParam<std::uint64_t> {};
+
+// Random bytes and single-bit flips of valid frames, into every codec: each
+// input must be rejected with ContractViolation or decode to a message whose
+// re-encoding decodes to the same fields (the same bytes on a canonical
+// codec).
+TEST_P(CodecFuzz, MalformedFramesThrowOrRoundTripOnEveryCodec) {
+  Rng rng(GetParam());
+  for_each_codec([&rng](const CodecCase& c) {
     for (int trial = 0; trial < 2000; ++trial) {
       std::string bytes;
       if (trial % 2 == 0) {
         bytes.resize(static_cast<std::size_t>(rng.uniform(0, 80)));
         for (auto& b : bytes) b = static_cast<char>(rng.uniform(0, 255));
       } else {
-        bytes = random_valid_frame(c.codec, rng);
+        Message valid;
+        bytes = random_valid_frame(c.codec, rng, valid);
         const auto bit = static_cast<std::size_t>(
             rng.uniform(0, static_cast<std::int64_t>(bytes.size()) * 8 - 1));
         bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
@@ -93,7 +126,7 @@ TEST_P(CodecFuzz, MalformedFramesThrowOrRoundTripOnEveryCodec) {
       EXPECT_EQ(back.has_value, msg.has_value) << "trial " << trial;
       EXPECT_EQ(back.value, msg.value) << "trial " << trial;
     }
-  }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz, testing::Range<std::uint64_t>(0, 4));

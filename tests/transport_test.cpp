@@ -376,44 +376,42 @@ TEST(SocketNetworkTest, ClosedLoopMakesNoEmptyReads) {
       << "a flush sends the round's frames to one peer together";
 }
 
-// ---- frames above the cap ------------------------------------------------------------
+// ---- values above the frame cap -------------------------------------------------------
 
-TEST(SocketNetworkTest, FrameAboveCapClosesOnlyItsChannels) {
-  // Every frame carrying a 256-B value exceeds a 64-B cap. The writer's
-  // WRITE to each replica is refused there: each replica closes its
-  // channel to the writer, counts it, and keeps running. Replicas 1 and 2
-  // still form a quorum for reads, which the writer's lost write never
-  // reached.
-  std::atomic<int> big_status{-1};  // outlives the network's stop()
-  auto opt = net_options(Algorithm::kTwoBit, 3, 1);
-  opt.limits.max_frame_bytes = 64;
-  SocketNetwork net(std::move(opt));
-  net.start();
-  ASSERT_TRUE(net.client().write_sync(Value::from_int64(5)).status.ok());
-  ASSERT_EQ(net.backpressure_snapshot().refused_frames, 0u);
-
-  net.client().write(Value::filler(256), [&big_status](const OpResult& r) {
-    big_status.store(static_cast<int>(r.status.code()));
-  });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (net.backpressure_snapshot().refused_frames < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+TEST(SocketNetworkTest, WriteAboveTheFrameCapFailsFastAndKeepsTheMesh) {
+  // A value one byte over max_value_bytes() would make a frame one byte
+  // over FrameBuffer::kMaxFrame, which every peer refuses by closing its
+  // channel to the sender. The write fails at issue instead, before any
+  // frame exists, and the mesh serves the next write and every read.
+  std::vector<Algorithm> algos = all_algorithms();
+  for (const Algorithm algo : fastread_algorithms()) algos.push_back(algo);
+  for (const Algorithm algo : algos) {
+    SCOPED_TRACE(algorithm_name(algo));
+    SocketNetwork net(net_options(algo, 3, 1));
+    net.start();
+    ASSERT_LT(net.max_value_bytes(), FrameBuffer::kMaxFrame);
+    ASSERT_TRUE(net.client().write_sync(Value::from_int64(5)).status.ok());
+    const Ticket t =
+        net.client().write(Value::filler(net.max_value_bytes() + 1));
+    OpResult refused;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!net.client().try_result(t, refused) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(refused.status.code(), StatusCode::kTooLarge)
+        << "an oversized write must fail at issue, not wait for replies";
+    ASSERT_TRUE(net.client().write_sync(Value::from_int64(6)).status.ok());
+    for (ProcessId reader = 0; reader < 3; ++reader) {
+      const OpResult r = net.client().read_sync(reader);
+      ASSERT_TRUE(r.status.ok()) << r.status.message();
+      EXPECT_EQ(r.value.to_int64(), 6) << "reader " << reader;
+      EXPECT_EQ(r.version, 2) << "the refused write never reached a replica";
+    }
+    EXPECT_EQ(net.backpressure_snapshot().refused_frames, 0u);
+    net.stop();
   }
-  EXPECT_EQ(net.backpressure_snapshot().refused_frames, 2u)
-      << "both replicas refuse the writer's oversized WRITE";
-  for (const ProcessId reader : {ProcessId{1}, ProcessId{2}}) {
-    const OpResult r = net.client().read_sync(reader);
-    ASSERT_TRUE(r.status.ok()) << r.status.message();
-    EXPECT_EQ(r.value.to_int64(), 5);
-    EXPECT_EQ(r.version, 1);
-  }
-  EXPECT_FALSE(net.crashed(0));
-  net.stop();
-  // A wall-clock engine has no liveness verdict: the cut-off write waits
-  // for its quorum until stop() fails it.
-  EXPECT_EQ(big_status.load(), static_cast<int>(StatusCode::kShutdown));
 }
 
 // ---- the inbound frame ring --------------------------------------------------------
@@ -465,24 +463,23 @@ TEST(FrameBufferTest, PartialFramesSpanAppends) {
 }
 
 TEST(FrameBufferTest, AcceptsAFrameOfExactlyTheCapAndRefusesOneByteMore) {
-  constexpr std::size_t kCap = 1024;
   FrameBuffer at_cap;
-  at_cap.set_max_frame(kCap);
-  FrameBuffer::append_frame(at_cap.tail(), std::string(kCap, 'c'));
+  FrameBuffer::append_frame(at_cap.tail(),
+                            std::string(FrameBuffer::kMaxFrame, 'c'));
   std::string_view frame;
   ASSERT_TRUE(at_cap.next_frame(frame));
-  EXPECT_EQ(frame.size(), kCap);
+  EXPECT_EQ(frame.size(), FrameBuffer::kMaxFrame);
   EXPECT_FALSE(at_cap.refused());
 
-  FrameBuffer over;
-  over.set_max_frame(kCap);
   // The header alone condemns the frame: no payload byte has arrived.
-  std::string wire;
-  FrameBuffer::append_frame(wire, std::string(kCap + 1, 'c'));
-  over.tail().append(wire, 0, 4);
+  FrameBuffer over;
+  const auto len = static_cast<std::uint32_t>(FrameBuffer::kMaxFrame + 1);
+  for (int i = 0; i < 4; ++i) {
+    over.tail().push_back(static_cast<char>((len >> (8 * i)) & 0xFF));
+  }
   EXPECT_FALSE(over.next_frame(frame));
   EXPECT_TRUE(over.refused());
-  over.tail().append(wire, 4, std::string::npos);
+  over.tail().append(4096, 'c');
   EXPECT_FALSE(over.next_frame(frame)) << "a refused stream stays refused";
   over.clear();
   EXPECT_FALSE(over.refused());
